@@ -4,7 +4,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: all build test race-sweep doc-check vet fmt-check lint bench bench-gate bench-quick ci clean
+.PHONY: all build test race-sweep fuzz-decoder fuzz-cache doc-check vet fmt-check lint bench bench-gate bench-quick bench-module ci clean
 
 all: build
 
@@ -29,6 +29,12 @@ race-sweep:
 # target mutates beyond it).  CI runs this step too.
 fuzz-decoder:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeAdj$$' -fuzztime 30s ./internal/graph
+
+# 30-second hunt on the disk cache's entry decoder, DiskCache.Get (the
+# committed corpus under internal/sweep/testdata/fuzz replays in plain `go
+# test`).  CI runs this step too.
+fuzz-cache:
+	$(GO) test -run '^$$' -fuzz 'FuzzDiskCacheGet$$' -fuzztime 30s ./internal/sweep
 
 # The docs gate: the public facade, the scheduler package, the observability
 # package, the sweep service and the fault-injection harness must carry a
@@ -85,7 +91,13 @@ bench-gate:
 bench-quick:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-ci: build lint test race-sweep
+# The benchmark under bench/ is its own module, which `./...` does not
+# reach: vet and test it, so an internal API change that breaks it fails
+# here rather than only when the benchmark runs.  CI runs this step too.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+ci: build lint test race-sweep bench-module
 
 clean:
 	$(GO) clean ./...

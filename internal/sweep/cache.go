@@ -86,8 +86,8 @@ func (c *MemoryCache) Len() int {
 // repeated sweeps across invocations are near-instant.
 //
 // Corrupt entries — truncated files from a killed writer, garbage from a
-// damaged disk, or an entry whose embedded key does not match its address —
-// are tolerated: Get logs (when a logger is set) and reports a miss, the job
+// damaged disk, an entry whose embedded key does not match its address, or
+// one without a simulator result — are tolerated: Get logs (when a logger is set) and reports a miss, the job
 // recomputes, and the following Put overwrites the bad file.  A shared disk
 // cache therefore degrades to recomputation, never to failed jobs.
 //
@@ -251,6 +251,15 @@ func (c *DiskCache) Get(k Key) (Entry, bool) {
 		// or an (astronomically unlikely) hash collision.
 		if c.logf != nil {
 			c.logf("sweep: cache: entry %s holds key %s, want %s; recomputing", c.path(k), e.Key, k)
+		}
+		c.misses.Add(1)
+		return Entry{}, false
+	}
+	if e.Sim == nil {
+		// A null or missing "sim": a hit would hand the engine a nil
+		// result, whose row the CSV writer drops.
+		if c.logf != nil {
+			c.logf("sweep: cache: entry %s has no simulator result; recomputing", c.path(k))
 		}
 		c.misses.Add(1)
 		return Entry{}, false

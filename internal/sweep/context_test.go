@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -118,6 +119,59 @@ func TestDiskCacheWrongKeyEntryLogsAndMisses(t *testing.T) {
 	}
 	if len(logs) != 1 || !strings.Contains(logs[0], "holds key") {
 		t.Fatalf("mismatched entry must be logged once, got %q", logs)
+	}
+}
+
+// TestDiskCacheSimlessEntryLogsAndOverwrites covers a third corruption
+// shape: an entry that parses and carries the right key but whose simulator
+// result is null or missing.  It must read as a logged miss, and the
+// recomputation overwrites it.
+func TestDiskCacheSimlessEntryLogsAndOverwrites(t *testing.T) {
+	jobs, err := testSpec().Jobs()
+	if err != nil {
+		t.Fatalf("Jobs: %v", err)
+	}
+	jobs = jobs[:1]
+	key, err := json.Marshal(jobs[0].Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{
+		"null":    `{"key":` + string(key) + `,"sim":null}`,
+		"missing": `{"key":` + string(key) + `}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := NewDiskCache(dir)
+			if err != nil {
+				t.Fatalf("NewDiskCache: %v", err)
+			}
+			if err := os.WriteFile(c.path(jobs[0].Key), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var logs []string
+			c.SetLogf(func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) })
+			if _, ok := c.Get(jobs[0].Key); ok {
+				t.Fatalf("entry without a simulator result must miss")
+			}
+			if len(logs) != 1 || !strings.Contains(logs[0], "no simulator result") {
+				t.Fatalf("entry without a simulator result must be logged once, got %q", logs)
+			}
+			got, err := NewEngine(EngineOptions{Workers: 1, Cache: c}).Run(jobs)
+			if err != nil {
+				t.Fatalf("recompute: %v", err)
+			}
+			if got[0].Cached || got[0].Sim == nil {
+				t.Fatalf("entry without a simulator result must force a recomputation")
+			}
+			fresh, err := NewDiskCache(dir)
+			if err != nil {
+				t.Fatalf("NewDiskCache: %v", err)
+			}
+			if e, ok := fresh.Get(jobs[0].Key); !ok || e.Sim == nil {
+				t.Fatalf("recomputation must overwrite the entry")
+			}
+		})
 	}
 }
 
