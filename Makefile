@@ -18,11 +18,12 @@ test:
 # registry (Register/New may race against running sweeps), the metrics
 # registry's sharded counters, the sweep service's single-flight dedup, the
 # cross-process cache leases (heartbeat goroutines vs takeover), the
-# fault-injection shims they are tested through, and the graph kernels
-# (whose DAG builders sweeps run concurrently) — run under the race
-# detector (CI runs this step too).
+# fault-injection shims they are tested through, the graph kernels (whose
+# DAG builders sweeps run concurrently), and the simulator and profiler
+# (concurrent runs share one DAG) — run under the race detector (CI runs
+# this step too).
 race-sweep:
-	$(GO) test -race ./internal/sweep/... ./internal/sched/... ./internal/obs/... ./internal/sweepsvc/... ./internal/faultinject/... ./internal/graph/...
+	$(GO) test -race ./internal/sweep/... ./internal/sched/... ./internal/obs/... ./internal/sweepsvc/... ./internal/faultinject/... ./internal/graph/... ./internal/cmpsim/... ./internal/profile/...
 
 # 30-second crash hunt on the varint-delta adjacency decoder (the committed
 # corpus under internal/graph/testdata/fuzz replays in plain `go test`; this

@@ -22,15 +22,15 @@
 // index min-heap sized to the core count with zero-allocation slice pushes
 // and pops; a same-core lookahead keeps executing a core's references inline
 // while their completion times precede every other core's pending event (so
-// L1-hit bursts never touch the heap); and reference streams are drained in
-// refs.BlockSize batches through refs.ReadBlock — or, for recorded streams
-// (refs.Sliced, the product of the trace-interning store), replayed straight
-// out of their immutable arena with no copying at all — amortising the
-// generators' dynamic dispatch.  All three are pure reorderings of identical
-// work: event
-// processing order, and therefore every cycle count and cache statistic, is
-// bit-identical to the straightforward heap-per-event engine (pinned by
+// L1-hit bursts never touch the heap); and each core reads its task's
+// recorded reference arena (dag.Task.Refs) through an integer cursor.  Both
+// are pure reorderings of identical work: event processing order, and
+// therefore every cycle count and cache statistic, is bit-identical to the
+// straightforward heap-per-event engine (pinned by
 // TestGoldenEngineEquivalence).
+//
+// A run only reads its DAG, so any number of runs may simulate one DAG at
+// the same time.
 package cmpsim
 
 import (
@@ -257,26 +257,19 @@ func (e event) Less(other event) bool {
 	return e.time < other.time || (e.time == other.time && e.core < other.core)
 }
 
-// coreState tracks what a core is doing.  The task pointer and generator
+// coreState tracks what a core is doing.  The task pointer and its arena
 // are cached at assignment so the per-reference loop never re-resolves them
-// through the DAG, and each core drains its generator through a block view:
-// for recorded streams (refs.Sliced) the view aliases the stream's immutable
-// arena directly — no copying at all — and for everything else it is the
-// core's private buffer refilled by refs.ReadBlock, paying generator dispatch
-// once per refs.BlockSize references instead of once per reference.
+// through the DAG; the position in the arena is the core's own, so the
+// shared arena is only ever read.
 type coreState struct {
 	busy      bool
 	finishing bool // refs exhausted, waiting for trailing instructions
 	task      *dag.Task
-	gen       refs.Gen
-	consumed  int64 // instructions charged for the current task so far
-	start     int64 // cycle the current task started
+	arena     []refs.Ref // the task's recorded references
+	pos       int        // next reference in arena: the count issued so far
+	consumed  int64      // instructions charged for the current task so far
+	start     int64      // cycle the current task started
 	l2Misses  int64
-	refs      int64
-
-	buf            []refs.Ref // current block view (own, or a Sliced arena)
-	bufPos, bufLen int
-	own            []refs.Ref // private block buffer (slice of the run's arena)
 }
 
 // RunWithOptions simulates d on cfg under scheduler s.
@@ -320,7 +313,6 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 		return nil, err
 	}
 
-	d.ResetRefs()
 	n := d.NumTasks()
 	p := cfg.Cores
 	// Capacity- and topology-aware schedulers (sched.MachineAware) are told
@@ -363,13 +355,6 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 		taskStats = make([]TaskStat, n)
 	}
 
-	// One arena backs every core's private block buffer; slicing it keeps
-	// the steady-state loop free of allocations.
-	bufArena := make([]refs.Ref, p*refs.BlockSize)
-	for c := range cores {
-		cores[c].own = bufArena[c*refs.BlockSize : (c+1)*refs.BlockSize]
-	}
-
 	events := minheap.New[event](p)
 
 	completed := 0
@@ -401,12 +386,7 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 			}
 			tr.Run(int32(id), int32(c))
 			t := d.Task(id)
-			if t.Refs != nil {
-				t.Refs.Reset()
-			}
-			st := &cores[c]
-			own := st.own
-			*st = coreState{busy: true, task: t, gen: t.Refs, start: now, own: own}
+			cores[c] = coreState{busy: true, task: t, arena: t.Refs.Arena(), start: now}
 			events.Push(event{time: now, core: int32(c)})
 		}
 		if prefer >= 0 && prefer < p {
@@ -477,27 +457,12 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 			}
 
 			if !st.finishing {
-				if st.bufPos == st.bufLen && st.gen != nil {
-					// Refill the block view.  Recorded streams hand over
-					// their whole immutable arena in one shot (zero copies);
-					// other generators are drained block-wise into the
-					// core's own buffer.  An empty view means the stream is
-					// exhausted; a short non-empty block does not.
-					if sl, ok := st.gen.(refs.Sliced); ok {
-						st.buf = sl.NextSlice()
-						st.bufLen = len(st.buf)
-					} else {
-						st.bufLen = refs.ReadBlock(st.gen, st.own)
-						st.buf = st.own
-					}
-					st.bufPos = 0
-				}
-				if st.bufPos < st.bufLen {
-					ref := st.buf[st.bufPos]
-					st.bufPos++
-					issue := now + ref.Instrs
-					st.consumed += ref.Instrs
-					st.refs++
+				if st.pos < len(st.arena) {
+					ref := st.arena[st.pos]
+					st.pos++
+					instrs := int64(ref.Instrs)
+					issue := now + instrs
+					st.consumed += instrs
 					acc := hier.Access(c, ref.Addr, ref.Write)
 					var done int64
 					switch acc.Level {
@@ -549,7 +514,7 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 					Start:    st.start,
 					End:      now,
 					L2Misses: st.l2Misses,
-					Refs:     st.refs,
+					Refs:     int64(st.pos),
 				}
 			}
 			completed++
@@ -564,7 +529,7 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 					ready = append(ready, succ)
 				}
 			}
-			*st = coreState{own: st.own}
+			*st = coreState{}
 			if len(ready) > 0 {
 				s.MakeReady(c, ready)
 			}

@@ -165,8 +165,8 @@ func Coarsen(pr *profile.Profile, tree *taskgroup.Tree, p Params) (*Selection, e
 // stays the finest-grain trace, only the task structure is coarsened, so a
 // merged task still pays its members' parallel-code overheads.
 //
-// The new DAG shares reference generators with the original; the two must
-// not be simulated concurrently.
+// The new DAG shares its unmerged tasks' recorded streams with the original.
+// Neither DAG changes, so both may be simulated concurrently.
 func CollapseDAG(d *dag.DAG, tree *taskgroup.Tree, sel *Selection) (*dag.DAG, error) {
 	if d == nil || tree == nil || sel == nil {
 		return nil, fmt.Errorf("coarsen: nil argument to CollapseDAG")
@@ -200,9 +200,7 @@ func CollapseDAG(d *dag.DAG, tree *taskgroup.Tree, sel *Selection) (*dag.DAG, er
 			// First member: create the merged sequential task.
 			gens := make([]refs.Gen, 0, int(g.Last-g.First)+1)
 			for t := g.First; t <= g.Last; t++ {
-				if member := d.Task(t); member.Refs != nil {
-					gens = append(gens, member.Refs)
-				}
+				gens = append(gens, d.Task(t).Refs)
 			}
 			merged := out.AddTask(g.Name+"(seq)", refs.NewConcat(gens...))
 			merged.Site = g.Site

@@ -184,8 +184,8 @@ func TestCollapsedDAGSimulatesCorrectly(t *testing.T) {
 	if res.TasksExecuted != coarse.NumTasks() {
 		t.Fatalf("collapsed run incomplete")
 	}
-	// The fine-grained original must also still simulate (generators are
-	// shared but reset between runs).
+	// The fine-grained original must also still simulate: the two DAGs
+	// share recorded streams, which no run changes.
 	if _, err := cmpsim.Run(d, sched.NewPDF(), cfg); err != nil {
 		t.Fatalf("simulating original after collapse: %v", err)
 	}

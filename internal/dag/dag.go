@@ -3,13 +3,16 @@
 // Each node is a task: a thread, or the portion of a thread between
 // synchronisation points, with no internal dependences to or from other
 // nodes.  A task carries its instruction count (the node weight used for
-// depth/work accounting), a memory-reference stream (package refs), and the
-// position it would occupy in the sequential depth-first (1DF) execution of
-// the program — the order the Parallel Depth First scheduler prioritises.
+// depth/work accounting), its recorded memory-reference stream (package
+// refs), and the position it would occupy in the sequential depth-first
+// (1DF) execution of the program — the order the Parallel Depth First
+// scheduler prioritises.
 //
 // Workload generators construct DAGs by creating tasks in sequential
 // execution order and adding dependence edges; Validate checks that the edge
-// structure is acyclic and consistent with the sequential order.
+// structure is acyclic and consistent with the sequential order.  A DAG
+// never changes after its build, so any number of simulations and profiling
+// passes may read one at the same time.
 package dag
 
 import (
@@ -38,12 +41,14 @@ type Task struct {
 	// with the smallest Seq.
 	Seq int
 	// Instrs is the number of instructions the task retires, equal to
-	// Refs.Instrs() when Refs is non-nil. It is the node weight used for
-	// work and depth computations.
+	// Refs.Instrs(). It is the node weight used for work and depth
+	// computations.
 	Instrs int64
-	// Refs generates the task's memory references. Nil means the task
-	// performs no memory accesses (Instrs compute-only cycles).
-	Refs refs.Gen
+	// Refs is the task's reference stream, recorded once by AddTask: an
+	// immutable arena, shared with every identical stream in the DAG's
+	// trace store, that consumers read by index.  It is nil only in a DAG
+	// that fails Validate.
+	Refs *refs.Recorded
 
 	// Preds and Succs are the dependence edges. A task is ready when all
 	// of its predecessors have completed.
@@ -72,6 +77,14 @@ type DAG struct {
 	tasks []*Task
 	// metrics holds workload-recorded scalar annotations (see RecordMetric).
 	metrics map[string]int64
+	// store interns the streams AddTask records, so identical streams share
+	// one arena; scratch is the buffer generators are emitted into first.
+	// Record moves a built DAG to a shared store.
+	store   *refs.TraceStore
+	scratch []refs.Ref
+	// err is the first stream AddTask could not record; Validate reports
+	// it.
+	err error
 }
 
 // RecordMetric attaches a named scalar annotation to the DAG — facts only
@@ -90,28 +103,56 @@ func (d *DAG) RecordMetric(name string, v int64) {
 // recorded).  The map is the DAG's own; callers must not mutate it.
 func (d *DAG) Metrics() map[string]int64 { return d.metrics }
 
+// TraceStats returns the interning counters of the DAG's trace store.
+func (d *DAG) TraceStats() refs.TraceStoreStats { return d.store.Stats() }
+
 // New returns an empty DAG with the given name.
 func New(name string) *DAG {
-	return &DAG{Name: name}
+	return &DAG{Name: name, store: refs.NewTraceStore()}
 }
 
-// AddTask appends a task. Tasks must be created in sequential (1DF)
+// AddTask appends a task issuing the references gen describes (nil: none,
+// and no instructions).  Tasks must be created in sequential (1DF)
 // execution order: the n-th task created receives Seq = n.
+//
+// The stream is emitted here, once, and recorded into the DAG's trace
+// store.  A stream the store rejects (a per-reference instruction count a
+// Ref cannot hold, refs.ErrInstrsRange) leaves the task without one, and
+// Validate reports the error naming the task.
 func (d *DAG) AddTask(name string, gen refs.Gen) *Task {
-	var instrs int64
-	if gen != nil {
-		instrs = gen.Instrs()
-	}
 	t := &Task{
-		ID:     TaskID(len(d.tasks)),
-		Name:   name,
-		Seq:    len(d.tasks),
-		Instrs: instrs,
-		Refs:   gen,
-		Group:  -1,
+		ID:    TaskID(len(d.tasks)),
+		Name:  name,
+		Seq:   len(d.tasks),
+		Group: -1,
+	}
+	rec, err := d.record(gen)
+	if err != nil {
+		if d.err == nil {
+			d.err = fmt.Errorf("dag: task %d %q: %w", t.ID, name, err)
+		}
+	} else {
+		t.Refs, t.Instrs = rec, rec.Instrs()
 	}
 	d.tasks = append(d.tasks, t)
 	return t
+}
+
+// record materialises gen into the DAG's store: a recording is adopted as
+// is, a Points list is interned straight from its slice, and any other
+// generator is emitted into the scratch buffer first.
+func (d *DAG) record(gen refs.Gen) (*refs.Recorded, error) {
+	switch g := gen.(type) {
+	case nil:
+		return d.store.Intern(nil, 0)
+	case *refs.Recorded:
+		return d.store.Adopt(g), nil
+	case *refs.Points:
+		return d.store.Intern(g.Refs, g.Tail)
+	}
+	var tail int64
+	d.scratch, tail = gen.Emit(d.scratch[:0])
+	return d.store.Intern(d.scratch, tail)
 }
 
 // AddComputeTask appends a task that retires instrs instructions and
@@ -214,9 +255,7 @@ func (d *DAG) TotalInstrs() int64 {
 func (d *DAG) TotalRefs() int64 {
 	var total int64
 	for _, t := range d.tasks {
-		if t.Refs != nil {
-			total += t.Refs.Len()
-		}
+		total += t.Refs.Len()
 	}
 	return total
 }
@@ -251,11 +290,15 @@ func (d *DAG) Depth() int64 {
 var ErrCycle = errors.New("dag: edges are not consistent with a sequential (topological) order")
 
 // Validate checks structural invariants:
+//   - every task's stream was recorded (see AddTask),
 //   - task IDs are dense and Seq equals creation order,
 //   - every edge joins two known tasks,
 //   - predecessor Seq is strictly less than successor Seq (hence acyclic),
-//   - Instrs agrees with the reference generator when present.
+//   - Instrs agrees with the recorded stream.
 func (d *DAG) Validate() error {
+	if d.err != nil {
+		return d.err
+	}
 	for i, t := range d.tasks {
 		if int(t.ID) != i {
 			return fmt.Errorf("dag: task at position %d has ID %d", i, t.ID)
@@ -263,8 +306,8 @@ func (d *DAG) Validate() error {
 		if t.Seq != i {
 			return fmt.Errorf("dag: task %d has Seq %d, want %d", t.ID, t.Seq, i)
 		}
-		if t.Refs != nil && t.Instrs != t.Refs.Instrs() {
-			return fmt.Errorf("dag: task %d Instrs=%d but generator reports %d", t.ID, t.Instrs, t.Refs.Instrs())
+		if t.Instrs != t.Refs.Instrs() {
+			return fmt.Errorf("dag: task %d Instrs=%d but its stream retires %d", t.ID, t.Instrs, t.Refs.Instrs())
 		}
 		for _, s := range t.Succs {
 			if !d.valid(s) {
@@ -303,16 +346,6 @@ func contains(ids []TaskID, id TaskID) bool {
 		}
 	}
 	return false
-}
-
-// ResetRefs rewinds every task's reference generator so the DAG can be
-// replayed by another simulation or profiling pass.
-func (d *DAG) ResetRefs() {
-	for _, t := range d.tasks {
-		if t.Refs != nil {
-			t.Refs.Reset()
-		}
-	}
 }
 
 // SequentialOrder returns task IDs sorted by Seq (equivalently, creation

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -39,13 +40,13 @@ func TestAddTaskAssignsSequentialIDs(t *testing.T) {
 
 func TestAddTaskInstrsFromGenerator(t *testing.T) {
 	d := New("t")
-	g := &refs.Scan{Base: 0, Bytes: 1024, LineBytes: 64, InstrsPerRef: 4}
-	task := d.AddTask("scan", g)
-	if task.Instrs != g.Instrs() {
-		t.Fatalf("Instrs = %d, want %d", task.Instrs, g.Instrs())
+	task := d.AddTask("scan", &refs.Scan{Base: 0, Bytes: 1024, LineBytes: 64, InstrsPerRef: 4})
+	// 16 lines at 4 instructions each, none after the last reference.
+	if task.Instrs != 64 || task.Refs.Instrs() != 64 {
+		t.Fatalf("Instrs = %d (stream %d), want 64", task.Instrs, task.Refs.Instrs())
 	}
-	if d.TotalRefs() != g.Len() {
-		t.Fatalf("TotalRefs = %d, want %d", d.TotalRefs(), g.Len())
+	if d.TotalRefs() != 16 {
+		t.Fatalf("TotalRefs = %d, want 16", d.TotalRefs())
 	}
 }
 
@@ -159,22 +160,16 @@ func TestTopologicalCheck(t *testing.T) {
 	}
 }
 
-func TestResetRefsAllowsReplay(t *testing.T) {
+// TestAddTaskRejectsInstrsThatDoNotFit pins that a per-reference
+// instruction count a Ref cannot hold fails the build, naming the task,
+// instead of wrapping.
+func TestAddTaskRejectsInstrsThatDoNotFit(t *testing.T) {
 	d := New("t")
-	g := &refs.Scan{Base: 0, Bytes: 256, LineBytes: 64}
-	d.AddTask("scan", g)
-	// Drain once.
-	for {
-		if _, ok := g.Next(); !ok {
-			break
-		}
-	}
-	if _, ok := g.Next(); ok {
-		t.Fatalf("generator should be exhausted")
-	}
-	d.ResetRefs()
-	if _, ok := g.Next(); !ok {
-		t.Fatalf("ResetRefs did not rewind the generator")
+	d.AddComputeTask("root", 1)
+	d.AddTask("huge", &refs.Scan{Bytes: 256, LineBytes: 64, InstrsPerRef: refs.MaxInstrs + 1})
+	err := d.Validate()
+	if !errors.Is(err, refs.ErrInstrsRange) || !strings.Contains(err.Error(), `"huge"`) {
+		t.Fatalf("Validate = %v, want refs.ErrInstrsRange naming task \"huge\"", err)
 	}
 }
 

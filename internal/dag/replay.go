@@ -2,72 +2,23 @@ package dag
 
 import "cmpsched/internal/refs"
 
-// Snapshot is an immutable recording of a DAG: every task's reference stream
-// drained into a content-addressed trace store (identical streams share one
-// arena), with the task and edge structure kept as a read-only template.
-// Instantiate stamps out independently simulatable copies, so a DAG that
-// would otherwise be rebuilt per run — the N scheduler x topology jobs of a
-// sweep, or repeated runs of one workload — is generated once and replayed
-// from recorded blocks thereafter.
-//
-// A Snapshot is safe for concurrent Instantiate calls.  The instances share
-// the template's edge slices and metrics map, which simulation never
-// mutates; each instance gets its own task structs and replay cursors, so
-// concurrent simulations of sibling instances never share generator state.
-type Snapshot struct {
-	name     string
-	tasks    []Task           // template structs; Refs nil (see recorded)
-	recorded []*refs.Recorded // per-task template cursors, nil for ref-less tasks
-	metrics  map[string]int64
-	store    *refs.TraceStore
-}
+// Snapshot is a DAG whose task streams are recorded into a shared trace
+// store, ready to hand to any number of simulations.
+type Snapshot struct{ d *DAG }
 
-// Record drains every reference stream of d into store (creating a private
-// store when nil) and returns the Snapshot.  d must be fully built: Record
-// shares its edge slices with the template, so adding edges to d afterwards
-// is not allowed.  d's generators are Reset after draining, and the recorded
-// streams replay them exactly, so instances simulate bit-identically to d.
+// Record interns every task stream of d into store and rebinds each task to
+// the store's recording of its stream (the same content, so d simulates
+// exactly as before): DAGs recorded into one store share every identical
+// arena.  d moves to store for any later AddTask.  Record is the last step
+// of a build: it must not run while d is simulated.
 func Record(d *DAG, store *refs.TraceStore) *Snapshot {
-	if store == nil {
-		store = refs.NewTraceStore()
+	for _, t := range d.tasks {
+		t.Refs = store.Adopt(t.Refs)
 	}
-	s := &Snapshot{
-		name:     d.Name,
-		tasks:    make([]Task, len(d.tasks)),
-		recorded: make([]*refs.Recorded, len(d.tasks)),
-		metrics:  d.metrics,
-		store:    store,
-	}
-	for i, t := range d.tasks {
-		s.tasks[i] = *t
-		if t.Refs != nil {
-			s.recorded[i] = store.Intern(t.Refs)
-			s.tasks[i].Refs = nil
-		}
-	}
-	return s
+	d.store, d.scratch = store, nil
+	return &Snapshot{d: d}
 }
 
-// Instantiate returns a fresh DAG instance: new task structs with rewound
-// replay cursors over the shared arenas.  Instances are independent for
-// simulation purposes and may run concurrently with each other and with the
-// source DAG.
-func (s *Snapshot) Instantiate() *DAG {
-	tasks := make([]Task, len(s.tasks))
-	copy(tasks, s.tasks)
-	ptrs := make([]*Task, len(tasks))
-	for i := range tasks {
-		if r := s.recorded[i]; r != nil {
-			tasks[i].Refs = r.Clone()
-		}
-		ptrs[i] = &tasks[i]
-	}
-	return &DAG{Name: s.name, tasks: ptrs, metrics: s.metrics}
-}
-
-// NumTasks returns the number of tasks in the template.
-func (s *Snapshot) NumTasks() int { return len(s.tasks) }
-
-// Store returns the trace store backing the snapshot's arenas, for interning
-// further DAGs into the same store or reading sharing statistics.
-func (s *Snapshot) Store() *refs.TraceStore { return s.store }
+// Instantiate returns the recorded DAG.  A DAG never changes after its
+// build, so every caller may simulate it concurrently.
+func (s *Snapshot) Instantiate() *DAG { return s.d }

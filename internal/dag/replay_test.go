@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"slices"
 	"testing"
 
 	"cmpsched/internal/refs"
@@ -26,112 +27,75 @@ func buildReplayFixture(t *testing.T) *DAG {
 	return d
 }
 
-// TestSnapshotInstantiateEquivalence pins that instances replicate the
-// template exactly: structure, totals, metrics, and every task's reference
-// stream.
+// TestSnapshotInstantiateEquivalence pins that recording changes nothing a
+// simulation reads: structure, totals, metrics and every task's stream match
+// a fresh build of the same DAG.
 func TestSnapshotInstantiateEquivalence(t *testing.T) {
-	src := buildReplayFixture(t)
-	wantStreams := make([][]refs.Ref, src.NumTasks())
-	for i, task := range src.Tasks() {
-		if task.Refs != nil {
-			wantStreams[i] = refs.Collect(task.Refs)
-		}
-	}
-
-	snap := Record(src, nil)
-	if snap.NumTasks() != src.NumTasks() {
-		t.Fatalf("snapshot has %d tasks, want %d", snap.NumTasks(), src.NumTasks())
-	}
-	inst := snap.Instantiate()
+	want := buildReplayFixture(t)
+	inst := Record(buildReplayFixture(t), refs.NewTraceStore()).Instantiate()
 	if err := inst.Validate(); err != nil {
 		t.Fatalf("instance invalid: %v", err)
 	}
-	if inst.Name != src.Name || inst.NumTasks() != src.NumTasks() {
-		t.Fatalf("instance shape (%q, %d), want (%q, %d)", inst.Name, inst.NumTasks(), src.Name, src.NumTasks())
+	if inst.Name != want.Name || inst.NumTasks() != want.NumTasks() {
+		t.Fatalf("instance shape (%q, %d), want (%q, %d)", inst.Name, inst.NumTasks(), want.Name, want.NumTasks())
 	}
-	if inst.TotalInstrs() != src.TotalInstrs() || inst.TotalRefs() != src.TotalRefs() {
-		t.Fatalf("instance totals differ from source")
+	if inst.TotalInstrs() != want.TotalInstrs() || inst.TotalRefs() != want.TotalRefs() {
+		t.Fatalf("instance totals differ from a fresh build")
 	}
 	if inst.Metrics()["m"] != 7 {
 		t.Fatalf("instance lost metrics: %v", inst.Metrics())
 	}
 	for i, task := range inst.Tasks() {
-		want := src.Task(TaskID(i))
-		if task.Name != want.Name || task.Instrs != want.Instrs ||
-			len(task.Preds) != len(want.Preds) || len(task.Succs) != len(want.Succs) {
-			t.Fatalf("task %d structure differs: %+v vs %+v", i, task, want)
+		w := want.Task(TaskID(i))
+		if task.Name != w.Name || task.Instrs != w.Instrs ||
+			len(task.Preds) != len(w.Preds) || len(task.Succs) != len(w.Succs) {
+			t.Fatalf("task %d structure differs: %+v vs %+v", i, task, w)
 		}
-		if (task.Refs == nil) != (want.Refs == nil) {
-			t.Fatalf("task %d ref-stream presence differs", i)
-		}
-		if task.Refs == nil {
-			continue
-		}
-		got := refs.Collect(task.Refs)
-		if len(got) != len(wantStreams[i]) {
-			t.Fatalf("task %d drained %d refs, want %d", i, len(got), len(wantStreams[i]))
-		}
-		for j := range got {
-			if got[j] != wantStreams[i][j] {
-				t.Fatalf("task %d ref %d = %+v, want %+v", i, j, got[j], wantStreams[i][j])
-			}
+		if task.Refs.Tail() != w.Refs.Tail() || !slices.Equal(task.Refs.Arena(), w.Refs.Arena()) {
+			t.Fatalf("task %d stream differs from a fresh build", i)
 		}
 	}
 }
 
-// TestSnapshotInstancesAreIndependent pins that sibling instances never share
-// cursor state: draining one must not move the other, and identical sibling
-// tasks share one interned arena.
+// TestSnapshotInstancesAreIndependent pins that instances stay independent
+// without private copies: every Instantiate returns the one recorded DAG,
+// which no reader changes, and identical sibling tasks share one arena.
 func TestSnapshotInstancesAreIndependent(t *testing.T) {
-	snap := Record(buildReplayFixture(t), nil)
+	store := refs.NewTraceStore()
+	snap := Record(buildReplayFixture(t), store)
 	i1, i2 := snap.Instantiate(), snap.Instantiate()
-
-	a1 := i1.Task(1).Refs
-	a2 := i2.Task(1).Refs
-	refs.Collect(a1) // fully drains and Resets via Collect
-	a1.Reset()
-	for k := 0; k < 3; k++ {
-		a1.Next()
+	if i1 != i2 {
+		t.Fatalf("Instantiate copied the DAG")
 	}
-	got := refs.Collect(a2)
-	if int64(len(got)) != a2.Len() {
-		t.Fatalf("sibling cursor was disturbed: drained %d of %d", len(got), a2.Len())
-	}
-
-	// Tasks "a" and "b" emit identical streams; the snapshot's store interns
-	// them into one arena.
-	st := snap.Store().Stats()
-	if st.Unique >= st.Interned {
+	// Tasks "a" and "b" emit identical streams; the store holds one
+	// recording for both.
+	if st := store.Stats(); st.Unique >= st.Interned {
 		t.Fatalf("identical sibling tasks were not interned: %+v", st)
 	}
-	ra, ok1 := i1.Task(1).Refs.(*refs.Recorded)
-	rb, ok2 := i1.Task(2).Refs.(*refs.Recorded)
-	if !ok1 || !ok2 {
-		t.Fatalf("instance tasks are not Recorded streams")
-	}
-	if ra.Fingerprint() != rb.Fingerprint() {
-		t.Fatalf("identical tasks fingerprint differently")
-	}
-	ra.Reset()
-	rb.Reset()
-	sa, sb := ra.NextSlice(), rb.NextSlice()
-	if len(sa) == 0 || &sa[0] != &sb[0] {
-		t.Fatalf("identical tasks do not share an arena")
+	if i1.Task(1).Refs != i1.Task(2).Refs {
+		t.Fatalf("identical tasks do not share a recording")
 	}
 }
 
 // TestRecordIntoSharedStore pins cross-DAG sharing: recording two builds of
-// the same DAG into one store must not grow the arena twice.
+// the same DAG into one store grows the arena once and rebinds the second
+// build's tasks to the first's recordings.
 func TestRecordIntoSharedStore(t *testing.T) {
 	store := refs.NewTraceStore()
-	Record(buildReplayFixture(t), store)
+	first, second := buildReplayFixture(t), buildReplayFixture(t)
+	Record(first, store)
 	after1 := store.Stats().ArenaBytes
-	Record(buildReplayFixture(t), store)
+	Record(second, store)
 	after2 := store.Stats().ArenaBytes
 	if after1 == 0 {
 		t.Fatalf("first recording interned nothing")
 	}
 	if after2 != after1 {
 		t.Fatalf("second recording grew the arena: %d -> %d bytes", after1, after2)
+	}
+	for i, task := range second.Tasks() {
+		if task.Refs != first.Task(TaskID(i)).Refs {
+			t.Fatalf("task %d was not rebound to the shared recording", i)
+		}
 	}
 }

@@ -99,16 +99,11 @@ func Figure8(opts Options) (*Figure8Result, error) {
 			return d, err
 		}
 
-		// (b) dag substitution over the finest-grain trace.  The collapsed
-		// DAG shares the source DAG's (stateful) reference generators, so
-		// the build rebuilds the deterministic finest-grain program rather
-		// than collapsing the shared fineDAG into concurrently-run copies.
+		// (b) dag substitution over the finest-grain trace: the collapsed
+		// DAG reuses the profiled fineDAG's recorded streams, which no run
+		// changes.
 		dagBuild := func() (*dag.DAG, error) {
-			d, _, err := workload.NewMergesort(fineCfg).Build()
-			if err != nil {
-				return nil, err
-			}
-			return coarsen.CollapseDAG(d, fineTree, sel)
+			return coarsen.CollapseDAG(fineDAG, fineTree, sel)
 		}
 
 		// (c) actual regeneration with the recommended threshold.

@@ -100,7 +100,7 @@ func BFS(g Graph, source int64, costs Costs) (*dag.DAG, *taskgroup.Tree, error) 
 		prevBarrier = barrier.ID
 	}
 
-	return finish(d, tree, "bfs", c)
+	return finish(d, tree, "bfs")
 }
 
 // bfsLevels runs the breadth-first search on the host.  It returns the
@@ -149,13 +149,11 @@ func checkSource(g Graph, source int64) error {
 // finish validates the DAG, records the build's trace-interning statistics
 // as DAG metrics (published under the "dag." prefix when a run is observed),
 // and finalises the group tree.
-func finish(d *dag.DAG, tree *taskgroup.Tree, kernel string, c Costs) (*dag.DAG, *taskgroup.Tree, error) {
-	if c.store != nil {
-		st := c.store.Stats()
-		d.RecordMetric("trace.interned", st.Interned)
-		d.RecordMetric("trace.unique", st.Unique)
-		d.RecordMetric("trace.arena_bytes", st.ArenaBytes)
-	}
+func finish(d *dag.DAG, tree *taskgroup.Tree, kernel string) (*dag.DAG, *taskgroup.Tree, error) {
+	st := d.TraceStats()
+	d.RecordMetric("trace.interned", st.Interned)
+	d.RecordMetric("trace.unique", st.Unique)
+	d.RecordMetric("trace.arena_bytes", st.ArenaBytes)
 	if err := d.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("graph: %s: %w", kernel, err)
 	}

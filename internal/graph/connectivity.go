@@ -189,7 +189,7 @@ func Connectivity(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree,
 		d.RecordMetric("conn.sequential_tail", 1)
 	}
 
-	d2, t2, err := finish(d, tree, "connectivity", c)
+	d2, t2, err := finish(d, tree, "connectivity")
 	return d2, t2, comp, err
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cmpsched/internal/dag"
-	"cmpsched/internal/refs"
 )
 
 // The differential suite is the pin for the compressed-CSR tentpole: every
@@ -66,10 +65,7 @@ func taskFingerprint(t *dag.Task) uint64 {
 	for _, p := range t.Preds {
 		h = h*1000003 + uint64(p)
 	}
-	if t.Refs != nil {
-		h ^= refs.Fingerprint(t.Refs)
-	}
-	return h
+	return h ^ t.Refs.Fingerprint()
 }
 
 func TestFlatAndCompressedEmitIdenticalDAGs(t *testing.T) {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"cmpsched/internal/refs"
@@ -163,30 +164,24 @@ func TestTraceDedupesConsecutiveLines(t *testing.T) {
 	tr.touch(100, true, 1)  // same line again, upgrades to write
 	tr.touch(128, false, 2) // next line
 	tr.touch(0, false, 3)   // back to line 0: a new reference
-	g := tr.gen(10)
-	got := refs.Collect(g)
+	p := tr.gen(10)
 	want := []refs.Ref{
 		{Addr: 0, Write: true, Instrs: 5},
 		{Addr: 128, Write: false, Instrs: 7 + 1 + 2},
 		{Addr: 0, Write: false, Instrs: 3},
 	}
-	if len(got) != len(want) {
-		t.Fatalf("refs = %+v, want %+v", got, want)
+	if !slices.Equal(p.Refs, want) {
+		t.Fatalf("refs = %+v, want %+v", p.Refs, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ref %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if g.Instrs() != 5+7+1+2+3+10 {
-		t.Fatalf("Instrs = %d", g.Instrs())
+	if p.Tail != 10 {
+		t.Fatalf("Tail = %d, want 10", p.Tail)
 	}
 }
 
 func TestTraceSpan(t *testing.T) {
 	tr := newTrace(Costs{}.withDefaults())
 	tr.span(256, 300, true, 2) // lines 2, 3, 4
-	got := refs.Collect(tr.gen(0))
+	got := tr.gen(0).Refs
 	if len(got) != 3 || got[0].Addr != 256 || got[2].Addr != 512 {
 		t.Fatalf("span refs = %+v", got)
 	}

@@ -130,6 +130,6 @@ func KCore(g Graph, costs Costs) (*dag.DAG, *taskgroup.Tree, []int64, error) {
 	d.RecordMetric("kcore.rounds", int64(round))
 	d.RecordMetric("kcore.max_core", maxCore)
 
-	d2, t2, err := finish(d, tree, "kcore", c)
+	d2, t2, err := finish(d, tree, "kcore")
 	return d2, t2, core, err
 }

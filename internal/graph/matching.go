@@ -179,6 +179,6 @@ func MaximalMatching(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tr
 	}
 	d.RecordMetric("matching.matched_vertices", matched)
 
-	d2, t2, err := finish(d, tree, "matching", c)
+	d2, t2, err := finish(d, tree, "matching")
 	return d2, t2, match, err
 }

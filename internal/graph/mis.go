@@ -173,6 +173,6 @@ func MIS(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []bool, 
 		active = next
 	}
 
-	d2, t2, err := finish(d, tree, "mis", c)
+	d2, t2, err := finish(d, tree, "mis")
 	return d2, t2, inMIS, err
 }

@@ -85,5 +85,5 @@ func PageRank(g Graph, iterations int64, costs Costs) (*dag.DAG, *taskgroup.Tree
 		prevBarrier = barrier.ID
 	}
 
-	return finish(d, tree, "pagerank", c)
+	return finish(d, tree, "pagerank")
 }

@@ -138,5 +138,5 @@ func BellmanFord(g Graph, source int64, seed uint64, maxWeight, maxRounds int64,
 		active = next
 	}
 
-	return finish(d, tree, "sssp", c)
+	return finish(d, tree, "sssp")
 }

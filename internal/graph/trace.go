@@ -86,23 +86,21 @@ func labelAddr(v int64) uint64 { return baseLabel + uint64(v)*vertexEntryBytes }
 //
 // The line arithmetic is hoisted to a precomputed shift when lineBytes is a
 // power of two (it always is for the configured line sizes), so the host
-// walks pay one shift per touch instead of two hardware divisions.  When the
-// trace feeds an interning store (the default — see Costs), gen copies the
-// accumulated references into the store's arena, so one trace can be reused
-// across tasks via reset, keeping kernel builds free of per-task slice
-// growth.
+// walks pay one shift per touch instead of two hardware divisions.  A kernel
+// reuses one trace across its tasks via reset: dag.AddTask copies each
+// task's references out of the buffer as it records them, keeping kernel
+// builds free of per-task slice growth.
 type trace struct {
 	lineBytes int64
 	lineShift uint // valid when pow2
 	pow2      bool
-	store     *refs.TraceStore
 	refs      []refs.Ref
 	lastLine  uint64
 	pending   int64 // instructions to charge before the next emitted ref
 }
 
 func newTrace(c Costs) *trace {
-	t := &trace{lineBytes: c.LineBytes, store: c.store, lastLine: ^uint64(0)}
+	t := &trace{lineBytes: c.LineBytes, lastLine: ^uint64(0)}
 	if lb := uint64(c.LineBytes); lb&(lb-1) == 0 {
 		t.pow2 = true
 		for uint64(1)<<t.lineShift < lb {
@@ -112,15 +110,9 @@ func newTrace(c Costs) *trace {
 	return t
 }
 
-// reset rewinds the trace for the next task.  The accumulated buffer is
-// reused only when an interning store copied its contents (gen hands the
-// slice itself to the generator otherwise).
+// reset rewinds the trace for the next task, reusing its buffer.
 func (t *trace) reset() {
-	if t.store != nil {
-		t.refs = t.refs[:0]
-	} else {
-		t.refs = nil
-	}
+	t.refs = t.refs[:0]
 	t.lastLine = ^uint64(0)
 	t.pending = 0
 }
@@ -154,7 +146,7 @@ func (t *trace) touch(addr uint64, write bool, instrs int64) {
 	t.refs = append(t.refs, refs.Ref{
 		Addr:   t.lineAddr(line),
 		Write:  write,
-		Instrs: t.pending,
+		Instrs: refs.NarrowInstrs(t.pending),
 	})
 	t.pending = 0
 	t.lastLine = line
@@ -172,18 +164,11 @@ func (t *trace) span(addr uint64, bytes int64, write bool, instrsPerLine int64) 
 	}
 }
 
-// gen finalises the trace into a replayable generator, charging tail
-// instructions (plus any pending ones) after the final reference.  With an
-// interning store (the default) the result is a refs.Recorded whose arena is
-// shared by every identical task stream of the build; without one it is a
-// refs.Points over the accumulated slice.  Either way the generator serves
-// the simulator's batched reader (refs.Bulk) and zero-copy slice path
-// (refs.Sliced) natively, and its instruction total is computed once at
-// construction.
-func (t *trace) gen(tail int64) refs.Gen {
-	if t.store != nil {
-		return t.store.InternRefs(t.refs, tail+t.pending)
-	}
+// gen finalises the trace into the task's stream, charging tail
+// instructions (plus any pending ones) after the final reference.  The
+// stream reads the trace's buffer, so it must reach dag.AddTask, which
+// records a copy, before the next reset.
+func (t *trace) gen(tail int64) *refs.Points {
 	return refs.NewPoints(t.refs, tail+t.pending)
 }
 
@@ -210,12 +195,6 @@ type Costs struct {
 	// SpawnInstrs is the overhead charged to barrier/spawn tasks
 	// (default 200).
 	SpawnInstrs int64
-
-	// store interns the per-task traces so byte-identical sibling streams
-	// share one arena.  withDefaults creates a fresh per-build store, so
-	// interning is always on; the field stays unexported because it is a
-	// pure perf layer with no effect on the emitted streams.
-	store *refs.TraceStore
 }
 
 func (c Costs) withDefaults() Costs {
@@ -233,9 +212,6 @@ func (c Costs) withDefaults() Costs {
 	}
 	if c.SpawnInstrs == 0 {
 		c.SpawnInstrs = 200
-	}
-	if c.store == nil {
-		c.store = refs.NewTraceStore()
 	}
 	return c
 }

@@ -1,6 +1,10 @@
 package graph
 
-import "testing"
+import (
+	"testing"
+
+	"cmpsched/internal/refs"
+)
 
 // Generator-side micro-benchmarks for the trace accumulator: touch is the
 // per-edge cost of every kernel's host walk, span the per-region cost of the
@@ -36,9 +40,11 @@ func BenchmarkTraceSpan(b *testing.B) {
 
 // BenchmarkTraceGenInterned measures the full accumulate-and-intern cycle
 // with every stream identical — the steady state of a kernel emitting
-// repeated chunk shapes, where gen is a fingerprint plus one arena lookup.
+// repeated chunk shapes, where interning is a fingerprint plus one arena
+// lookup.
 func BenchmarkTraceGenInterned(b *testing.B) {
 	tr := newTrace(Costs{}.withDefaults())
+	store := refs.NewTraceStore()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -46,8 +52,9 @@ func BenchmarkTraceGenInterned(b *testing.B) {
 		for j := 0; j < 256; j++ {
 			tr.touch(uint64(j)*128, false, 4)
 		}
-		if g := tr.gen(100); g.Len() == 0 {
-			b.Fatal("empty generator")
+		p := tr.gen(100)
+		if r, err := store.Intern(p.Refs, p.Tail); err != nil || r.Len() == 0 {
+			b.Fatalf("recording %v, error %v", r, err)
 		}
 	}
 }

@@ -120,6 +120,6 @@ func Triangles(g Graph, costs Costs) (*dag.DAG, *taskgroup.Tree, int64, error) {
 		d.MustEdge(id, reduceTask.ID)
 	}
 
-	d2, t2, err := finish(d, tree, "triangles", c)
+	d2, t2, err := finish(d, tree, "triangles")
 	return d2, t2, total, err
 }

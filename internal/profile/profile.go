@@ -220,8 +220,8 @@ type LruTree struct {
 func NewLruTree(cfg Config) *LruTree { return &LruTree{cfg: cfg.withDefaults()} }
 
 // ProfileDAG replays the DAG's tasks in sequential order and builds the
-// per-task histograms.  The DAG's reference generators are reset before and
-// after the pass.
+// per-task histograms.  It only reads the DAG, so other goroutines may
+// simulate or profile the same DAG meanwhile.
 func (l *LruTree) ProfileDAG(d *dag.DAG) (*Profile, error) {
 	if err := l.cfg.Validate(); err != nil {
 		return nil, err
@@ -257,24 +257,15 @@ func (l *LruTree) ProfileDAG(d *dag.DAG) (*Profile, error) {
 
 	bit := newFenwick(int(totalRefs) + 1)
 	lines := make(map[uint64]lineState, 1<<16)
-	d.ResetRefs()
 	// Scratch map for accumulating one task's histogram before freezing
 	// it into a sorted slice.
 	scratch := make(map[uint64]int64)
 
 	var now int32
 	for _, task := range d.Tasks() {
-		if task.Refs == nil {
-			continue
-		}
 		clear(scratch)
-		var taskRefs int64
-		for {
-			r, ok := task.Refs.Next()
-			if !ok {
-				break
-			}
-			taskRefs++
+		arena := task.Refs.Arena()
+		for _, r := range arena {
 			now++
 			line := r.Addr / uint64(l.cfg.LineBytes)
 			if st, seen := lines[line]; seen {
@@ -287,8 +278,8 @@ func (l *LruTree) ProfileDAG(d *dag.DAG) (*Profile, error) {
 			bit.add(int(now), 1)
 			lines[line] = lineState{lastTime: now, lastTask: int32(task.ID)}
 		}
-		pr.refs[task.ID] = taskRefs
-		pr.totalRefs += taskRefs
+		pr.refs[task.ID] = int64(len(arena))
+		pr.totalRefs += int64(len(arena))
 		if len(scratch) > 0 {
 			entries := make([]histEntry, 0, len(scratch))
 			for k, v := range scratch {
@@ -307,6 +298,5 @@ func (l *LruTree) ProfileDAG(d *dag.DAG) (*Profile, error) {
 			pr.hist[task.ID] = entries
 		}
 	}
-	d.ResetRefs()
 	return pr, nil
 }

@@ -34,8 +34,7 @@ func NewSetAssoc(cfg Config, assoc int) *SetAssoc {
 // Config returns the profiling configuration.
 func (s *SetAssoc) Config() Config { return s.cfg }
 
-// Group measures the task range [first, last] by simulation. The DAG's
-// generators are reset before and after.
+// Group measures the task range [first, last] by simulation.
 func (s *SetAssoc) Group(d *dag.DAG, first, last dag.TaskID) (GroupStats, error) {
 	if err := s.cfg.Validate(); err != nil {
 		return GroupStats{}, err
@@ -59,15 +58,10 @@ func (s *SetAssoc) Group(d *dag.DAG, first, last dag.TaskID) (GroupStats, error)
 	distinct := make(map[uint64]struct{})
 	for id := first; id <= last && int(id) < d.NumTasks(); id++ {
 		task := d.Task(id)
-		if task == nil || task.Refs == nil {
+		if task == nil {
 			continue
 		}
-		task.Refs.Reset()
-		for {
-			r, ok := task.Refs.Next()
-			if !ok {
-				break
-			}
+		for _, r := range task.Refs.Arena() {
 			g.Refs++
 			distinct[r.Addr/uint64(s.cfg.LineBytes)] = struct{}{}
 			for i, c := range caches {
@@ -76,7 +70,6 @@ func (s *SetAssoc) Group(d *dag.DAG, first, last dag.TaskID) (GroupStats, error)
 				}
 			}
 		}
-		task.Refs.Reset()
 	}
 	g.DistinctLines = int64(len(distinct))
 	g.WorkingSetBytes = g.DistinctLines * s.cfg.LineBytes

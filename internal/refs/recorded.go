@@ -1,39 +1,30 @@
 package refs
 
 import (
+	"fmt"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"cmpsched/internal/prng"
 )
 
-// Recorded replays a pre-materialized reference stream from an immutable
-// arena slice.  It is the content-addressed form of a stream: NextBlock is a
-// bounds-checked copy and NextSlice hands out the arena directly, with no
-// regeneration and no dispatch into the producer's walk code, and every
-// Recorded carries the canonical 64-bit fingerprint of its content.
-//
-// Recorded values sharing one arena are produced by a TraceStore; the arena
-// is never written after construction, so any number of cursors (across
-// goroutines) may replay it concurrently as long as each cursor is used by
-// one goroutine at a time, like every other Gen.
+// Recorded is a materialized reference stream: an immutable arena of Refs,
+// the instructions retired after the last one, and the stream's content
+// fingerprint.  It is the form every DAG task's stream takes once recorded
+// (dag.AddTask), and a TraceStore shares one Recorded among all identical
+// streams.  Nothing writes a Recorded after construction, so any number of
+// goroutines may read one concurrently.
 type Recorded struct {
-	refs   []Ref // immutable; shared by every cursor interned from one stream
+	refs   []Ref
 	tail   int64
-	instrs int64 // sum of refs[i].Instrs plus tail, fixed at construction
+	instrs int64 // sum of refs[i].Instrs plus tail
 	fp     uint64
-	pos    int
 }
-
-// Recorded serves both the simulator's block reader and its zero-copy slice
-// fast path.
-var (
-	_ Bulk   = (*Recorded)(nil)
-	_ Sliced = (*Recorded)(nil)
-)
 
 // refBytes is the in-memory footprint of one arena entry, used for the
 // store's arena-bytes accounting.
-const refBytes = int64(24) // 8 (Addr) + 8 (Instrs) + 1 (Write) + padding
+const refBytes = int64(unsafe.Sizeof(Ref{}))
 
 // fingerprintSeed seeds the stream fingerprint so it is not the identity on
 // trivial streams; the value is arbitrary but fixed (changing it would move
@@ -42,8 +33,8 @@ const fingerprintSeed = 0x9E3779B97F4A7C15
 
 // FingerprintRefs returns the canonical 64-bit fingerprint of a materialized
 // stream: a splitmix64-mixed hash over every reference (address, write bit,
-// instruction count) and the trailing instruction count.  Two streams that
-// drain identically always fingerprint identically; the converse holds only
+// instruction count) and the trailing instruction count.  Two identical
+// streams always fingerprint identically; the converse holds only
 // probabilistically, which is why TraceStore verifies content equality before
 // sharing an arena.
 func FingerprintRefs(rs []Ref, tail int64) uint64 {
@@ -60,108 +51,43 @@ func FingerprintRefs(rs []Ref, tail int64) uint64 {
 	return prng.Mix64(h ^ uint64(tail))
 }
 
-// Fingerprint drains g (resetting it before and after) and returns its
-// canonical stream fingerprint: FingerprintRefs over the drained references
-// and the instructions that follow the final one.
-func Fingerprint(g Gen) uint64 {
-	rs, tail := drainTail(g)
-	return FingerprintRefs(rs, tail)
-}
+// Arena returns the stream's references.  The slice is shared by every
+// reader of the recording and must not be modified.
+func (r *Recorded) Arena() []Ref { return r.refs }
 
-// drainTail collects g's references and computes its trailing instruction
-// count from the Instrs total, resetting g before and after.
-func drainTail(g Gen) ([]Ref, int64) {
-	rs := Collect(g)
-	var sum int64
-	for i := range rs {
-		sum += rs[i].Instrs
-	}
-	return rs, g.Instrs() - sum
-}
+// Len returns the number of references in the stream.
+func (r *Recorded) Len() int64 { return int64(len(r.refs)) }
 
-// Record drains g and returns the equivalent Recorded stream (not interned:
-// the arena belongs to the returned value alone).  g is Reset before and
-// after.  The result drains identically to g and reports the same Len and
-// Instrs totals.
-func Record(g Gen) *Recorded {
-	rs, tail := drainTail(g)
-	return newRecorded(rs, tail)
-}
-
-func newRecorded(rs []Ref, tail int64) *Recorded {
-	var sum int64
-	for i := range rs {
-		sum += rs[i].Instrs
-	}
-	return &Recorded{refs: rs, tail: tail, instrs: sum + tail, fp: FingerprintRefs(rs, tail)}
-}
-
-// Fingerprint returns the stream's canonical content fingerprint.
-func (r *Recorded) Fingerprint() uint64 { return r.fp }
+// Instrs returns the total number of instructions the stream retires,
+// including those after the final reference.
+func (r *Recorded) Instrs() int64 { return r.instrs }
 
 // Tail returns the number of instructions retired after the final reference.
 func (r *Recorded) Tail() int64 { return r.tail }
 
-// Clone returns a fresh cursor over the same arena, positioned at the start.
-// Clones replay the identical stream and may be used concurrently with each
-// other (the arena is immutable; only each cursor's position is stateful).
-func (r *Recorded) Clone() *Recorded {
-	return &Recorded{refs: r.refs, tail: r.tail, instrs: r.instrs, fp: r.fp}
-}
+// Fingerprint returns the stream's canonical content fingerprint.
+func (r *Recorded) Fingerprint() uint64 { return r.fp }
 
-// Len implements Gen.
-func (r *Recorded) Len() int64 { return int64(len(r.refs)) }
-
-// Instrs implements Gen.
-func (r *Recorded) Instrs() int64 { return r.instrs }
-
-// Reset implements Gen.
-func (r *Recorded) Reset() { r.pos = 0 }
-
-// Next implements Gen.
-func (r *Recorded) Next() (Ref, bool) {
-	if r.pos >= len(r.refs) {
-		return Ref{}, false
-	}
-	ref := r.refs[r.pos]
-	r.pos++
-	return ref, true
-}
-
-// NextBlock implements Bulk: a bounds-checked copy out of the arena.
-func (r *Recorded) NextBlock(buf []Ref) int {
-	n := copy(buf, r.refs[r.pos:])
-	r.pos += n
-	return n
-}
-
-// NextSlice implements Sliced, handing out the remainder of the arena
-// directly.  Callers must treat the slice as read-only.
-func (r *Recorded) NextSlice() []Ref {
-	out := r.refs[r.pos:]
-	r.pos = len(r.refs)
-	return out
-}
+// Emit implements Gen, so recordings compose like any other stream (the
+// coarsening pass concatenates its members' recordings).
+func (r *Recorded) Emit(dst []Ref) ([]Ref, int64) { return append(dst, r.refs...), r.tail }
 
 // TraceStoreStats summarises a store's interning activity.
 type TraceStoreStats struct {
-	// Interned is the total number of Intern/InternRefs requests served.
+	// Interned is the total number of Intern and Adopt requests served.
 	Interned int64
 	// Unique is the number of distinct streams recorded (each owning one
-	// arena).  Interned - Unique is the number of arena rebuilds avoided.
+	// arena).  Interned - Unique is the number of arena copies avoided.
 	Unique int64
 	// ArenaBytes is the memory held by the unique arenas.
 	ArenaBytes int64
 }
 
-// TraceStore interns reference streams by content: streams that drain
-// identically share one immutable arena, and every Intern call returns an
-// independent replay cursor over it.  Lookup is by 64-bit fingerprint with
-// full content verification on a match, so fingerprint collisions cost a
-// comparison but can never alias two different streams.
-//
-// A store is safe for concurrent use; the cursors it returns follow the
-// usual Gen contract (one goroutine at a time per cursor).
+// TraceStore interns reference streams by content: streams with identical
+// references and tails share one Recorded.  Lookup is by 64-bit fingerprint
+// with full content verification on a match, so fingerprint collisions cost
+// a comparison but can never alias two different streams.  A store is safe
+// for concurrent use.
 type TraceStore struct {
 	mu    sync.Mutex
 	byFP  map[uint64][]*Recorded
@@ -173,56 +99,60 @@ func NewTraceStore() *TraceStore {
 	return &TraceStore{byFP: make(map[uint64][]*Recorded)}
 }
 
-// InternRefs interns the stream that emits rs then retires tail trailing
-// instructions.  The first occurrence copies rs into a private arena; later
-// identical streams share it.  rs is not retained — callers may reuse the
-// backing slice.
-func (s *TraceStore) InternRefs(rs []Ref, tail int64) *Recorded {
+// Intern returns the store's recording of the stream rs followed by tail
+// trailing instructions: the existing one when the store holds identical
+// content, otherwise a new one whose arena is a copy of rs (the store keeps
+// no reference to rs, so callers may reuse it).  A reference whose count
+// NarrowInstrs marked as out of range fails with ErrInstrsRange.
+func (s *TraceStore) Intern(rs []Ref, tail int64) (*Recorded, error) {
 	fp := FingerprintRefs(rs, tail)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.Interned++
-	for _, t := range s.byFP[fp] {
-		if t.tail == tail && sameRefs(t.refs, rs) {
-			return t.Clone()
+	if r := s.lookup(fp, rs, tail); r != nil {
+		return r, nil
+	}
+	var sum int64
+	for i := range rs {
+		if rs[i].Instrs == instrsOverflow {
+			return nil, fmt.Errorf("%w (reference %d)", ErrInstrsRange, i)
 		}
+		sum += int64(rs[i].Instrs)
 	}
-	arena := make([]Ref, len(rs))
-	copy(arena, rs)
-	t := newRecorded(arena, tail)
-	s.byFP[fp] = append(s.byFP[fp], t)
-	s.stats.Unique++
-	s.stats.ArenaBytes += int64(len(arena)) * refBytes
-	return t.Clone()
+	r := &Recorded{refs: slices.Clone(rs), tail: tail, instrs: sum + tail, fp: fp}
+	s.add(r)
+	return r, nil
 }
 
-// Intern drains g (resetting it before and after) and interns its stream,
-// returning a Recorded cursor that drains identically to g.  A Recorded
-// input skips the drain and interns its arena directly.
-func (s *TraceStore) Intern(g Gen) *Recorded {
-	if r, ok := g.(*Recorded); ok {
-		return s.internRecorded(r)
-	}
-	rs, tail := drainTail(g)
-	return s.InternRefs(rs, tail)
-}
-
-// internRecorded interns an already-materialized stream without copying when
-// its arena is new to the store.
-func (s *TraceStore) internRecorded(r *Recorded) *Recorded {
+// Adopt returns the store's recording of r's stream: the existing one when
+// the store holds identical content, otherwise r itself, taken without a
+// copy.
+func (s *TraceStore) Adopt(r *Recorded) *Recorded {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if t := s.lookup(r.fp, r.refs, r.tail); t != nil {
+		return t
+	}
+	s.add(r)
+	return r
+}
+
+// lookup counts one request and returns the store's recording of the given
+// content, or nil when the content is new to the store.
+func (s *TraceStore) lookup(fp uint64, rs []Ref, tail int64) *Recorded {
 	s.stats.Interned++
-	for _, t := range s.byFP[r.fp] {
-		if t.tail == r.tail && sameRefs(t.refs, r.refs) {
-			return t.Clone()
+	for _, r := range s.byFP[fp] {
+		if r.tail == tail && sameRefs(r.refs, rs) {
+			return r
 		}
 	}
-	t := &Recorded{refs: r.refs, tail: r.tail, instrs: r.instrs, fp: r.fp}
-	s.byFP[r.fp] = append(s.byFP[r.fp], t)
+	return nil
+}
+
+// add makes r the store's recording of its content.
+func (s *TraceStore) add(r *Recorded) {
+	s.byFP[r.fp] = append(s.byFP[r.fp], r)
 	s.stats.Unique++
-	s.stats.ArenaBytes += int64(len(t.refs)) * refBytes
-	return t.Clone()
+	s.stats.ArenaBytes += int64(len(r.refs)) * refBytes
 }
 
 // Stats returns a snapshot of the store's interning counters.

@@ -2,146 +2,97 @@ package refs
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
 
+// intern emits g and interns the stream into s.
+func intern(t *testing.T, s *TraceStore, g Gen) *Recorded {
+	t.Helper()
+	rs, tail := g.Emit(nil)
+	r, err := s.Intern(rs, tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestRecordedMatchesSource pins the recording contract over every generator
-// shape: Record(g) reports the same Len and Instrs totals and drains the
-// identical reference sequence.
+// shape: a recording replays its stream exactly and reports its length,
+// tail, instruction total and fingerprint.
 func TestRecordedMatchesSource(t *testing.T) {
-	for name, mk := range bulkFixtures() {
-		want := drain(t, mk())
-		src := mk()
-		r := Record(src)
-		if r.Len() != src.Len() || r.Instrs() != src.Instrs() {
-			t.Fatalf("%s: recorded totals (%d, %d), want (%d, %d)",
-				name, r.Len(), r.Instrs(), src.Len(), src.Instrs())
+	for name, g := range fixtures(t) {
+		rs, tail := g.Emit(nil)
+		r := intern(t, NewTraceStore(), g)
+		if r.Len() != int64(len(rs)) || r.Tail() != tail || r.Instrs() != streamInstrs(rs, tail) {
+			t.Fatalf("%s: recorded (len %d, tail %d, instrs %d), want (%d, %d, %d)",
+				name, r.Len(), r.Tail(), r.Instrs(), len(rs), tail, streamInstrs(rs, tail))
 		}
-		got := drain(t, r)
-		if len(got) != len(want) {
-			t.Fatalf("%s: recorded %d refs, want %d", name, len(got), len(want))
+		if r.Fingerprint() != FingerprintRefs(rs, tail) {
+			t.Fatalf("%s: fingerprint differs from FingerprintRefs", name)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: recorded ref %d = %+v, want %+v", name, i, got[i], want[i])
-			}
+		if !slices.Equal(r.Arena(), rs) {
+			t.Fatalf("%s: arena differs from the emitted stream", name)
 		}
-		// Record promises to leave the source rewound.
-		if again := drain(t, src); len(again) != len(want) {
-			t.Fatalf("%s: source drained %d refs after Record, want %d", name, len(again), len(want))
+		if again, againTail := r.Emit(nil); againTail != tail || !slices.Equal(again, rs) {
+			t.Fatalf("%s: re-emitting the recording changed the stream", name)
 		}
 	}
 }
 
-// TestRecordedResetMidStream drains part of a recording through each API,
-// resets, and requires a full identical replay — the Bulk-suite Reset
-// behaviour, plus the Sliced fast path.
-func TestRecordedResetMidStream(t *testing.T) {
-	r := Record(NewScan(1<<20, 1000, 64, 2))
-	want := drain(t, r)
-	r.Reset()
-
-	buf := make([]Ref, 3)
-	r.NextBlock(buf)
-	r.Next()
-	r.Reset()
-	if got := drain(t, r); len(got) != len(want) {
-		t.Fatalf("post-Reset drain: %d refs, want %d", len(got), len(want))
+// TestPointsInstrsCached pins that a Points stream's instruction total is
+// computed once, when it is recorded, from a copy of the list.
+func TestPointsInstrsCached(t *testing.T) {
+	rs := []Ref{{Addr: 0, Instrs: 2}, {Addr: 64, Instrs: 3}, {Addr: 128, Instrs: 4}}
+	r := intern(t, NewTraceStore(), NewPoints(rs, 5))
+	if got := r.Instrs(); got != 14 {
+		t.Fatalf("Instrs = %d, want 14", got)
 	}
-
-	r.Reset()
-	r.Next()
-	rest := r.NextSlice()
-	if len(rest) != len(want)-1 {
-		t.Fatalf("NextSlice after one Next: %d refs, want %d", len(rest), len(want)-1)
-	}
-	for i := range rest {
-		if rest[i] != want[i+1] {
-			t.Fatalf("NextSlice ref %d = %+v, want %+v", i, rest[i], want[i+1])
-		}
-	}
-	if more := r.NextSlice(); len(more) != 0 {
-		t.Fatalf("second NextSlice returned %d refs, want 0", len(more))
-	}
-	if _, ok := r.Next(); ok {
-		t.Fatalf("Next after NextSlice exhaustion returned a ref")
-	}
-	r.Reset()
-	if got := drain(t, r); len(got) != len(want) {
-		t.Fatalf("drain after NextSlice+Reset: %d refs, want %d", len(got), len(want))
-	}
-}
-
-// TestRecordedZeroLengthBuffer pins that an empty destination neither
-// advances the stream nor signals exhaustion by accident.
-func TestRecordedZeroLengthBuffer(t *testing.T) {
-	r := Record(NewScan(1<<20, 256, 64, 1))
-	if n := r.NextBlock(nil); n != 0 {
-		t.Fatalf("NextBlock(nil) = %d, want 0", n)
-	}
-	if n := r.NextBlock([]Ref{}); n != 0 {
-		t.Fatalf("NextBlock(empty) = %d, want 0", n)
-	}
-	got := drain(t, r)
-	if int64(len(got)) != r.Len() {
-		t.Fatalf("zero-length reads consumed refs: drained %d, want %d", len(got), r.Len())
-	}
-}
-
-// TestCloneIndependentCursors runs two clones over one arena at different
-// paces and requires identical streams.
-func TestCloneIndependentCursors(t *testing.T) {
-	r := Record(&Random{Base: 1 << 22, Bytes: 1 << 14, LineBytes: 64, Count: 150, Seed: 11, InstrsPerRef: 2})
-	a, b := r.Clone(), r.Clone()
-	want := drain(t, r.Clone())
-	var got []Ref
-	buf := make([]Ref, 7)
-	for {
-		n := a.NextBlock(buf)
-		if n == 0 {
-			break
-		}
-		got = append(got, buf[:n]...)
-		b.Next() // interleave the other cursor; it must not disturb a
-	}
-	if len(got) != len(want) {
-		t.Fatalf("clone drained %d refs, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("clone ref %d = %+v, want %+v", i, got[i], want[i])
-		}
+	rs[0].Instrs = 100
+	if got := r.Instrs(); got != 14 {
+		t.Fatalf("Instrs after the caller's list changed = %d, want 14", got)
 	}
 }
 
 // TestInternSharesArenas pins the content-addressing: identical streams share
-// one arena (pointer-identical backing storage), distinct streams do not,
-// and the stats ledger counts both accurately.
+// one recording, distinct streams do not, and the stats ledger counts both
+// accurately.
 func TestInternSharesArenas(t *testing.T) {
 	s := NewTraceStore()
-	mk := func() Gen { return NewScan(1<<20, 640, 64, 2) }
-	a := s.Intern(mk())
-	b := s.Intern(mk())
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("identical streams fingerprint differently: %x vs %x", a.Fingerprint(), b.Fingerprint())
+	a := intern(t, s, NewScan(1<<20, 640, 64, 2))
+	b := intern(t, s, NewScan(1<<20, 640, 64, 2))
+	if a != b {
+		t.Fatalf("identical streams got distinct recordings")
 	}
-	sa, sb := a.NextSlice(), b.NextSlice()
-	if len(sa) == 0 || &sa[0] != &sb[0] {
-		t.Fatalf("identical streams do not share an arena")
-	}
-	c := s.Intern(&Strided{Base: 1 << 21, StrideBytes: 128, Count: 10, InstrsPerRef: 1})
-	sc := c.NextSlice()
-	if len(sc) > 0 && len(sa) > 0 && &sc[0] == &sa[0] {
+	c := intern(t, s, &Strided{Base: 1 << 21, StrideBytes: 128, Count: 10, InstrsPerRef: 1})
+	if c == a || &c.Arena()[0] == &a.Arena()[0] {
 		t.Fatalf("distinct streams share an arena")
 	}
 	st := s.Stats()
 	if st.Interned != 3 || st.Unique != 2 {
 		t.Fatalf("stats = %+v, want Interned 3, Unique 2", st)
 	}
-	wantBytes := (a.Len() + c.Len()) * refBytes
-	if st.ArenaBytes != wantBytes {
-		t.Fatalf("ArenaBytes = %d, want %d", st.ArenaBytes, wantBytes)
+	if want := (a.Len() + c.Len()) * refBytes; st.ArenaBytes != want {
+		t.Fatalf("ArenaBytes = %d, want %d", st.ArenaBytes, want)
+	}
+}
+
+// TestAdoptTakesRecordingsWithoutCopy pins Adopt: content new to the store is
+// taken as the very recording offered, and identical content resolves to the
+// store's existing recording.
+func TestAdoptTakesRecordingsWithoutCopy(t *testing.T) {
+	first := intern(t, NewTraceStore(), NewScan(1<<20, 640, 64, 2))
+	twin := intern(t, NewTraceStore(), NewScan(1<<20, 640, 64, 2))
+	s := NewTraceStore()
+	if got := s.Adopt(first); got != first {
+		t.Fatalf("new content was not adopted as is")
+	}
+	if got := s.Adopt(twin); got != first {
+		t.Fatalf("identical content did not resolve to the adopted recording")
+	}
+	if st := s.Stats(); st.Interned != 2 || st.Unique != 1 || st.ArenaBytes != first.Len()*refBytes {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -150,33 +101,36 @@ func TestInternSharesArenas(t *testing.T) {
 func TestInternTailDistinguishes(t *testing.T) {
 	s := NewTraceStore()
 	rs := []Ref{{Addr: 64, Instrs: 1}, {Addr: 128, Write: true, Instrs: 2}}
-	a := s.InternRefs(rs, 5)
-	b := s.InternRefs(rs, 6)
-	if a.Instrs() == b.Instrs() {
-		t.Fatalf("different tails produced equal totals")
+	a := intern(t, s, NewPoints(rs, 5))
+	b := intern(t, s, NewPoints(rs, 6))
+	if a == b || a.Instrs() == b.Instrs() {
+		t.Fatalf("different tails share a recording")
 	}
 	if st := s.Stats(); st.Unique != 2 {
 		t.Fatalf("Unique = %d, want 2", st.Unique)
 	}
 }
 
-// TestInternRefsDoesNotRetainInput pins that InternRefs copies: mutating the
+// TestInternRefsDoesNotRetainInput pins that Intern copies: mutating the
 // caller's slice afterwards must not corrupt the arena.
 func TestInternRefsDoesNotRetainInput(t *testing.T) {
-	s := NewTraceStore()
 	rs := []Ref{{Addr: 64, Instrs: 1}, {Addr: 128, Instrs: 2}}
-	a := s.InternRefs(rs, 0)
+	a, err := NewTraceStore().Intern(rs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rs[0].Addr = 0xDEAD
-	if got := a.NextSlice(); got[0].Addr != 64 {
+	if got := a.Arena(); got[0].Addr != 64 {
 		t.Fatalf("arena aliases the caller's slice: %+v", got[0])
 	}
 }
 
 // TestFingerprintQuickCheck generates random short streams and checks the
-// content-addressing law both ways on every pair: equal drains imply equal
-// fingerprints (by construction), and — with the store's verification — a
-// shared arena implies equal drains.  Near-identical streams (prefixes, one
-// flipped write bit, shifted instruction counts) are included deliberately.
+// content-addressing law both ways on every pair: equal streams fingerprint
+// equally (by construction), and — with the store's verification — streams
+// share a recording exactly when they are equal.  Near-identical streams
+// (prefixes, one flipped write bit, shifted instruction counts) are included
+// deliberately.
 func TestFingerprintQuickCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	streams := make([][]Ref, 0, 64)
@@ -188,7 +142,7 @@ func TestFingerprintQuickCheck(t *testing.T) {
 			rs[j] = Ref{
 				Addr:   uint64(rng.Intn(4)) * 64,
 				Write:  rng.Intn(2) == 0,
-				Instrs: int64(rng.Intn(3)),
+				Instrs: uint32(rng.Intn(3)),
 			}
 		}
 		streams = append(streams, rs)
@@ -197,7 +151,11 @@ func TestFingerprintQuickCheck(t *testing.T) {
 	s := NewTraceStore()
 	interned := make([]*Recorded, len(streams))
 	for i := range streams {
-		interned[i] = s.InternRefs(streams[i], tails[i])
+		r, err := s.Intern(streams[i], tails[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		interned[i] = r
 	}
 	for i := range streams {
 		for j := range streams {
@@ -206,20 +164,15 @@ func TestFingerprintQuickCheck(t *testing.T) {
 			if same && !fpEq {
 				t.Fatalf("identical streams %d and %d fingerprint differently", i, j)
 			}
-			shared := len(streams[i]) > 0 && len(streams[j]) > 0 &&
-				&interned[i].refs[0] == &interned[j].refs[0]
-			if shared && !same {
-				t.Fatalf("distinct streams %d and %d share an arena", i, j)
-			}
-			if same && !shared && len(streams[i]) > 0 {
-				t.Fatalf("identical streams %d and %d do not share an arena", i, j)
+			if shared := interned[i] == interned[j]; shared != same {
+				t.Fatalf("streams %d and %d: shared recording %t, identical %t", i, j, shared, same)
 			}
 		}
 	}
 }
 
-// TestTraceStoreConcurrentIntern hammers one store from many goroutines
-// (run under -race in CI) and checks the ledger adds up.
+// TestTraceStoreConcurrentIntern hammers one store from many goroutines and
+// checks the ledger adds up.
 func TestTraceStoreConcurrentIntern(t *testing.T) {
 	s := NewTraceStore()
 	const workers, perWorker = 8, 50
@@ -230,12 +183,11 @@ func TestTraceStoreConcurrentIntern(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				// 10 distinct contents, interned over and over.
-				r := s.Intern(NewScan(1<<20, int64(64*(1+i%10)), 64, 1))
-				if r.Len() == 0 {
-					t.Errorf("worker %d: empty recording", w)
+				rs, tail := NewScan(1<<20, int64(64*(1+i%10)), 64, 1).Emit(nil)
+				if r, err := s.Intern(rs, tail); err != nil || r.Len() == 0 {
+					t.Errorf("worker %d: recording %v, error %v", w, r, err)
 					return
 				}
-				drainAll(r)
 			}
 		}(w)
 	}
@@ -243,13 +195,5 @@ func TestTraceStoreConcurrentIntern(t *testing.T) {
 	st := s.Stats()
 	if st.Interned != workers*perWorker || st.Unique != 10 {
 		t.Fatalf("stats = %+v, want Interned %d, Unique 10", st, workers*perWorker)
-	}
-}
-
-func drainAll(g Gen) {
-	for {
-		if _, ok := g.Next(); !ok {
-			return
-		}
 	}
 }

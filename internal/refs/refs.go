@@ -1,121 +1,71 @@
 // Package refs provides composable, deterministic memory-reference streams.
 //
-// A task in a computation DAG (package dag) carries a reference generator
-// describing the memory it touches and the instructions it retires between
-// references.  The CMP simulator (package cmpsim) replays these streams
-// through the modelled cache hierarchy, and the working-set profiler
-// (package profile) consumes the same streams to compute stack distances.
+// A task in a computation DAG (package dag) issues memory references and
+// retires instructions between them.  Workload builders describe that stream
+// with the generators here — scans, strided and random walks, explicit lists
+// and combinators over them — and dag.AddTask emits it once into a Recorded
+// arena, the only form the stream takes from then on.  The CMP simulator
+// (package cmpsim) and the working-set profiler (package profile) read the
+// arenas by index; nothing writes one after it is recorded, so any number of
+// goroutines may read it at once.
 //
 // References are expressed at whatever granularity the producer chooses; the
 // workload generators in this repository emit one reference per cache line
 // touched, which keeps traces compact while preserving miss behaviour.
 package refs
 
-import "cmpsched/internal/prng"
+import (
+	"errors"
+	"math"
+	"slices"
 
-// Ref is a single memory reference.
+	"cmpsched/internal/prng"
+)
+
+// Ref is a single memory reference.  Its fields pack into 16 bytes.
 type Ref struct {
 	// Addr is the byte address of the reference. Consumers map it to a
 	// cache line by masking with their line size.
 	Addr uint64
-	// Write reports whether the reference is a store.
-	Write bool
 	// Instrs is the number of instructions retired since the previous
 	// reference of the same stream (exclusive of the memory operation
-	// itself). The simulator charges these cycles before the access.
-	Instrs int64
+	// itself), at most MaxInstrs. The simulator charges these cycles before
+	// the access.
+	Instrs uint32
+	// Write reports whether the reference is a store.
+	Write bool
 }
 
-// Gen is a resettable stream of memory references.
-//
-// Implementations are not safe for concurrent use; callers that replay a
-// stream several times must call Reset between iterations.
+// MaxInstrs is the largest per-reference instruction count a Ref holds.
+const MaxInstrs = math.MaxUint32 - 1
+
+// instrsOverflow is the Instrs value NarrowInstrs gives a count that does
+// not fit: a marker rather than a count, which TraceStore.Intern rejects.
+const instrsOverflow = math.MaxUint32
+
+// ErrInstrsRange reports a stream with a per-reference instruction count
+// outside [0, MaxInstrs].
+var ErrInstrsRange = errors.New("refs: per-reference instruction count outside [0, MaxInstrs]")
+
+// NarrowInstrs narrows a per-reference instruction count to Ref.Instrs.  A
+// count outside [0, MaxInstrs] becomes a marker that TraceStore.Intern
+// rejects with ErrInstrsRange, so a stream that does not fit fails when it
+// is recorded instead of wrapping.
+func NarrowInstrs(n int64) uint32 {
+	if n < 0 || n > MaxInstrs {
+		return instrsOverflow
+	}
+	return uint32(n)
+}
+
+// Gen describes a reference stream.  Generators hold no position: every
+// Emit produces the same stream.
 type Gen interface {
-	// Len returns the total number of references the stream produces.
-	Len() int64
-	// Instrs returns the total number of instructions the stream retires,
-	// including instructions that follow the final reference.
-	Instrs() int64
-	// Reset rewinds the stream to its beginning.
-	Reset()
-	// Next returns the next reference. ok is false once the stream is
-	// exhausted.
-	Next() (r Ref, ok bool)
+	// Emit appends the stream's references to dst and returns the extended
+	// slice together with the number of instructions retired after the
+	// final reference.
+	Emit(dst []Ref) ([]Ref, int64)
 }
-
-// Bulk is an optional extension of Gen for consumers that drain references
-// in blocks.  One NextBlock call replaces up to len(buf) dynamic-dispatch
-// Next calls, which is what lets the simulator's inner loop amortise
-// interface-method overhead across a whole block of references.
-//
-// NextBlock and Next may be mixed freely: both advance the same stream
-// position.  Every generator in this package implements Bulk; ReadBlock
-// adapts third-party Gens that do not.
-type Bulk interface {
-	Gen
-	// NextBlock fills buf with the stream's next references and returns
-	// the number produced.  When len(buf) > 0, a return of 0 means the
-	// stream is exhausted; a short (non-zero) return does not.
-	NextBlock(buf []Ref) int
-}
-
-// Sliced is an optional extension of Bulk for generators whose remaining
-// stream is already resident in memory (Points, Recorded).  NextSlice hands
-// out the backing storage itself, so a consumer replays the whole stream
-// without a single copy — the simulator's fastest drain path.
-//
-// NextSlice shares the stream position with Next and NextBlock: it returns
-// everything not yet consumed and advances the position to the end, so an
-// empty slice means the stream is exhausted.  Callers must treat the
-// returned slice as read-only; it remains valid across Reset.
-type Sliced interface {
-	Bulk
-	// NextSlice returns the stream's remaining references as a slice of the
-	// generator's backing storage and advances the position past them.
-	NextSlice() []Ref
-}
-
-// BlockSize is the batch size block-oriented consumers (the simulator, the
-// profiler's trace reader) use by default.  64 references amortise dispatch
-// to noise while keeping per-core buffers comfortably inside the host L1.
-const BlockSize = 64
-
-// ReadBlock fills buf from g: the Bulk fast path when g implements it, a
-// per-reference Next loop otherwise.  The fallback return contract is the
-// same as Bulk's — 0 from a non-empty buf means exhausted.
-func ReadBlock(g Gen, buf []Ref) int {
-	if b, ok := g.(Bulk); ok {
-		return b.NextBlock(buf)
-	}
-	n := 0
-	for n < len(buf) {
-		r, ok := g.Next()
-		if !ok {
-			break
-		}
-		buf[n] = r
-		n++
-	}
-	return n
-}
-
-// Every generator in this package implements Bulk, so the simulator's block
-// reader always takes the amortised path for repository workloads.
-var (
-	_ Bulk = Empty{}
-	_ Bulk = Compute{}
-	_ Bulk = (*Points)(nil)
-	_ Bulk = (*Scan)(nil)
-	_ Bulk = (*Strided)(nil)
-	_ Bulk = (*Random)(nil)
-	_ Bulk = (*Concat)(nil)
-	_ Bulk = (*Interleave)(nil)
-	_ Bulk = (*Repeat)(nil)
-	_ Bulk = (*WithTail)(nil)
-
-	// Resident generators also serve the zero-copy slice path.
-	_ Sliced = (*Points)(nil)
-)
 
 // intn returns a uniform value in [0, n) drawn from r. n must be > 0.
 func intn(r *prng.SplitMix64, n uint64) uint64 {
@@ -142,20 +92,8 @@ func mul64(x, y uint64) (hi, lo uint64) {
 // Empty is a generator producing no references and no instructions.
 type Empty struct{}
 
-// Len implements Gen.
-func (Empty) Len() int64 { return 0 }
-
-// Instrs implements Gen.
-func (Empty) Instrs() int64 { return 0 }
-
-// Reset implements Gen.
-func (Empty) Reset() {}
-
-// Next implements Gen.
-func (Empty) Next() (Ref, bool) { return Ref{}, false }
-
-// NextBlock implements Bulk.
-func (Empty) NextBlock([]Ref) int { return 0 }
+// Emit implements Gen.
+func (Empty) Emit(dst []Ref) ([]Ref, int64) { return dst, 0 }
 
 // Compute is a generator that retires instructions without touching memory.
 type Compute struct {
@@ -163,92 +101,24 @@ type Compute struct {
 	N int64
 }
 
-// Len implements Gen.
-func (Compute) Len() int64 { return 0 }
+// Emit implements Gen.
+func (c Compute) Emit(dst []Ref) ([]Ref, int64) { return dst, c.N }
 
-// Instrs implements Gen.
-func (c Compute) Instrs() int64 { return c.N }
-
-// Reset implements Gen.
-func (Compute) Reset() {}
-
-// Next implements Gen.
-func (Compute) Next() (Ref, bool) { return Ref{}, false }
-
-// NextBlock implements Bulk.
-func (Compute) NextBlock([]Ref) int { return 0 }
-
-// Points replays an explicit list of references.  It backs the graph
-// kernels' per-task traces as well as tests and hand-built micro traces, so
-// its streams can run to hundreds of thousands of references.
+// Points replays an explicit list of references.  It carries the graph
+// kernels' per-task traces as well as tests and hand-built micro traces.
 type Points struct {
-	// Refs is the reference list.  It must not be mutated after the first
-	// Instrs call: the instruction total is computed once and cached.
+	// Refs is the reference list.
 	Refs []Ref
 	// Tail is the number of instructions retired after the final
 	// reference.
 	Tail int64
-	pos  int
-
-	// sum caches the total of Refs[i].Instrs; sumValid guards the first
-	// computation so Instrs is O(1) on every later call (it is called per
-	// task by dag.AddTask, dag.Validate and the coarsening pass).
-	sum      int64
-	sumValid bool
 }
 
 // NewPoints returns a Points generator over refs.
-func NewPoints(refs []Ref, tail int64) *Points {
-	p := &Points{Refs: refs, Tail: tail}
-	p.refSum()
-	return p
-}
+func NewPoints(refs []Ref, tail int64) *Points { return &Points{Refs: refs, Tail: tail} }
 
-// Len implements Gen.
-func (p *Points) Len() int64 { return int64(len(p.Refs)) }
-
-func (p *Points) refSum() int64 {
-	if !p.sumValid {
-		var total int64
-		for _, r := range p.Refs {
-			total += r.Instrs
-		}
-		p.sum = total
-		p.sumValid = true
-	}
-	return p.sum
-}
-
-// Instrs implements Gen.
-func (p *Points) Instrs() int64 { return p.Tail + p.refSum() }
-
-// Reset implements Gen.
-func (p *Points) Reset() { p.pos = 0 }
-
-// Next implements Gen.
-func (p *Points) Next() (Ref, bool) {
-	if p.pos >= len(p.Refs) {
-		return Ref{}, false
-	}
-	r := p.Refs[p.pos]
-	p.pos++
-	return r, true
-}
-
-// NextBlock implements Bulk.
-func (p *Points) NextBlock(buf []Ref) int {
-	n := copy(buf, p.Refs[p.pos:])
-	p.pos += n
-	return n
-}
-
-// NextSlice implements Sliced, handing out the remainder of Refs directly.
-// Callers must treat the slice as read-only.
-func (p *Points) NextSlice() []Ref {
-	out := p.Refs[p.pos:]
-	p.pos = len(p.Refs)
-	return out
-}
+// Emit implements Gen.
+func (p *Points) Emit(dst []Ref) ([]Ref, int64) { return append(dst, p.Refs...), p.Tail }
 
 // Scan walks a contiguous region sequentially, touching one address per
 // LineBytes, optionally several times.
@@ -268,8 +138,6 @@ type Scan struct {
 	// Passes is the number of complete passes over the region. Zero is
 	// treated as one pass.
 	Passes int
-
-	pos int64 // references emitted so far
 }
 
 // NewScan returns a single sequential read pass over [base, base+bytes).
@@ -277,60 +145,19 @@ func NewScan(base uint64, bytes, lineBytes, instrsPerRef int64) *Scan {
 	return &Scan{Base: base, Bytes: bytes, LineBytes: lineBytes, InstrsPerRef: instrsPerRef, Passes: 1}
 }
 
-func (s *Scan) passes() int64 {
-	if s.Passes <= 0 {
-		return 1
+// Emit implements Gen.
+func (s *Scan) Emit(dst []Ref) ([]Ref, int64) {
+	var lines int64
+	if s.LineBytes > 0 && s.Bytes > 0 {
+		lines = (s.Bytes + s.LineBytes - 1) / s.LineBytes
 	}
-	return int64(s.Passes)
-}
-
-func (s *Scan) linesPerPass() int64 {
-	if s.LineBytes <= 0 || s.Bytes <= 0 {
-		return 0
-	}
-	return (s.Bytes + s.LineBytes - 1) / s.LineBytes
-}
-
-// Len implements Gen.
-func (s *Scan) Len() int64 { return s.linesPerPass() * s.passes() }
-
-// Instrs implements Gen.
-func (s *Scan) Instrs() int64 { return s.Len() * s.InstrsPerRef }
-
-// Reset implements Gen.
-func (s *Scan) Reset() { s.pos = 0 }
-
-// Next implements Gen.
-func (s *Scan) Next() (Ref, bool) {
-	if s.pos >= s.Len() {
-		return Ref{}, false
-	}
-	lines := s.linesPerPass()
-	idx := s.pos % lines
-	s.pos++
-	return Ref{
-		Addr:   s.Base + uint64(idx*s.LineBytes),
-		Write:  s.Write,
-		Instrs: s.InstrsPerRef,
-	}, true
-}
-
-// NextBlock implements Bulk.
-func (s *Scan) NextBlock(buf []Ref) int {
-	total := s.Len()
-	lines := s.linesPerPass()
-	n := 0
-	for n < len(buf) && s.pos < total {
-		idx := s.pos % lines
-		buf[n] = Ref{
-			Addr:   s.Base + uint64(idx*s.LineBytes),
-			Write:  s.Write,
-			Instrs: s.InstrsPerRef,
+	instrs := NarrowInstrs(s.InstrsPerRef)
+	for pass := max(s.Passes, 1); pass > 0; pass-- {
+		for i := int64(0); i < lines; i++ {
+			dst = append(dst, Ref{Addr: s.Base + uint64(i*s.LineBytes), Instrs: instrs, Write: s.Write})
 		}
-		s.pos++
-		n++
 	}
-	return n
+	return dst, 0
 }
 
 // Strided emits Count references starting at Base with a fixed stride.
@@ -340,46 +167,15 @@ type Strided struct {
 	Count        int64
 	Write        bool
 	InstrsPerRef int64
-
-	pos int64
 }
 
-// Len implements Gen.
-func (s *Strided) Len() int64 { return s.Count }
-
-// Instrs implements Gen.
-func (s *Strided) Instrs() int64 { return s.Count * s.InstrsPerRef }
-
-// Reset implements Gen.
-func (s *Strided) Reset() { s.pos = 0 }
-
-// Next implements Gen.
-func (s *Strided) Next() (Ref, bool) {
-	if s.pos >= s.Count {
-		return Ref{}, false
+// Emit implements Gen.
+func (s *Strided) Emit(dst []Ref) ([]Ref, int64) {
+	instrs := NarrowInstrs(s.InstrsPerRef)
+	for i := int64(0); i < s.Count; i++ {
+		dst = append(dst, Ref{Addr: s.Base + uint64(i*s.StrideBytes), Instrs: instrs, Write: s.Write})
 	}
-	r := Ref{
-		Addr:   s.Base + uint64(s.pos*s.StrideBytes),
-		Write:  s.Write,
-		Instrs: s.InstrsPerRef,
-	}
-	s.pos++
-	return r, true
-}
-
-// NextBlock implements Bulk.
-func (s *Strided) NextBlock(buf []Ref) int {
-	n := 0
-	for n < len(buf) && s.pos < s.Count {
-		buf[n] = Ref{
-			Addr:   s.Base + uint64(s.pos*s.StrideBytes),
-			Write:  s.Write,
-			Instrs: s.InstrsPerRef,
-		}
-		s.pos++
-		n++
-	}
-	return n
+	return dst, 0
 }
 
 // Random emits Count references uniformly distributed over a region, aligned
@@ -392,93 +188,26 @@ type Random struct {
 	Seed         uint64
 	Write        bool
 	InstrsPerRef int64
-
-	pos int64
-	r   *prng.SplitMix64
 }
 
-// Len implements Gen.
-func (g *Random) Len() int64 { return g.Count }
-
-// Instrs implements Gen.
-func (g *Random) Instrs() int64 { return g.Count * g.InstrsPerRef }
-
-// Reset implements Gen.
-func (g *Random) Reset() {
-	g.pos = 0
-	g.r = nil
-}
-
-func (g *Random) lines() uint64 {
+// Emit implements Gen.
+func (g *Random) Emit(dst []Ref) ([]Ref, int64) {
 	lb := g.LineBytes
 	if lb <= 0 {
 		lb = 64
 	}
-	n := g.Bytes / lb
-	if n <= 0 {
-		n = 1
+	lines := uint64(max(g.Bytes/lb, 1))
+	r := prng.SplitMix64{State: g.Seed}
+	instrs := NarrowInstrs(g.InstrsPerRef)
+	for i := int64(0); i < g.Count; i++ {
+		dst = append(dst, Ref{Addr: g.Base + intn(&r, lines)*uint64(lb), Instrs: instrs, Write: g.Write})
 	}
-	return uint64(n)
-}
-
-// Next implements Gen.
-func (g *Random) Next() (Ref, bool) {
-	if g.pos >= g.Count {
-		return Ref{}, false
-	}
-	if g.r == nil {
-		g.r = &prng.SplitMix64{State: g.Seed}
-	}
-	lb := g.LineBytes
-	if lb <= 0 {
-		lb = 64
-	}
-	line := intn(g.r, g.lines())
-	g.pos++
-	return Ref{
-		Addr:   g.Base + line*uint64(lb),
-		Write:  g.Write,
-		Instrs: g.InstrsPerRef,
-	}, true
-}
-
-// NextBlock implements Bulk.
-func (g *Random) NextBlock(buf []Ref) int {
-	if g.pos >= g.Count {
-		return 0
-	}
-	if g.r == nil {
-		g.r = &prng.SplitMix64{State: g.Seed}
-	}
-	lb := g.LineBytes
-	if lb <= 0 {
-		lb = 64
-	}
-	lines := g.lines()
-	n := 0
-	for n < len(buf) && g.pos < g.Count {
-		line := intn(g.r, lines)
-		buf[n] = Ref{
-			Addr:   g.Base + line*uint64(lb),
-			Write:  g.Write,
-			Instrs: g.InstrsPerRef,
-		}
-		g.pos++
-		n++
-	}
-	return n
+	return dst, 0
 }
 
 // Concat runs a sequence of generators back to back.
 type Concat struct {
 	gens []Gen
-	idx  int
-
-	// lenSum/instrSum cache the per-child totals, which workload builders
-	// and dag.Validate otherwise recompute per call over what can be a long
-	// child list.  Append invalidates the cache.
-	lenSum, instrSum int64
-	sumsValid        bool
 }
 
 // NewConcat returns a generator replaying gens in order. Nil entries are
@@ -493,73 +222,16 @@ func NewConcat(gens ...Gen) *Concat {
 	return &Concat{gens: out}
 }
 
-// Append adds more generators to the end of the sequence.
-func (c *Concat) Append(gens ...Gen) {
-	for _, g := range gens {
-		if g != nil {
-			c.gens = append(c.gens, g)
-		}
-	}
-	c.sumsValid = false
-}
-
-func (c *Concat) totals() (lenSum, instrSum int64) {
-	if !c.sumsValid {
-		c.lenSum, c.instrSum = 0, 0
-		for _, g := range c.gens {
-			c.lenSum += g.Len()
-			c.instrSum += g.Instrs()
-		}
-		c.sumsValid = true
-	}
-	return c.lenSum, c.instrSum
-}
-
-// Len implements Gen.
-func (c *Concat) Len() int64 {
-	lenSum, _ := c.totals()
-	return lenSum
-}
-
-// Instrs implements Gen.
-func (c *Concat) Instrs() int64 {
-	_, instrSum := c.totals()
-	return instrSum
-}
-
-// Reset implements Gen.
-func (c *Concat) Reset() {
-	c.idx = 0
+// Emit implements Gen.  Every child's trailing instructions follow the
+// sequence's final reference.
+func (c *Concat) Emit(dst []Ref) ([]Ref, int64) {
+	var tail int64
 	for _, g := range c.gens {
-		g.Reset()
+		var t int64
+		dst, t = g.Emit(dst)
+		tail += t
 	}
-}
-
-// Next implements Gen.
-func (c *Concat) Next() (Ref, bool) {
-	for c.idx < len(c.gens) {
-		if r, ok := c.gens[c.idx].Next(); ok {
-			return r, true
-		}
-		c.idx++
-	}
-	return Ref{}, false
-}
-
-// NextBlock implements Bulk: each child fills as much of the buffer as it
-// can, and exhausted children advance the cursor, so one call typically
-// returns a full block even across child boundaries.
-func (c *Concat) NextBlock(buf []Ref) int {
-	n := 0
-	for n < len(buf) && c.idx < len(c.gens) {
-		k := ReadBlock(c.gens[c.idx], buf[n:])
-		if k == 0 {
-			c.idx++
-			continue
-		}
-		n += k
-	}
-	return n
+	return dst, tail
 }
 
 // Interleave alternates references from two generators (a, b, a, b, ...)
@@ -568,106 +240,58 @@ func (c *Concat) NextBlock(buf []Ref) int {
 // bucket.
 type Interleave struct {
 	A, B Gen
-	turn int
 }
 
 // NewInterleave returns an interleaving of a and b.
 func NewInterleave(a, b Gen) *Interleave { return &Interleave{A: a, B: b} }
 
-// Len implements Gen.
-func (i *Interleave) Len() int64 { return i.A.Len() + i.B.Len() }
-
-// Instrs implements Gen.
-func (i *Interleave) Instrs() int64 { return i.A.Instrs() + i.B.Instrs() }
-
-// Reset implements Gen.
-func (i *Interleave) Reset() {
-	i.turn = 0
-	i.A.Reset()
-	i.B.Reset()
-}
-
-// Next implements Gen.
-func (i *Interleave) Next() (Ref, bool) {
-	first, second := i.A, i.B
-	if i.turn == 1 {
-		first, second = i.B, i.A
-	}
-	i.turn = 1 - i.turn
-	if r, ok := first.Next(); ok {
-		return r, true
-	}
-	return second.Next()
-}
-
-// NextBlock implements Bulk.  The alternation is inherently per-reference,
-// so the block is assembled by Next calls; the consumer still saves its own
-// per-reference dispatch on the outer stream.
-func (i *Interleave) NextBlock(buf []Ref) int {
-	n := 0
-	for n < len(buf) {
-		r, ok := i.Next()
-		if !ok {
-			break
+// Emit implements Gen.  Once the shorter stream runs out the longer one's
+// remainder follows, and both streams' trailing instructions follow the
+// final reference.
+func (i *Interleave) Emit(dst []Ref) ([]Ref, int64) {
+	start := len(dst)
+	dst, ta := i.A.Emit(dst)
+	a := slices.Clone(dst[start:])
+	dst, tb := i.B.Emit(dst)
+	// Merge in place: b's k-th reference sits at start+len(a)+k, at or past
+	// the slot start+2k+1 it moves to, so writing in order never overwrites
+	// a reference not yet read, and once a runs out b's remainder is
+	// already in place.
+	b := dst[start+len(a):]
+	w := start
+	for k, r := range a {
+		dst[w] = r
+		w++
+		if k < len(b) {
+			dst[w] = b[k]
+			w++
 		}
-		buf[n] = r
-		n++
 	}
-	return n
+	return dst, ta + tb
 }
 
-// Repeat replays an inner generator a fixed number of times, resetting it
-// between rounds.
+// Repeat replays an inner generator a fixed number of times.
 type Repeat struct {
 	G     Gen
 	Times int
-	round int
 }
 
 // NewRepeat returns a generator that replays g `times` times.
 func NewRepeat(g Gen, times int) *Repeat { return &Repeat{G: g, Times: times} }
 
-// Len implements Gen.
-func (r *Repeat) Len() int64 { return r.G.Len() * int64(max64(0, int64(r.Times))) }
-
-// Instrs implements Gen.
-func (r *Repeat) Instrs() int64 { return r.G.Instrs() * int64(max64(0, int64(r.Times))) }
-
-// Reset implements Gen.
-func (r *Repeat) Reset() {
-	r.round = 0
-	r.G.Reset()
-}
-
-// Next implements Gen.
-func (r *Repeat) Next() (Ref, bool) {
-	for r.round < r.Times {
-		if ref, ok := r.G.Next(); ok {
-			return ref, true
-		}
-		r.round++
-		if r.round < r.Times {
-			r.G.Reset()
-		}
+// Emit implements Gen.  Every round's trailing instructions follow the
+// final reference.
+func (r *Repeat) Emit(dst []Ref) ([]Ref, int64) {
+	if r.Times <= 0 {
+		return dst, 0
 	}
-	return Ref{}, false
-}
-
-// NextBlock implements Bulk.
-func (r *Repeat) NextBlock(buf []Ref) int {
-	n := 0
-	for n < len(buf) && r.round < r.Times {
-		k := ReadBlock(r.G, buf[n:])
-		if k == 0 {
-			r.round++
-			if r.round < r.Times {
-				r.G.Reset()
-			}
-			continue
-		}
-		n += k
+	start := len(dst)
+	dst, tail := r.G.Emit(dst)
+	round := dst[start:]
+	for i := 1; i < r.Times; i++ {
+		dst = append(dst, round...)
 	}
-	return n
+	return dst, tail * int64(r.Times)
 }
 
 // WithTail wraps a generator and adds trailing instructions after the last
@@ -680,57 +304,8 @@ type WithTail struct {
 // NewWithTail wraps g with tail trailing instructions.
 func NewWithTail(g Gen, tail int64) *WithTail { return &WithTail{G: g, Tail: tail} }
 
-// Len implements Gen.
-func (w *WithTail) Len() int64 { return w.G.Len() }
-
-// Instrs implements Gen.
-func (w *WithTail) Instrs() int64 { return w.G.Instrs() + w.Tail }
-
-// Reset implements Gen.
-func (w *WithTail) Reset() { w.G.Reset() }
-
-// Next implements Gen.
-func (w *WithTail) Next() (Ref, bool) { return w.G.Next() }
-
-// NextBlock implements Bulk.
-func (w *WithTail) NextBlock(buf []Ref) int { return ReadBlock(w.G, buf) }
-
-// Collect drains g and returns all of its references.  The generator is
-// Reset before and after collection.  Intended for tests and the profiler's
-// trace writer; not for very long streams.
-func Collect(g Gen) []Ref {
-	g.Reset()
-	out := make([]Ref, 0, g.Len())
-	for {
-		r, ok := g.Next()
-		if !ok {
-			break
-		}
-		out = append(out, r)
-	}
-	g.Reset()
-	return out
-}
-
-// Count drains g counting references and instructions; it Resets g before
-// and after.
-func Count(g Gen) (refCount, instrs int64) {
-	g.Reset()
-	for {
-		r, ok := g.Next()
-		if !ok {
-			break
-		}
-		refCount++
-		instrs += r.Instrs
-	}
-	g.Reset()
-	return refCount, instrs
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+// Emit implements Gen.
+func (w *WithTail) Emit(dst []Ref) ([]Ref, int64) {
+	dst, tail := w.G.Emit(dst)
+	return dst, tail + w.Tail
 }

@@ -1,82 +1,133 @@
 package refs
 
 import (
-	"cmpsched/internal/prng"
+	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"cmpsched/internal/prng"
 )
 
-func drain(t *testing.T, g Gen) []Ref {
+// streamInstrs is the number of instructions a stream retires: its
+// references' counts plus the tail.
+func streamInstrs(rs []Ref, tail int64) int64 {
+	for _, r := range rs {
+		tail += int64(r.Instrs)
+	}
+	return tail
+}
+
+// fixtures holds one instance of every generator shape.
+func fixtures(t *testing.T) map[string]Gen {
 	t.Helper()
-	var out []Ref
-	for {
-		r, ok := g.Next()
-		if !ok {
-			break
-		}
-		out = append(out, r)
-		if len(out) > 1<<22 {
-			t.Fatalf("generator did not terminate")
+	rs := make([]Ref, 0, 200)
+	for i := 0; i < 200; i++ {
+		rs = append(rs, Ref{Addr: uint64(i * 64), Write: i%3 == 0, Instrs: uint32(i % 7)})
+	}
+	recorded, err := NewTraceStore().Intern(rs, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]Gen{
+		"empty":   Empty{},
+		"compute": Compute{N: 10},
+		"points":  NewPoints(rs, 9),
+		"scan":    &Scan{Base: 1 << 20, Bytes: 4096, LineBytes: 64, InstrsPerRef: 3, Passes: 3},
+		"strided": &Strided{Base: 1 << 21, StrideBytes: 192, Count: 173, InstrsPerRef: 2},
+		"random":  &Random{Base: 1 << 22, Bytes: 1 << 16, LineBytes: 64, Count: 301, Seed: 7, InstrsPerRef: 4},
+		"concat": NewConcat(
+			NewScan(1<<20, 1000, 64, 1),
+			&Strided{Base: 1 << 21, StrideBytes: 64, Count: 5, InstrsPerRef: 2},
+			Empty{},
+			&Random{Base: 1 << 22, Bytes: 1 << 12, LineBytes: 64, Count: 77, Seed: 3, InstrsPerRef: 1},
+		),
+		"interleave": NewInterleave(
+			NewScan(1<<20, 900, 64, 1),
+			&Strided{Base: 1 << 21, StrideBytes: 128, Count: 40, InstrsPerRef: 2},
+		),
+		"repeat":   NewRepeat(NewScan(1<<20, 500, 64, 2), 4),
+		"withtail": NewWithTail(NewScan(1<<20, 700, 64, 1), 33),
+		"recorded": recorded,
+	}
+}
+
+// TestRefIs16Bytes pins the packed layout the store's arena accounting
+// derives from.
+func TestRefIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Ref{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Ref{}) = %d, want 16", got)
+	}
+	if refBytes != 16 {
+		t.Fatalf("refBytes = %d, want 16", refBytes)
+	}
+}
+
+// TestNarrowInstrsRejectsCountsThatDoNotFit pins that a per-reference count
+// outside [0, MaxInstrs] fails when its stream is recorded, with
+// ErrInstrsRange, instead of wrapping.
+func TestNarrowInstrsRejectsCountsThatDoNotFit(t *testing.T) {
+	if got := NarrowInstrs(MaxInstrs); got != MaxInstrs {
+		t.Fatalf("NarrowInstrs(MaxInstrs) = %d", got)
+	}
+	for _, n := range []int64{-1, MaxInstrs + 1, 1 << 40} {
+		rs, tail := (&Strided{StrideBytes: 64, Count: 3, InstrsPerRef: n}).Emit(nil)
+		if _, err := NewTraceStore().Intern(rs, tail); !errors.Is(err, ErrInstrsRange) {
+			t.Errorf("InstrsPerRef %d: Intern error = %v, want ErrInstrsRange", n, err)
 		}
 	}
-	return out
+}
+
+// TestEmitAppendsAfterDst pins Emit's append contract for every generator:
+// emitting after existing references leaves them in place and appends
+// exactly the stream an empty destination receives (Interleave merges in
+// place, so this is not automatic).
+func TestEmitAppendsAfterDst(t *testing.T) {
+	prefix := []Ref{{Addr: 1, Instrs: 1}, {Addr: 2, Write: true}}
+	for name, g := range fixtures(t) {
+		want, wantTail := g.Emit(nil)
+		got, tail := g.Emit(append(make([]Ref, 0, 4096), prefix...))
+		if tail != wantTail || !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
+			t.Errorf("%s: emitting after %d references changed the stream", name, len(prefix))
+		}
+	}
 }
 
 func TestEmpty(t *testing.T) {
-	var g Empty
-	if g.Len() != 0 || g.Instrs() != 0 {
-		t.Fatalf("Empty should have no refs or instrs")
-	}
-	if _, ok := g.Next(); ok {
-		t.Fatalf("Empty.Next returned a ref")
+	if rs, tail := (Empty{}).Emit(nil); len(rs) != 0 || tail != 0 {
+		t.Fatalf("Empty emitted %d refs and tail %d", len(rs), tail)
 	}
 }
 
 func TestCompute(t *testing.T) {
-	g := Compute{N: 123}
-	if g.Len() != 0 {
-		t.Fatalf("Compute.Len = %d, want 0", g.Len())
-	}
-	if g.Instrs() != 123 {
-		t.Fatalf("Compute.Instrs = %d, want 123", g.Instrs())
-	}
-	if _, ok := g.Next(); ok {
-		t.Fatalf("Compute.Next returned a ref")
+	if rs, tail := (Compute{N: 123}).Emit(nil); len(rs) != 0 || tail != 123 {
+		t.Fatalf("Compute emitted %d refs and tail %d, want 0 and 123", len(rs), tail)
 	}
 }
 
 func TestPoints(t *testing.T) {
-	rs := []Ref{{Addr: 0, Instrs: 2}, {Addr: 64, Write: true, Instrs: 3}}
-	g := NewPoints(rs, 5)
-	if g.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", g.Len())
+	g := NewPoints([]Ref{{Addr: 0, Instrs: 2}, {Addr: 64, Write: true, Instrs: 3}}, 5)
+	got, tail := g.Emit(nil)
+	if len(got) != 2 || got[1].Addr != 64 || !got[1].Write || tail != 5 {
+		t.Fatalf("unexpected stream %+v, tail %d", got, tail)
 	}
-	if g.Instrs() != 10 {
-		t.Fatalf("Instrs = %d, want 10", g.Instrs())
+	if n := streamInstrs(got, tail); n != 10 {
+		t.Fatalf("instructions = %d, want 10", n)
 	}
-	got := drain(t, g)
-	if len(got) != 2 || got[1].Addr != 64 || !got[1].Write {
-		t.Fatalf("unexpected refs %+v", got)
-	}
-	// After Reset the stream replays identically.
-	g.Reset()
-	got2 := drain(t, g)
-	if len(got2) != len(got) {
-		t.Fatalf("replay length %d, want %d", len(got2), len(got))
+	// Emitting again replays the stream identically.
+	if again, _ := g.Emit(nil); !slices.Equal(again, got) {
+		t.Fatalf("replay %+v, want %+v", again, got)
 	}
 }
 
 func TestScanAddressesAndCounts(t *testing.T) {
-	g := &Scan{Base: 1 << 20, Bytes: 1024, LineBytes: 128, InstrsPerRef: 4, Passes: 1}
-	if g.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", g.Len())
-	}
-	if g.Instrs() != 32 {
-		t.Fatalf("Instrs = %d, want 32", g.Instrs())
-	}
-	rs := drain(t, g)
+	rs, tail := (&Scan{Base: 1 << 20, Bytes: 1024, LineBytes: 128, InstrsPerRef: 4, Passes: 1}).Emit(nil)
 	if len(rs) != 8 {
-		t.Fatalf("drained %d refs, want 8", len(rs))
+		t.Fatalf("emitted %d refs, want 8", len(rs))
+	}
+	if n := streamInstrs(rs, tail); n != 32 {
+		t.Fatalf("instructions = %d, want 32", n)
 	}
 	for i, r := range rs {
 		want := uint64(1<<20 + i*128)
@@ -90,13 +141,9 @@ func TestScanAddressesAndCounts(t *testing.T) {
 }
 
 func TestScanMultiplePasses(t *testing.T) {
-	g := &Scan{Base: 0, Bytes: 256, LineBytes: 64, Passes: 3}
-	if g.Len() != 12 {
-		t.Fatalf("Len = %d, want 12", g.Len())
-	}
-	rs := drain(t, g)
+	rs, _ := (&Scan{Base: 0, Bytes: 256, LineBytes: 64, Passes: 3}).Emit(nil)
 	if len(rs) != 12 {
-		t.Fatalf("drained %d, want 12", len(rs))
+		t.Fatalf("emitted %d, want 12", len(rs))
 	}
 	// The second pass revisits the same addresses.
 	if rs[0].Addr != rs[4].Addr || rs[3].Addr != rs[7].Addr {
@@ -105,24 +152,21 @@ func TestScanMultiplePasses(t *testing.T) {
 }
 
 func TestScanRoundsUpPartialLine(t *testing.T) {
-	g := &Scan{Base: 0, Bytes: 100, LineBytes: 64, Passes: 1}
-	if g.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (100 bytes spans 2 lines)", g.Len())
+	if rs, _ := (&Scan{Base: 0, Bytes: 100, LineBytes: 64, Passes: 1}).Emit(nil); len(rs) != 2 {
+		t.Fatalf("emitted %d refs, want 2 (100 bytes spans 2 lines)", len(rs))
 	}
 }
 
 func TestScanZeroPassesTreatedAsOne(t *testing.T) {
-	g := &Scan{Base: 0, Bytes: 128, LineBytes: 64}
-	if g.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", g.Len())
+	if rs, _ := (&Scan{Base: 0, Bytes: 128, LineBytes: 64}).Emit(nil); len(rs) != 2 {
+		t.Fatalf("emitted %d refs, want 2", len(rs))
 	}
 }
 
 func TestStrided(t *testing.T) {
-	g := &Strided{Base: 1000, StrideBytes: 256, Count: 4, InstrsPerRef: 7, Write: true}
-	rs := drain(t, g)
+	rs, tail := (&Strided{Base: 1000, StrideBytes: 256, Count: 4, InstrsPerRef: 7, Write: true}).Emit(nil)
 	if len(rs) != 4 {
-		t.Fatalf("drained %d, want 4", len(rs))
+		t.Fatalf("emitted %d, want 4", len(rs))
 	}
 	for i, r := range rs {
 		if r.Addr != uint64(1000+256*i) {
@@ -132,8 +176,8 @@ func TestStrided(t *testing.T) {
 			t.Fatalf("ref %d should be a write", i)
 		}
 	}
-	if g.Instrs() != 28 {
-		t.Fatalf("Instrs = %d, want 28", g.Instrs())
+	if n := streamInstrs(rs, tail); n != 28 {
+		t.Fatalf("instructions = %d, want 28", n)
 	}
 }
 
@@ -141,8 +185,8 @@ func TestRandomDeterministicAndInRange(t *testing.T) {
 	mk := func() *Random {
 		return &Random{Base: 4096, Bytes: 8192, LineBytes: 64, Count: 200, Seed: 42, InstrsPerRef: 3}
 	}
-	a := drain(t, mk())
-	b := drain(t, mk())
+	a, _ := mk().Emit(nil)
+	b, _ := mk().Emit(nil)
 	if len(a) != 200 || len(b) != 200 {
 		t.Fatalf("lengths %d, %d, want 200", len(a), len(b))
 	}
@@ -160,8 +204,8 @@ func TestRandomDeterministicAndInRange(t *testing.T) {
 }
 
 func TestRandomDifferentSeedsDiffer(t *testing.T) {
-	a := drain(t, &Random{Bytes: 1 << 20, LineBytes: 64, Count: 64, Seed: 1})
-	b := drain(t, &Random{Bytes: 1 << 20, LineBytes: 64, Count: 64, Seed: 2})
+	a, _ := (&Random{Bytes: 1 << 20, LineBytes: 64, Count: 64, Seed: 1}).Emit(nil)
+	b, _ := (&Random{Bytes: 1 << 20, LineBytes: 64, Count: 64, Seed: 2}).Emit(nil)
 	same := 0
 	for i := range a {
 		if a[i].Addr == b[i].Addr {
@@ -173,162 +217,110 @@ func TestRandomDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestRandomResetReplays pins that a generator keeps no PRNG state: emitting
+// it again replays the identical pseudo-random stream.
 func TestRandomResetReplays(t *testing.T) {
 	g := &Random{Bytes: 1 << 16, LineBytes: 64, Count: 50, Seed: 7}
-	a := drain(t, g)
-	g.Reset()
-	b := drain(t, g)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("reset replay differs at %d", i)
-		}
+	a, _ := g.Emit(nil)
+	b, _ := g.Emit(nil)
+	if !slices.Equal(a, b) {
+		t.Fatalf("second emission differs from the first")
 	}
 }
 
 func TestConcat(t *testing.T) {
 	a := &Scan{Base: 0, Bytes: 128, LineBytes: 64, InstrsPerRef: 1}
 	b := &Scan{Base: 1024, Bytes: 128, LineBytes: 64, InstrsPerRef: 2}
-	g := NewConcat(a, nil, b)
-	if g.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", g.Len())
+	rs, tail := NewConcat(NewWithTail(a, 5), nil, b).Emit(nil)
+	if len(rs) != 4 {
+		t.Fatalf("emitted %d refs, want 4", len(rs))
 	}
-	if g.Instrs() != 2+4 {
-		t.Fatalf("Instrs = %d, want 6", g.Instrs())
-	}
-	rs := drain(t, g)
 	if rs[0].Addr != 0 || rs[2].Addr != 1024 {
 		t.Fatalf("unexpected order %+v", rs)
 	}
-	g.Reset()
-	if again := drain(t, g); len(again) != 4 {
-		t.Fatalf("reset drain %d, want 4", len(again))
-	}
-}
-
-func TestConcatAppend(t *testing.T) {
-	g := NewConcat()
-	g.Append(&Strided{Base: 0, StrideBytes: 64, Count: 2})
-	g.Append(nil, &Strided{Base: 512, StrideBytes: 64, Count: 3})
-	if g.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", g.Len())
+	// Every child's trailing instructions follow the last reference.
+	if tail != 5 || streamInstrs(rs, tail) != 2+4+5 {
+		t.Fatalf("tail %d, instructions %d; want 5 and 11", tail, streamInstrs(rs, tail))
 	}
 }
 
 func TestInterleave(t *testing.T) {
 	a := &Strided{Base: 0, StrideBytes: 64, Count: 3, InstrsPerRef: 1}
 	b := &Strided{Base: 1 << 20, StrideBytes: 64, Count: 2, InstrsPerRef: 1}
-	g := NewInterleave(a, b)
-	rs := drain(t, g)
-	if len(rs) != 5 {
-		t.Fatalf("drained %d, want 5", len(rs))
-	}
-	// Pattern a b a b a.
-	wantHigh := []bool{false, true, false, true, false}
-	for i, r := range rs {
-		high := r.Addr >= 1<<20
-		if high != wantHigh[i] {
-			t.Fatalf("position %d from wrong stream (addr=%d)", i, r.Addr)
+	for _, c := range []struct {
+		g        Gen
+		wantHigh []bool
+	}{
+		{NewInterleave(a, b), []bool{false, true, false, true, false}}, // a b a b a
+		{NewInterleave(b, a), []bool{true, false, true, false, false}}, // b a b a, then a
+	} {
+		rs, _ := c.g.Emit(nil)
+		if len(rs) != len(c.wantHigh) {
+			t.Fatalf("emitted %d, want %d", len(rs), len(c.wantHigh))
+		}
+		for i, r := range rs {
+			if high := r.Addr >= 1<<20; high != c.wantHigh[i] {
+				t.Fatalf("position %d from wrong stream (addr=%d)", i, r.Addr)
+			}
 		}
 	}
 }
 
 func TestRepeat(t *testing.T) {
 	inner := &Strided{Base: 0, StrideBytes: 64, Count: 3, InstrsPerRef: 2}
-	g := NewRepeat(inner, 4)
-	if g.Len() != 12 {
-		t.Fatalf("Len = %d, want 12", g.Len())
-	}
-	if g.Instrs() != 24 {
-		t.Fatalf("Instrs = %d, want 24", g.Instrs())
-	}
-	rs := drain(t, g)
-	if len(rs) != 12 {
-		t.Fatalf("drained %d, want 12", len(rs))
+	rs, tail := NewRepeat(inner, 4).Emit(nil)
+	if len(rs) != 12 || streamInstrs(rs, tail) != 24 {
+		t.Fatalf("emitted %d refs and %d instructions, want 12 and 24", len(rs), streamInstrs(rs, tail))
 	}
 	if rs[0].Addr != rs[3].Addr {
 		t.Fatalf("repeat rounds do not revisit addresses")
 	}
-	g.Reset()
-	if len(drain(t, g)) != 12 {
-		t.Fatalf("reset drain mismatch")
+	// Every round's trailing instructions follow the last reference.
+	if _, tail := NewRepeat(NewWithTail(inner, 1), 4).Emit(nil); tail != 4 {
+		t.Fatalf("tail = %d, want 4", tail)
+	}
+	if rs, tail := NewRepeat(inner, 0).Emit(nil); len(rs) != 0 || tail != 0 {
+		t.Fatalf("zero rounds emitted %d refs and tail %d", len(rs), tail)
 	}
 }
 
 func TestWithTail(t *testing.T) {
-	inner := &Strided{Base: 0, StrideBytes: 64, Count: 2, InstrsPerRef: 5}
-	g := NewWithTail(inner, 100)
-	if g.Instrs() != 110 {
-		t.Fatalf("Instrs = %d, want 110", g.Instrs())
-	}
-	if g.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", g.Len())
+	rs, tail := NewWithTail(&Strided{Base: 0, StrideBytes: 64, Count: 2, InstrsPerRef: 5}, 100).Emit(nil)
+	if len(rs) != 2 || tail != 100 || streamInstrs(rs, tail) != 110 {
+		t.Fatalf("emitted %d refs, tail %d, %d instructions; want 2, 100, 110", len(rs), tail, streamInstrs(rs, tail))
 	}
 }
 
-func TestCollectAndCount(t *testing.T) {
-	g := &Scan{Base: 0, Bytes: 512, LineBytes: 64, InstrsPerRef: 3}
-	rs := Collect(g)
-	if len(rs) != 8 {
-		t.Fatalf("Collect returned %d refs, want 8", len(rs))
-	}
-	n, instrs := Count(g)
-	if n != 8 || instrs != 24 {
-		t.Fatalf("Count = (%d, %d), want (8, 24)", n, instrs)
-	}
-	// Collect/Count must leave the generator usable.
-	if len(drain(t, g)) != 8 {
-		t.Fatalf("generator not reset after Collect/Count")
-	}
-}
-
-// Property: for every generator construction, the number of refs drained
-// equals Len() and the drained instruction total never exceeds Instrs().
+// Property: every generator emits exactly the references its parameters
+// call for, retiring the instructions they imply.
 func TestPropertyLenMatchesDrain(t *testing.T) {
 	f := func(baseSeed uint64, nSmall uint8, stride uint8, passes uint8) bool {
 		n := int64(nSmall%64) + 1
 		st := int64(stride%8+1) * 64
-		p := int(passes%3) + 1
-		gens := []Gen{
-			&Scan{Base: baseSeed % (1 << 30), Bytes: n * 64, LineBytes: 64, InstrsPerRef: 2, Passes: p},
+		p := int64(passes%3) + 1
+		all := NewConcat(
+			&Scan{Base: baseSeed % (1 << 30), Bytes: n * 64, LineBytes: 64, InstrsPerRef: 2, Passes: int(p)},
 			&Strided{Base: baseSeed % (1 << 30), StrideBytes: st, Count: n, InstrsPerRef: 1},
 			&Random{Base: baseSeed % (1 << 30), Bytes: n * 256, LineBytes: 64, Count: n, Seed: baseSeed},
-		}
-		all := NewConcat(gens...)
-		var count, instrs int64
-		all.Reset()
-		for {
-			r, ok := all.Next()
-			if !ok {
-				break
-			}
-			count++
-			instrs += r.Instrs
-		}
-		return count == all.Len() && instrs <= all.Instrs()
+		)
+		rs, tail := all.Emit(nil)
+		return int64(len(rs)) == n*p+2*n && streamInstrs(rs, tail) == 2*n*p+n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: Reset always replays an identical stream.
+// Property: emitting a generator again replays an identical stream.
 func TestPropertyResetReplay(t *testing.T) {
 	f := func(seed uint64, count uint8) bool {
 		g := NewConcat(
 			&Random{Bytes: 1 << 18, LineBytes: 64, Count: int64(count%50) + 1, Seed: seed},
 			&Scan{Base: 1 << 20, Bytes: int64(count%20+1) * 64, LineBytes: 64},
 		)
-		a := Collect(g)
-		b := Collect(g)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
+		a, ta := g.Emit(nil)
+		b, tb := g.Emit(nil)
+		return ta == tb && slices.Equal(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -353,209 +345,5 @@ func TestRNGIntnRange(t *testing.T) {
 		if v >= 17 {
 			t.Fatalf("intn(17) produced %d", v)
 		}
-	}
-}
-
-// bulkFixtures builds one instance of every generator shape for the Bulk
-// contract tests.  Each entry is a factory so tests can build independent
-// identical streams for Next-vs-NextBlock comparison.
-func bulkFixtures() map[string]func() Gen {
-	points := func() Gen {
-		rs := make([]Ref, 0, 200)
-		for i := 0; i < 200; i++ {
-			rs = append(rs, Ref{Addr: uint64(i * 64), Write: i%3 == 0, Instrs: int64(i % 7)})
-		}
-		return NewPoints(rs, 9)
-	}
-	return map[string]func() Gen{
-		"empty":   func() Gen { return Empty{} },
-		"compute": func() Gen { return Compute{N: 10} },
-		"points":  points,
-		"scan":    func() Gen { return &Scan{Base: 1 << 20, Bytes: 4096, LineBytes: 64, InstrsPerRef: 3, Passes: 3} },
-		"strided": func() Gen { return &Strided{Base: 1 << 21, StrideBytes: 192, Count: 173, InstrsPerRef: 2} },
-		"random": func() Gen {
-			return &Random{Base: 1 << 22, Bytes: 1 << 16, LineBytes: 64, Count: 301, Seed: 7, InstrsPerRef: 4}
-		},
-		"concat": func() Gen {
-			return NewConcat(
-				NewScan(1<<20, 1000, 64, 1),
-				&Strided{Base: 1 << 21, StrideBytes: 64, Count: 5, InstrsPerRef: 2},
-				Empty{},
-				&Random{Base: 1 << 22, Bytes: 1 << 12, LineBytes: 64, Count: 77, Seed: 3, InstrsPerRef: 1},
-			)
-		},
-		"interleave": func() Gen {
-			return NewInterleave(
-				NewScan(1<<20, 900, 64, 1),
-				&Strided{Base: 1 << 21, StrideBytes: 128, Count: 40, InstrsPerRef: 2},
-			)
-		},
-		"repeat":   func() Gen { return NewRepeat(NewScan(1<<20, 500, 64, 2), 4) },
-		"withtail": func() Gen { return NewWithTail(NewScan(1<<20, 700, 64, 1), 33) },
-		"recorded": func() Gen { return Record(NewScan(1<<20, 900, 64, 2)) },
-		"interned": func() Gen {
-			return NewTraceStore().Intern(&Strided{Base: 1 << 21, StrideBytes: 256, Count: 99, InstrsPerRef: 3})
-		},
-	}
-}
-
-// TestAllGeneratorsImplementBulk pins the package invariant the simulator's
-// batched reader relies on: every generator here has a native NextBlock.
-func TestAllGeneratorsImplementBulk(t *testing.T) {
-	for name, mk := range bulkFixtures() {
-		if _, ok := mk().(Bulk); !ok {
-			t.Errorf("%s: does not implement Bulk", name)
-		}
-	}
-}
-
-// TestNextBlockMatchesNext drains each generator per-reference and in blocks
-// of several sizes (including 1 and a non-divisor of the stream length) and
-// requires identical reference sequences.
-func TestNextBlockMatchesNext(t *testing.T) {
-	for name, mk := range bulkFixtures() {
-		want := drain(t, mk())
-		for _, bs := range []int{1, 3, BlockSize, 1000} {
-			g := mk()
-			var got []Ref
-			buf := make([]Ref, bs)
-			for {
-				n := ReadBlock(g, buf)
-				if n == 0 {
-					break
-				}
-				got = append(got, buf[:n]...)
-				if len(got) > 1<<22 {
-					t.Fatalf("%s: block drain did not terminate", name)
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s bs=%d: %d refs via blocks, %d via Next", name, bs, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s bs=%d: ref %d = %+v via blocks, %+v via Next", name, bs, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestNextBlockMixesWithNext checks the two drain styles share one stream
-// position, and that Reset rewinds the blocked stream too.
-func TestNextBlockMixesWithNext(t *testing.T) {
-	for name, mk := range bulkFixtures() {
-		want := drain(t, mk())
-		g := mk()
-		var got []Ref
-		buf := make([]Ref, 5)
-		for turn := 0; ; turn++ {
-			if turn%2 == 0 {
-				r, ok := g.Next()
-				if !ok {
-					break
-				}
-				got = append(got, r)
-			} else {
-				n := ReadBlock(g, buf)
-				if n == 0 {
-					break
-				}
-				got = append(got, buf[:n]...)
-			}
-		}
-		// A Next-exhaustion on an even turn can end the loop while block
-		// reads would still return data or vice versa; both styles agree on
-		// exhaustion, so the full sequence must have been consumed either way.
-		if len(got) != len(want) {
-			t.Fatalf("%s: mixed drain produced %d refs, want %d", name, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: mixed drain ref %d = %+v, want %+v", name, i, got[i], want[i])
-			}
-		}
-		g.Reset()
-		again := drain(t, g)
-		if len(again) != len(want) {
-			t.Fatalf("%s: post-Reset drain produced %d refs, want %d", name, len(again), len(want))
-		}
-	}
-}
-
-// TestReadBlockFallback exercises the adapter path for a Gen that does not
-// implement Bulk.
-type nextOnlyGen struct{ s Scan }
-
-func (g *nextOnlyGen) Len() int64        { return g.s.Len() }
-func (g *nextOnlyGen) Instrs() int64     { return g.s.Instrs() }
-func (g *nextOnlyGen) Reset()            { g.s.Reset() }
-func (g *nextOnlyGen) Next() (Ref, bool) { return g.s.Next() }
-
-func TestReadBlockFallback(t *testing.T) {
-	mk := func() Gen {
-		return &nextOnlyGen{s: Scan{Base: 4096, Bytes: 1000, LineBytes: 64, InstrsPerRef: 2, Passes: 2}}
-	}
-	if _, ok := mk().(Bulk); ok {
-		t.Fatalf("fixture unexpectedly implements Bulk")
-	}
-	want := drain(t, mk())
-	g := mk()
-	buf := make([]Ref, 7)
-	var got []Ref
-	for {
-		n := ReadBlock(g, buf)
-		if n == 0 {
-			break
-		}
-		got = append(got, buf[:n]...)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("fallback drained %d refs, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("fallback ref %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestPointsInstrsCached guards the O(1) Instrs satellite fix: the total is
-// computed once, stays correct across Reset/drain cycles, and NewPoints
-// precomputes it.
-func TestPointsInstrsCached(t *testing.T) {
-	rs := []Ref{{Addr: 0, Instrs: 2}, {Addr: 64, Instrs: 3}, {Addr: 128, Instrs: 4}}
-	p := NewPoints(rs, 5)
-	if got := p.Instrs(); got != 14 {
-		t.Fatalf("Instrs = %d, want 14", got)
-	}
-	drain(t, p)
-	p.Reset()
-	if got := p.Instrs(); got != 14 {
-		t.Fatalf("Instrs after drain = %d, want 14", got)
-	}
-	// Zero-value construction computes lazily.
-	lazy := &Points{Refs: rs, Tail: 1}
-	if got := lazy.Instrs(); got != 10 {
-		t.Fatalf("lazy Instrs = %d, want 10", got)
-	}
-	if got := lazy.Instrs(); got != 10 {
-		t.Fatalf("lazy Instrs second call = %d, want 10", got)
-	}
-}
-
-// TestConcatTotalsCachedAndInvalidated guards Concat's cached Len/Instrs
-// sums and their invalidation on Append.
-func TestConcatTotalsCachedAndInvalidated(t *testing.T) {
-	c := NewConcat(NewScan(0, 640, 64, 2))
-	if c.Len() != 10 || c.Instrs() != 20 {
-		t.Fatalf("Len/Instrs = %d/%d, want 10/20", c.Len(), c.Instrs())
-	}
-	if c.Len() != 10 || c.Instrs() != 20 {
-		t.Fatalf("cached Len/Instrs = %d/%d, want 10/20", c.Len(), c.Instrs())
-	}
-	c.Append(&Strided{Base: 1 << 20, StrideBytes: 64, Count: 4, InstrsPerRef: 3})
-	if c.Len() != 14 || c.Instrs() != 32 {
-		t.Fatalf("post-Append Len/Instrs = %d/%d, want 14/32", c.Len(), c.Instrs())
 	}
 }

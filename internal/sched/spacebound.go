@@ -63,8 +63,8 @@ func (*SpaceBounded) Name() string { return "sb" }
 func (s *SpaceBounded) SetMachine(m Machine) { s.raw = m }
 
 // Reset implements Scheduler.  It profiles the DAG's sequential trace to
-// annotate every task with its working-set size (the generators are rewound
-// afterwards, so the simulation replays the same streams).
+// annotate every task with its working-set size; profiling only reads the
+// DAG's recorded streams, so runs sharing the DAG are undisturbed.
 func (s *SpaceBounded) Reset(d *dag.DAG, cores int) {
 	s.d = d
 	s.m = s.raw.forCores(cores)

@@ -8,29 +8,27 @@ import (
 )
 
 // A sweep's job list is typically a grid: the same (workload, parameters,
-// machine configuration) triple appears once per scheduler, and rebuilding
-// the DAG — regenerating every task's reference stream — dominated the cost
-// of the uncached jobs.  The engine therefore memoises DAGs as templates: the
-// first job to need a triple builds it once and records it into the engine's
+// machine configuration) triple appears once per scheduler, and building the
+// DAG — emitting every task's reference stream — dominated the cost of the
+// uncached jobs.  The engine therefore memoises DAGs as templates: the first
+// job to need a triple builds it once and records it into the engine's
 // shared content-addressed trace store (dag.Record), and every job — the
-// first included — simulates a fresh instance stamped out of the template
-// (dag.Snapshot.Instantiate).  Instances share the immutable reference
-// arenas but own their replay cursors, so concurrent simulations never share
-// generator state and results are byte-identical to per-job rebuilding at
-// any worker count.
+// first included — simulates that one DAG.  A DAG never changes after its
+// build and a simulation only reads it, so results are byte-identical to
+// per-job rebuilding at any worker count.
 //
 // Memoisation is keyed by the job Key's Workload, Params and Config fields —
 // exactly the inputs BuildFunc is required to be a pure function of.  The
 // machine configuration is part of the key because some builders shape the
 // DAG to the machine (e.g. cache-size-driven coarsening).
 
-// snapshotEntry is one memoised DAG template.  The sync.Once gives the entry
+// templateEntry is one memoised DAG.  The sync.Once gives the entry
 // single-flight semantics: under the parallel engine, concurrent jobs that
 // need the same template block on the first builder instead of building
 // redundantly.
-type snapshotEntry struct {
+type templateEntry struct {
 	once sync.Once
-	snap *dag.Snapshot
+	d    *dag.DAG
 	err  error
 }
 
@@ -39,18 +37,18 @@ func templateKey(k Key) string {
 	return k.Workload + "\x00" + k.Params + "\x00" + k.Config
 }
 
-// instantiate returns a fresh DAG instance for the job, building and
-// recording the template on first need.  A build error is memoised too, so
-// every job sharing the template reports the same deterministic error.
-func (e *Engine) instantiate(j Job) (*dag.DAG, error) {
+// template returns the job's DAG, building and recording it on first need.
+// A build error is memoised too, so every job sharing the template reports
+// the same deterministic error.
+func (e *Engine) template(j Job) (*dag.DAG, error) {
 	key := templateKey(j.Key)
-	e.snapMu.Lock()
-	ent, ok := e.snapshots[key]
+	e.templMu.Lock()
+	ent, ok := e.templates[key]
 	if !ok {
-		ent = &snapshotEntry{}
-		e.snapshots[key] = ent
+		ent = &templateEntry{}
+		e.templates[key] = ent
 	}
-	e.snapMu.Unlock()
+	e.templMu.Unlock()
 	ent.once.Do(func() {
 		d, err := j.Build()
 		if err != nil {
@@ -61,19 +59,19 @@ func (e *Engine) instantiate(j Job) (*dag.DAG, error) {
 		// of worker count and completion order; shard 0's cell is atomic, so
 		// concurrent first-builders of different keys never race.
 		e.em.dagBuilds.Add(0, 1)
-		ent.snap = dag.Record(d, e.traces)
+		dag.Record(d, e.traces)
+		ent.d = d
 	})
 	if ent.err != nil {
 		return nil, fmt.Errorf("build: %w", ent.err)
 	}
-	if !ok {
-		// Not necessarily the builder (another job may have interleaved),
-		// but exactly one job observes the map miss per key, which is what
-		// makes jobs - builds a deterministic rebuild-avoided count.
-		return ent.snap.Instantiate(), nil
+	// Not necessarily the builder (another job may have interleaved), but
+	// exactly one job observes the map miss per key, which is what makes
+	// jobs - builds a deterministic rebuild-avoided count.
+	if ok {
+		e.em.dagShared.Add(0, 1)
 	}
-	e.em.dagShared.Add(0, 1)
-	return ent.snap.Instantiate(), nil
+	return ent.d, nil
 }
 
 // publishTraceStats exposes the shared trace store's interning counters as

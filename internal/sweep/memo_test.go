@@ -2,9 +2,11 @@ package sweep
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"cmpsched/internal/cmpsim"
+	"cmpsched/internal/dag"
 	"cmpsched/internal/obs"
 	"cmpsched/internal/sched"
 )
@@ -41,7 +43,7 @@ func runDirect(t *testing.T, j Job) *cmpsim.Result {
 // sweep whose jobs share memoised DAG templates (and, concurrently, one
 // trace store) produces byte-identical simulator results to rebuilding every
 // DAG from scratch, at any worker count.  Run under -race this also
-// exercises concurrent Instantiate against one store.
+// exercises concurrent simulations of one shared DAG.
 func TestSharedTraceStoreByteIdentical(t *testing.T) {
 	jobs, err := testSpec().Jobs()
 	if err != nil {
@@ -104,5 +106,37 @@ func TestMemoizedBuildRunsOncePerTemplate(t *testing.T) {
 	}
 	if builds := reg.ShardedCounter("sweep.dag_builds", 1).Value(); builds != int64(len(templates)) {
 		t.Fatalf("builds = %d, want one per template = %d", builds, len(templates))
+	}
+}
+
+// TestEngineSharesOneDAGPerTemplate pins the sharing contract: every job of a
+// (workload, params, config) template simulates the one DAG the engine
+// recorded for it.
+func TestEngineSharesOneDAGPerTemplate(t *testing.T) {
+	jobs, err := testSpec().Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seen := make(map[string]map[*dag.DAG]bool)
+	for i := range jobs {
+		key := templateKey(jobs[i].Key)
+		jobs[i] = jobs[i].WithDerive("dag-identity", func(d *dag.DAG, _ *cmpsim.Result) (map[string]int64, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if seen[key] == nil {
+				seen[key] = make(map[*dag.DAG]bool)
+			}
+			seen[key][d] = true
+			return nil, nil
+		})
+	}
+	if _, err := NewEngine(EngineOptions{Workers: 4}).Run(jobs); err != nil {
+		t.Fatal(err)
+	}
+	for key, ds := range seen {
+		if len(ds) != 1 {
+			t.Errorf("template %q: jobs simulated %d distinct DAGs, want 1", key, len(ds))
+		}
 	}
 }

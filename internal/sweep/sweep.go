@@ -10,17 +10,16 @@
 // The experiment harness (internal/experiments) expresses every figure as a
 // job list executed here, cmd/sweep exposes arbitrary sweeps on the command
 // line, and tests exploit the determinism guarantee: the results of a sweep
-// are identical regardless of the worker count, because each job simulates a
-// private DAG instance (reference generators are stateful, so replay cursors
-// are never shared between concurrent simulations) and the simulator itself
-// is deterministic.
+// are identical regardless of the worker count, because a DAG never changes
+// after its build — concurrent jobs share one and only read it — and the
+// simulator itself is deterministic.
 //
 // Jobs that share a (workload, parameters, machine configuration) triple —
 // the common shape: one job per scheduler over the same build — share one
-// memoised DAG template recorded into a content-addressed trace store; see
-// memo.go.  Sharing is driven entirely by job keys, so it needs no opt-in
-// and cannot change results: instances replay the recorded streams
-// bit-identically to a fresh build.
+// memoised DAG recorded into a content-addressed trace store; see memo.go.
+// Sharing is driven entirely by job keys, so it needs no opt-in and cannot
+// change results: the shared DAG simulates bit-identically to a fresh
+// build.
 package sweep
 
 import (
@@ -83,16 +82,16 @@ func (k Key) String() string {
 	return fmt.Sprintf("%s/%s", k.Workload, k.Scheduler)
 }
 
-// BuildFunc constructs a fresh DAG for one run.  It may be called from any
-// worker, so it must be safe to call concurrently with other jobs' builds —
-// and must not return a DAG that shares reference generators with any other
-// live DAG.
+// BuildFunc constructs the DAG for a job.  It may be called from any worker,
+// so it must be safe to call concurrently with other jobs' builds, and it
+// must return a DAG of its own: the engine records the DAG into its trace
+// store (dag.Record).
 //
 // Builds must be pure functions of the job key's Workload, Params and Config
-// fields: the engine memoises the built DAG per (Workload, Params, Config)
-// triple and serves later jobs of the triple from the recording (see
-// memo.go), so two jobs with equal triples MUST build equivalent DAGs, and
-// at most one of their Build functions will actually run per sweep engine.
+// fields: the engine builds each (Workload, Params, Config) triple once and
+// hands that one DAG to every job of the triple (see memo.go), so two jobs
+// with equal triples MUST build equivalent DAGs, and at most one of their
+// Build functions will actually run per sweep engine.
 // Every standard constructor (NewJob callers fingerprinting their config
 // structs into Params) satisfies this by construction.
 type BuildFunc func() (*dag.DAG, error)
@@ -118,7 +117,7 @@ type Job struct {
 	// Derive, when non-nil, computes extra metrics from the finished run.
 	Derive DeriveFunc
 	// KeepTaskStats retains the per-task stats on the result.  They are
-	// dropped by default: they are positional to the job's private DAG
+	// dropped by default: they are positional to the job's DAG
 	// (useless to callers that may be served from the cache) and dominate
 	// the result's memory and disk footprint.  Jobs that keep task stats
 	// bypass the cache entirely — a cached entry could not honour them.
@@ -187,11 +186,11 @@ type Engine struct {
 	jobTimeout time.Duration
 	em         engineMetrics
 
-	// snapshots memoises DAG templates by (workload, params, config); the
-	// recorded reference streams live in traces, one shared read-only store
-	// for the whole engine.  See memo.go.
-	snapMu    sync.Mutex
-	snapshots map[string]*snapshotEntry
+	// templates memoises one recorded DAG per (workload, params, config);
+	// their streams live in traces, one store shared by the whole engine.
+	// See memo.go.
+	templMu   sync.Mutex
+	templates map[string]*templateEntry
 	traces    *refs.TraceStore
 }
 
@@ -286,7 +285,7 @@ func NewEngine(opts EngineOptions) *Engine {
 		cache:      opts.Cache,
 		jobTimeout: opts.JobTimeout,
 		em:         newEngineMetrics(opts.Metrics, w),
-		snapshots:  make(map[string]*snapshotEntry),
+		templates:  make(map[string]*templateEntry),
 		traces:     refs.NewTraceStore(),
 	}
 }
@@ -445,7 +444,7 @@ func (e *Engine) runJob(ctx context.Context, j Job) (res Result, err error) {
 	if j.Build == nil {
 		return Result{}, fmt.Errorf("job has no build function")
 	}
-	d, err := e.instantiate(j)
+	d, err := e.template(j)
 	if err != nil {
 		return Result{}, err
 	}

@@ -24,7 +24,6 @@ import (
 	"testing"
 
 	"cmpsched/internal/dag"
-	"cmpsched/internal/refs"
 )
 
 var updateStreams = flag.Bool("update-streams", false, "rewrite testdata/streams.txt from the current generators")
@@ -60,15 +59,6 @@ func pinnedWorkloads() map[string]Workload {
 	}
 }
 
-// taskStreamFingerprint is refs.FingerprintRefs over the task's references
-// and the instructions retired after the last one.
-func taskStreamFingerprint(t *dag.Task) uint64 {
-	if t.Refs == nil {
-		return refs.FingerprintRefs(nil, 0)
-	}
-	return refs.Fingerprint(t.Refs)
-}
-
 // streamPin renders one workload's pin line.
 func streamPin(d *dag.DAG) string {
 	h := fnv.New64a()
@@ -86,7 +76,9 @@ func streamPin(d *dag.DAG) string {
 		for _, p := range t.Preds {
 			put(uint64(p))
 		}
-		put(taskStreamFingerprint(t))
+		// refs.FingerprintRefs over the references and the instructions
+		// retired after the last one.
+		put(t.Refs.Fingerprint())
 	}
 	return fmt.Sprintf("tasks=%d refs=%d instrs=%d hash=%016x",
 		d.NumTasks(), d.TotalRefs(), d.TotalInstrs(), h.Sum64())

@@ -1,11 +1,11 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"cmpsched/internal/dag"
-	"cmpsched/internal/refs"
 	"cmpsched/internal/taskgroup"
 )
 
@@ -326,30 +326,24 @@ func TestHeatStructure(t *testing.T) {
 }
 
 func TestReferenceStreamsAreReplayable(t *testing.T) {
-	// The simulator and the profiler replay the same DAG; generators must
-	// produce identical streams after ResetRefs.
-	d, _, err := tinyMergesort().Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var task *dag.Task
-	for _, cand := range d.Tasks() {
-		if cand.Refs != nil && cand.Refs.Len() > 0 {
-			task = cand
-			break
+	// The simulator and the profiler read the same recorded streams, so a
+	// rebuild must record every task's stream identically.
+	build := func() *dag.DAG {
+		t.Helper()
+		d, _, err := tinyMergesort().Build()
+		if err != nil {
+			t.Fatal(err)
 		}
+		return d
 	}
-	if task == nil {
+	a, b := build(), build()
+	if a.TotalRefs() == 0 {
 		t.Fatalf("no task with references found")
 	}
-	a := refs.Collect(task.Refs)
-	b := refs.Collect(task.Refs)
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("replay lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("replay differs at ref %d", i)
+	for i, task := range a.Tasks() {
+		other := b.Task(dag.TaskID(i)).Refs
+		if task.Refs.Tail() != other.Tail() || !slices.Equal(task.Refs.Arena(), other.Arena()) {
+			t.Fatalf("task %d (%s): the rebuild recorded a different stream", i, task.Name)
 		}
 	}
 }
@@ -377,35 +371,6 @@ func TestUnknownWorkloadErrorListsNames(t *testing.T) {
 	for _, name := range []string{"mergesort", "bfs", "pagerank"} {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not list %q", err, name)
-		}
-	}
-}
-
-// TestWorkloadGeneratorsImplementBulk pins the contract the simulator's
-// batched reference reader relies on: every task generator a workload emits
-// supports refs.Bulk natively, so the hot loop never falls back to
-// per-reference dynamic dispatch.  A representative regular, irregular and
-// stencil workload stand in for the full registry (all workloads compose
-// the same refs generators, each of which asserts Bulk at compile time).
-func TestWorkloadGeneratorsImplementBulk(t *testing.T) {
-	builds := map[string]Workload{
-		"mergesort": NewMergesort(MergesortConfig{Elements: 4 << 10, TaskWorkingSetBytes: 1 << 10}),
-		"hashjoin":  NewHashJoin(HashJoinConfig{PartitionBytes: 1 << 20, SubPartitionBytes: 64 << 10}),
-		"heat":      NewHeat(HeatConfig{Rows: 64, Cols: 64, Steps: 2}),
-		"bfs":       NewBFS(BFSConfig{Shape: GraphShape{Family: "uniform", Vertices: 1 << 10}}),
-	}
-	for name, w := range builds {
-		d, _, err := w.Build()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, task := range d.Tasks() {
-			if task.Refs == nil {
-				continue
-			}
-			if _, ok := task.Refs.(refs.Bulk); !ok {
-				t.Fatalf("%s: task %q generator %T does not implement refs.Bulk", name, task.Name, task.Refs)
-			}
 		}
 	}
 }
