@@ -29,10 +29,9 @@ func allocDAG(tasks int, refsPerTask int64) *dag.DAG {
 
 // TestSteadyStateZeroAllocsPerRef guards the engine's allocation hygiene:
 // simulating 16x more references must not allocate more than simulating the
-// small run.  Per-run setup (hierarchy, arena, result) and per-task costs
-// are identical between the two sizes, so any per-reference allocation —
-// event boxing, ready-list regrowth, generator refills — shows up as a
-// nonzero difference.
+// small run.  Per-run setup (hierarchy, result) and per-task costs are
+// identical between the two sizes, so any per-reference allocation — event
+// boxing, ready-list regrowth — shows up as a nonzero difference.
 func TestSteadyStateZeroAllocsPerRef(t *testing.T) {
 	const tasks = 32
 	cfg := testConfig(4, 64*1024)

@@ -267,7 +267,6 @@ type coreState struct {
 	task      *dag.Task
 	arena     []refs.Ref // the task's recorded references
 	pos       int        // next reference in arena: the count issued so far
-	consumed  int64      // instructions charged for the current task so far
 	start     int64      // cycle the current task started
 	l2Misses  int64
 }
@@ -460,9 +459,7 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 				if st.pos < len(st.arena) {
 					ref := st.arena[st.pos]
 					st.pos++
-					instrs := int64(ref.Instrs)
-					issue := now + instrs
-					st.consumed += instrs
+					issue := now + int64(ref.Instrs)
 					acc := hier.Access(c, ref.Addr, ref.Write)
 					var done int64
 					switch acc.Level {
@@ -491,10 +488,7 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 					break
 				}
 				// References exhausted: charge the trailing instructions.
-				tail := st.task.Instrs - st.consumed
-				if tail < 0 {
-					tail = 0
-				}
+				tail := max(st.task.Refs.Tail(), 0)
 				st.finishing = true
 				busyCycles[c] += tail
 				done := now + tail

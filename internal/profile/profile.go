@@ -239,7 +239,7 @@ func (l *LruTree) ProfileDAG(d *dag.DAG) (*Profile, error) {
 		numTasks:  n,
 		refs:      make([]int64, n),
 		hist:      make([][]histEntry, n),
-		totalRefs: 0,
+		totalRefs: totalRefs,
 	}
 	// Distance thresholds in lines for each cache size.
 	thresholds := make([]int64, len(l.cfg.CacheSizes))
@@ -279,7 +279,6 @@ func (l *LruTree) ProfileDAG(d *dag.DAG) (*Profile, error) {
 			lines[line] = lineState{lastTime: now, lastTask: int32(task.ID)}
 		}
 		pr.refs[task.ID] = int64(len(arena))
-		pr.totalRefs += int64(len(arena))
 		if len(scratch) > 0 {
 			entries := make([]histEntry, 0, len(scratch))
 			for k, v := range scratch {

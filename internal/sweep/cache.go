@@ -87,9 +87,10 @@ func (c *MemoryCache) Len() int {
 //
 // Corrupt entries — truncated files from a killed writer, garbage from a
 // damaged disk, an entry whose embedded key does not match its address, or
-// one without a simulator result — are tolerated: Get logs (when a logger is set) and reports a miss, the job
-// recomputes, and the following Put overwrites the bad file.  A shared disk
-// cache therefore degrades to recomputation, never to failed jobs.
+// one without a simulator result — are tolerated: Get logs (when a logger
+// is set) and reports a miss, the job recomputes, and the following Put
+// overwrites the bad file.  A shared disk cache therefore degrades to
+// recomputation, never to failed jobs.
 //
 // Opening a cache garbage-collects the debris a crashed writer can leave
 // behind: orphaned put-*.tmp files older than TempMaxAge and .lease files
