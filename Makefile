@@ -4,7 +4,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: all build test race-sweep fuzz-decoder fuzz-cache doc-check vet fmt-check lint bench bench-gate bench-quick bench-module ci clean
+.PHONY: all build test race-sweep fuzz-decoder fuzz-cache fuzz-wire doc-check vet fmt-check lint bench bench-gate bench-quick bench-module ci clean
 
 all: build
 
@@ -36,6 +36,13 @@ fuzz-decoder:
 # test`).  CI runs this step too.
 fuzz-cache:
 	$(GO) test -run '^$$' -fuzz 'FuzzDiskCacheGet$$' -fuzztime 30s ./internal/sweep
+
+# 30-second hunt on the sweep service's wire decoder: DecodeRequest,
+# Validate and ExpandPoints (the committed corpus under
+# internal/sweepsvc/testdata/fuzz replays in plain `go test`).  CI runs this
+# step too.
+fuzz-wire:
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRequest$$' -fuzztime 30s ./internal/sweepsvc
 
 # The docs gate: the public facade, the scheduler package, the observability
 # package, the sweep service and the fault-injection harness must carry a

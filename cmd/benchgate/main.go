@@ -15,8 +15,10 @@
 // band, but a tight one because they are not noisy), when its allocs/op
 // increases AT ALL (allocation counts are deterministic, so any increase is a
 // real regression — this is the bar that protects the simulator's zero-alloc
-// steady state), or when it disappears from the candidate run.  New
-// candidate-only benchmarks are reported but do not fail the gate.
+// steady state), or when it disappears from the candidate run.  A baseline
+// name without the "-N" GOMAXPROCS suffix matches the candidate that has
+// one, so a baseline recorded without suffixes gates multi-CPU runs.
+// New candidate-only benchmarks are reported but do not fail the gate.
 package main
 
 import (

@@ -9,7 +9,7 @@
 //     (RegisterScheduler / NewScheduler / SchedulerNames): the paper's
 //     Parallel Depth First (PDF) and Work Stealing (WS) pair, a FIFO
 //     ablation baseline, a space-bounded scheduler that pins tasks to the
-//     smallest cache level or L2 slice fitting their profiled working set,
+//     smallest cache level or L2 slice fitting their working set,
 //     and locality-guided work-stealing variants (internal/sched),
 //   - an event-driven CMP simulator with private L1s, a pluggable L2
 //     topology (shared, per-core private or clustered slices) and a
@@ -261,8 +261,9 @@ func NewPDF() Scheduler { return sched.NewPDF() }
 func NewWS() Scheduler { return sched.NewWS() }
 
 // NewSpaceBounded returns the space-bounded scheduler ("sb"): tasks are
-// annotated with working-set estimates from the LruTree profiler and pinned
-// to the smallest cache level or L2 slice whose capacity fits them.
+// annotated with their working sets (the distinct cache lines of their
+// recorded streams) and pinned to the smallest cache level or L2 slice
+// whose capacity fits them.
 func NewSpaceBounded() Scheduler { return sched.NewSpaceBounded() }
 
 // NewLocalityWS returns a Work Stealing scheduler with a locality-guided

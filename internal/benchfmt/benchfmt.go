@@ -133,27 +133,50 @@ type Finding struct {
 // benchmark regresses when its ns/op grows beyond tol.Time, its allocs/op
 // grows beyond tol.AllocBand, its B/op grows beyond tol.Bytes (when set), or
 // it disappeared from the candidate.
+//
+// A baseline benchmark matches the candidate of the same name or, failing
+// that, the candidates named like it plus the "-N" GOMAXPROCS suffix `go
+// test -bench` appends on a multi-CPU machine, so a baseline recorded
+// without the suffix gates runs on any core count.
+//
 // Candidate-only benchmarks are reported as informational findings (new
 // benchmarks are not regressions).  Findings are sorted by name; the
 // returned count is the number of regressions.
 func Compare(baseline, candidate *Report, tol Tolerance) (findings []Finding, regressions int) {
 	cand := make(map[string]Benchmark, len(candidate.Benchmarks))
+	// suffixed maps a name stripped of its -N suffix to the candidates
+	// carrying one.
+	suffixed := make(map[string][]string)
 	for _, b := range candidate.Benchmarks {
 		cand[b.Name] = b
+		if stem, ok := trimProcs(b.Name); ok {
+			suffixed[stem] = append(suffixed[stem], b.Name)
+		}
 	}
 	for _, base := range baseline.Benchmarks {
-		c, ok := cand[base.Name]
-		if !ok {
+		names := []string{base.Name}
+		if _, ok := cand[base.Name]; !ok {
+			names = suffixed[base.Name]
+		}
+		matched := false
+		for _, name := range names {
+			c, ok := cand[name]
+			if !ok {
+				continue
+			}
+			matched = true
+			delete(cand, name)
+			f := compareOne(base, c, tol)
+			f.Name = name
+			findings = append(findings, f)
+		}
+		if !matched {
 			findings = append(findings, Finding{
 				Name:       base.Name,
 				Regression: true,
 				Detail:     "missing from candidate run",
 			})
-			continue
 		}
-		delete(cand, base.Name)
-		f := compareOne(base, c, tol)
-		findings = append(findings, f)
 	}
 	for name := range cand {
 		findings = append(findings, Finding{
@@ -168,6 +191,21 @@ func Compare(baseline, candidate *Report, tol Tolerance) (findings []Finding, re
 		}
 	}
 	return findings, regressions
+}
+
+// trimProcs strips a trailing "-N" GOMAXPROCS suffix from a benchmark name,
+// reporting whether there was one.
+func trimProcs(name string) (string, bool) {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name, false
+	}
+	for _, r := range name[i+1:] {
+		if r < '0' || r > '9' {
+			return name, false
+		}
+	}
+	return name[:i], true
 }
 
 // compareOne applies the tolerance to a single benchmark pair.

@@ -149,3 +149,53 @@ func TestCompareMissingAndNewBenchmarks(t *testing.T) {
 		t.Fatalf("findings = %+v", findings)
 	}
 }
+
+// TestCompareMatchesProcsSuffix pins the name matching that lets a baseline
+// recorded without the -N GOMAXPROCS suffix gate a multi-CPU run: "A-4"
+// stands in for a missing "A", and is still held to the tolerance.
+func TestCompareMatchesProcsSuffix(t *testing.T) {
+	base := &Report{Benchmarks: []Benchmark{bench("A", 1000, 10), bench("B", 1000, 10)}}
+	cand := &Report{Benchmarks: []Benchmark{bench("A-4", 1050, 10), bench("B-4", 1000, 10)}}
+	findings, regressions := Compare(base, cand, Tolerance{Time: 0.10})
+	if regressions != 0 || len(findings) != 2 {
+		t.Fatalf("suffixed candidates did not match the baseline: %+v", findings)
+	}
+	if findings[0].Name != "A-4" || findings[1].Name != "B-4" {
+		t.Fatalf("findings = %+v", findings)
+	}
+	slow := &Report{Benchmarks: []Benchmark{bench("A-4", 2000, 10), bench("B-4", 1000, 11)}}
+	if findings, regressions := Compare(base, slow, Tolerance{Time: 0.10}); regressions != 2 {
+		t.Fatalf("suffixed candidates escaped the tolerance: %+v", findings)
+	}
+}
+
+// TestCompareSuffixDoesNotHideMissing checks that suffix matching only
+// pairs a baseline benchmark with its own name: a benchmark truly absent
+// from the candidate still fails, and an exact match wins over a suffixed
+// one.
+func TestCompareSuffixDoesNotHideMissing(t *testing.T) {
+	base := &Report{Benchmarks: []Benchmark{bench("Gone", 1000, 10), bench("Kept", 1000, 10)}}
+	cand := &Report{Benchmarks: []Benchmark{bench("Gone2-4", 1000, 10), bench("Kept", 1000, 10), bench("Kept-4", 9000, 10)}}
+	findings, regressions := Compare(base, cand, Tolerance{Time: 0.10})
+	if regressions != 1 {
+		t.Fatalf("regressions = %d, want 1 (Gone missing): %+v", regressions, findings)
+	}
+	for _, f := range findings {
+		switch f.Name {
+		case "Gone":
+			if f.Detail != "missing from candidate run" {
+				t.Errorf("Gone: %+v", f)
+			}
+		case "Gone2-4", "Kept-4":
+			if f.Regression || f.Detail != "new benchmark (no baseline)" {
+				t.Errorf("%s: %+v", f.Name, f)
+			}
+		case "Kept":
+			if f.Regression {
+				t.Errorf("Kept: %+v", f)
+			}
+		default:
+			t.Errorf("unexpected finding %+v", f)
+		}
+	}
+}

@@ -18,15 +18,16 @@
 // sharing behaviour the schedulers are being compared on.
 //
 // The engine is built for throughput (see DESIGN.md, "Event engine"):
-// because a core has at most one pending event, the event queue is a typed
-// index min-heap sized to the core count with zero-allocation slice pushes
-// and pops; a same-core lookahead keeps executing a core's references inline
-// while their completion times precede every other core's pending event (so
-// L1-hit bursts never touch the heap); and each core reads its task's
-// recorded reference arena (dag.Task.Refs) through an integer cursor.  Both
-// are pure reorderings of identical work: event processing order, and
-// therefore every cycle count and cache statistic, is bit-identical to the
-// straightforward heap-per-event engine (pinned by
+// because a core has at most one pending event, the event queue is a binary
+// min-heap of packed time<<6|core integer keys, sized to the core count,
+// whose comparisons are single integer compares and whose pushes and pops
+// never allocate; a same-core lookahead keeps executing a core's references
+// inline while their completion times precede every other core's pending
+// event (so L1-hit bursts never touch the heap); and each core reads its
+// task's recorded reference arena (dag.Task.Refs) through an integer
+// cursor.  All are pure reorderings of identical work: event processing
+// order, and therefore every cycle count and cache statistic, is
+// bit-identical to the straightforward heap-per-event engine (pinned by
 // TestGoldenEngineEquivalence).
 //
 // A run only reads its DAG, so any number of runs may simulate one DAG at
@@ -41,7 +42,6 @@ import (
 	"cmpsched/internal/config"
 	"cmpsched/internal/dag"
 	"cmpsched/internal/memsys"
-	"cmpsched/internal/minheap"
 	"cmpsched/internal/obs"
 	"cmpsched/internal/refs"
 	"cmpsched/internal/sched"
@@ -50,7 +50,8 @@ import (
 // Options control a simulation run.
 type Options struct {
 	// MaxCycles aborts the run when simulated time exceeds it. Zero means
-	// the default bound of 1e15 cycles.
+	// the default bound of 1e15 cycles; RunWithOptions rejects a bound
+	// above 2^57 cycles, past which the event queue cannot order times.
 	MaxCycles int64
 	// RecordTaskStats enables per-task start/end/core/miss accounting
 	// (needed by schedule visualisations and per-level analyses).
@@ -238,23 +239,83 @@ func RunSequentialWithOptions(d *dag.DAG, cfg config.CMP, opts Options) (*Result
 	return RunWithOptions(d, sched.NewPDF(), SequentialConfig(cfg), opts)
 }
 
-// event is a pending simulator event: core is ready to proceed at time.
+// An event is a pending simulator event: a core ready to proceed at a time.
+// The queue holds each event as one integer key, time<<coreBits | core
+// (eventKey), so integer order on keys is (time, core) order on events.
 //
 // A core has at most one pending event (it is pushed when the core starts a
 // task or finishes a memory access, and consumed before the next is pushed),
 // so (time, core) is already a strict total order and no FIFO sequence
 // number is needed: the pop order is identical to the historical
 // (time, core, push-sequence) order.  The one-event-per-core invariant also
-// bounds the queue at the core count, so the minheap backing array is
-// allocated once and never grows.
-type event struct {
-	time int64
-	core int32
+// bounds the queue at the core count, so its backing array is allocated
+// once and never grows.
+const (
+	// coreBits holds a core index: the cache hierarchy caps cores at 64.
+	coreBits = 6
+	coreMask = 1<<coreBits - 1
+	// maxEventTime is the largest time a key holds; later times saturate
+	// to it.  maxCyclesLimit keeps every saturated time past MaxCycles,
+	// so a saturated event fails the bound when popped and never needs
+	// its true time.
+	maxEventTime   = 1<<(64-coreBits) - 1
+	maxCyclesLimit = 1 << 57
+)
+
+// eventKey packs an event into its queue key.
+func eventKey(time int64, core int) uint64 {
+	return uint64(min(time, maxEventTime))<<coreBits | uint64(core)
 }
 
-// Less orders events by (time, core); it is the minheap.Ordered method.
-func (e event) Less(other event) bool {
-	return e.time < other.time || (e.time == other.time && e.core < other.core)
+// eventQueue is a binary min-heap of event keys.  It is concrete rather
+// than generic so that every comparison is an inlined integer compare.
+type eventQueue []uint64
+
+// push adds key k.
+func (q *eventQueue) push(k uint64) {
+	h := append(*q, k)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent] <= k {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = k
+	*q = h
+}
+
+// pop removes and returns the smallest key.  Valid only when the queue is
+// non-empty.
+func (q *eventQueue) pop() uint64 {
+	h := *q
+	top := h[0]
+	last := len(h) - 1
+	k := h[last]
+	h = h[:last]
+	*q = h
+	if last == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= last {
+			break
+		}
+		if r := child + 1; r < last && h[r] < h[child] {
+			child = r
+		}
+		if k <= h[child] {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = k
+	return top
 }
 
 // coreState tracks what a core is doing.  The task pointer and its arena
@@ -285,6 +346,9 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 		return nil, fmt.Errorf("cmpsim: empty DAG %q", d.Name)
 	}
 	maxCycles := opts.MaxCycles
+	if maxCycles > maxCyclesLimit {
+		return nil, fmt.Errorf("cmpsim: MaxCycles=%d exceeds the event queue's limit of 2^57", maxCycles)
+	}
 	if maxCycles <= 0 {
 		maxCycles = int64(1e15)
 	}
@@ -354,7 +418,7 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 		taskStats = make([]TaskStat, n)
 	}
 
-	events := minheap.New[event](p)
+	events := make(eventQueue, 0, p)
 
 	completed := 0
 	l1Lat := cfg.L1.HitLatency
@@ -386,7 +450,7 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 			tr.Run(int32(id), int32(c))
 			t := d.Task(id)
 			cores[c] = coreState{busy: true, task: t, arena: t.Refs.Arena(), start: now}
-			events.Push(event{time: now, core: int32(c)})
+			events.push(eventKey(now, c))
 		}
 		if prefer >= 0 && prefer < p {
 			tryCore(prefer)
@@ -425,10 +489,10 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 	assign(0, -1)
 
 	var now int64
-	for events.Len() > 0 {
-		ev := events.Pop()
-		now = ev.time
-		c := int(ev.core)
+	for len(events) > 0 {
+		ev := events.pop()
+		now = int64(ev >> coreBits)
+		c := int(ev & coreMask)
 		st := &cores[c]
 
 		// Process core c inline for as long as it remains the earliest
@@ -480,11 +544,12 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 						done = arb.Fetch(acc.Slice, issue+l1Lat+l2Lat)
 					}
 					busyCycles[c] += done - now
-					if events.Len() == 0 || (event{time: done, core: ev.core}).Less(events.Min()) {
+					k := eventKey(done, c)
+					if len(events) == 0 || k < events[0] {
 						now = done
 						continue
 					}
-					events.Push(event{time: done, core: ev.core})
+					events.push(k)
 					break
 				}
 				// References exhausted: charge the trailing instructions.
@@ -492,11 +557,12 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 				st.finishing = true
 				busyCycles[c] += tail
 				done := now + tail
-				if events.Len() == 0 || (event{time: done, core: ev.core}).Less(events.Min()) {
+				k := eventKey(done, c)
+				if len(events) == 0 || k < events[0] {
 					now = done
 					continue
 				}
-				events.Push(event{time: done, core: ev.core})
+				events.push(k)
 				break
 			}
 

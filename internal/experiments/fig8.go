@@ -119,10 +119,13 @@ func Figure8(opts Options) (*Figure8Result, error) {
 		// The previous/actual schemes are plain mergesort runs keyed only
 		// by their configs — the scheme is presentation metadata, not a
 		// simulation input — so a shared cache reuses them across figures
-		// (Figure 2 runs the identical "previous" simulation).
+		// (Figure 2 runs the identical "previous" simulation).  The
+		// collapsed DAG follows from the whole selection, not just the
+		// sort threshold, so its fingerprint names the coarsening target
+		// the selection was made for.
 		g.add(point{cores, threshold},
 			sweep.NewJob("mergesort", fmt.Sprintf("%+v", prevCfg), "pdf", cfg, prevBuild),
-			sweep.NewJob("mergesort/coarsened", fmt.Sprintf("fine=%+v threshold=%d", fineCfg, threshold), "pdf", cfg, dagBuild),
+			sweep.NewJob("mergesort/coarsened", fmt.Sprintf("fine=%+v threshold=%d target=%+v", fineCfg, threshold, sel.Params), "pdf", cfg, dagBuild),
 			sweep.NewJob("mergesort", fmt.Sprintf("%+v", actualCfg), "pdf", cfg, actualBuild),
 		)
 	}

@@ -1,17 +1,19 @@
-// Package minheap is a typed binary min-heap for hot paths.
+// Package minheap is a typed binary min-heap for the schedulers' ready
+// pools (package sched).
 //
 // container/heap's interface{} methods box every pushed element onto the Go
-// heap, which in the simulator meant one allocation per simulated memory
-// reference (engine events) and one per task (scheduler ready items).  This
-// heap is generic over the element type with ordering supplied by the
-// element's Less method, so it monomorphizes to direct calls on value types:
-// pushes and pops are allocation-free slice operations once the backing
-// array has grown to its working size (or was sized by New).
+// heap, which meant one allocation per ready task.  This heap is generic over
+// the element type with ordering supplied by the element's Less method, so it
+// monomorphizes to direct calls on value types: pushes and pops are
+// allocation-free slice operations once the backing array has grown to its
+// working size (or was sized by New).  The simulator's event queue does not
+// use it: its events pack into integer keys, which a concrete heap compares
+// inline (see package cmpsim).
 //
 // The sift algorithms mirror container/heap's exactly, so for element types
 // whose order is total (no Less ties) the pop sequence is identical —
-// which is what lets the engine and schedulers swap implementations without
-// perturbing event order.
+// which is what lets the schedulers swap implementations without perturbing
+// their pick order.
 package minheap
 
 // Ordered is implemented by heap elements: Less reports whether the

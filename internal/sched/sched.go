@@ -2,7 +2,7 @@
 // paper — Work Stealing (WS) and Parallel Depth First (PDF) — plus a central
 // FIFO queue used as an ablation baseline, a space-bounded scheduler that
 // pins tasks to the smallest cache level or slice whose capacity fits their
-// profiled working set, and locality-guided work-stealing variants with
+// working set, and locality-guided work-stealing variants with
 // pluggable steal policies.
 //
 // The schedulers are driven by the CMP simulator (package cmpsim) through a

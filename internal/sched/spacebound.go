@@ -4,7 +4,7 @@ import (
 	"cmpsched/internal/dag"
 	"cmpsched/internal/minheap"
 	"cmpsched/internal/obs"
-	"cmpsched/internal/profile"
+	"cmpsched/internal/refs"
 )
 
 // SpaceBounded is a space-bounded scheduler in the spirit of Blelloch,
@@ -18,12 +18,12 @@ import (
 // shared topology and becomes slice-aware exactly when the topology gives it
 // slices to aim at.
 //
-// Working sets come from the one-pass LruTree profiler (package profile):
-// Reset replays the DAG's sequential trace once and reads each task's
-// distinct-line count — the same machinery the coarsening pass's
-// W ≤ K·C/(2P) criterion uses (package coarsen).  If the trace cannot be
-// profiled (e.g. it overflows the profiler's index), every task is treated
-// as global and the scheduler degrades to PDF.
+// A task's working set is the number of distinct cache lines its recorded
+// stream touches, times the line size: the footprint the coarsening pass's
+// W ≤ K·C/(2P) criterion (package coarsen) reads from the LruTree profiler
+// for a one-task group.  Reset counts it directly, once per distinct
+// recording, in time linear in the recording's length; a test pins the
+// count to the profiler's on every workload.
 //
 // One deliberate deviation from the literature: strict space-bounded
 // scheduling may leave a core idle to protect a pinned task's cache slice.
@@ -38,7 +38,7 @@ type SpaceBounded struct {
 	d       *dag.DAG
 	raw     Machine // as given by SetMachine; normalised into m by Reset
 	m       Machine
-	ws      []int64 // per-task working-set bytes; -1 means unknown (global)
+	ws      []int64 // per-task working-set bytes
 	coreQ   []minheap.Heap[seqItem]
 	sliceQ  []minheap.Heap[seqItem]
 	globalQ minheap.Heap[seqItem]
@@ -62,13 +62,13 @@ func (*SpaceBounded) Name() string { return "sb" }
 // SetMachine implements MachineAware.
 func (s *SpaceBounded) SetMachine(m Machine) { s.raw = m }
 
-// Reset implements Scheduler.  It profiles the DAG's sequential trace to
-// annotate every task with its working-set size; profiling only reads the
-// DAG's recorded streams, so runs sharing the DAG are undisturbed.
+// Reset implements Scheduler.  It annotates every task with its working set
+// (see SpaceBounded); counting only reads the DAG's recorded streams, so
+// runs sharing the DAG are undisturbed.
 func (s *SpaceBounded) Reset(d *dag.DAG, cores int) {
 	s.d = d
 	s.m = s.raw.forCores(cores)
-	s.ws = taskWorkingSets(d, s.m.LineBytes, s.ws)
+	s.sizeTasks(d)
 
 	s.coreQ = resetHeaps(s.coreQ, cores)
 	s.sliceQ = resetHeaps(s.sliceQ, s.m.Slices)
@@ -90,33 +90,102 @@ func resetHeaps(h []minheap.Heap[seqItem], n int) []minheap.Heap[seqItem] {
 	return make([]minheap.Heap[seqItem], n)
 }
 
-// taskWorkingSets estimates every task's working set (distinct lines times
-// the line size) from one LruTree pass over the sequential trace, reusing
-// ws as storage.  On a profiling failure every entry is -1 (unknown).
-func taskWorkingSets(d *dag.DAG, lineBytes int64, ws []int64) []int64 {
+// sizeTasks sets s.ws to every task's working set in bytes.  Tasks whose
+// streams are identical share one interned recording, so each recording's
+// lines are counted once.
+func (s *SpaceBounded) sizeTasks(d *dag.DAG) {
 	n := d.NumTasks()
-	if cap(ws) >= n {
-		ws = ws[:n]
+	if cap(s.ws) >= n {
+		s.ws = s.ws[:n]
 	} else {
-		ws = make([]int64, n)
+		s.ws = make([]int64, n)
 	}
+	lineBytes := s.m.LineBytes
 	if lineBytes <= 0 {
 		lineBytes = 128
 	}
-	// Only the distinct-line counts are read, so one profiled cache size
-	// (the smallest valid one) keeps the histogram narrow.
-	cfg := profile.Config{LineBytes: lineBytes, CacheSizes: []int64{lineBytes}}
-	prof, err := profile.NewLruTree(cfg).ProfileDAG(d)
-	if err != nil {
-		for i := range ws {
-			ws[i] = -1
+	var lines lineSet
+	counted := make(map[*refs.Recorded]int64)
+	for i, t := range d.Tasks() {
+		distinct, ok := counted[t.Refs]
+		if !ok {
+			distinct = lines.count(t.Refs.Arena(), uint64(lineBytes))
+			counted[t.Refs] = distinct
 		}
-		return ws
+		s.ws[i] = distinct * lineBytes
 	}
-	for i := range ws {
-		ws[i] = prof.Group(dag.TaskID(i), dag.TaskID(i)).WorkingSetBytes
+}
+
+// lineSet counts the distinct cache lines of reference arenas.  It is an
+// open-addressing hash set, kept at most half full, whose slots carry the
+// generation that filled them: a new count starts by bumping the
+// generation, so it costs nothing however large an earlier arena was.
+type lineSet struct {
+	slots []lineSlot // length a power of two
+	// gen numbers the counts; one set serves one DAG, whose fewer than
+	// 2^31 tasks (dag.TaskID) keep it from wrapping.
+	gen uint32
+	n   int // lines in the current generation
+}
+
+// lineSlot is one hash-set slot; it holds a line when gen is the set's.
+type lineSlot struct {
+	line uint64
+	gen  uint32
+}
+
+// count returns the number of distinct lines of lineBytes bytes that the
+// arena's references touch.
+func (ls *lineSet) count(arena []refs.Ref, lineBytes uint64) int64 {
+	ls.gen++
+	ls.n = 0
+	for i := range arena {
+		ls.add(arena[i].Addr / lineBytes)
 	}
-	return ws
+	return int64(ls.n)
+}
+
+// add inserts line into the current generation.
+func (ls *lineSet) add(line uint64) {
+	if 2*(ls.n+1) > len(ls.slots) {
+		ls.grow()
+	}
+	mask := uint64(len(ls.slots) - 1)
+	for h := hashLine(line) & mask; ; h = (h + 1) & mask {
+		sl := &ls.slots[h]
+		if sl.gen != ls.gen {
+			*sl = lineSlot{line: line, gen: ls.gen}
+			ls.n++
+			return
+		}
+		if sl.line == line {
+			return
+		}
+	}
+}
+
+// grow doubles the table, re-inserting the current generation's lines.
+func (ls *lineSet) grow() {
+	old := ls.slots
+	ls.slots = make([]lineSlot, max(2*len(old), 1<<10))
+	mask := uint64(len(ls.slots) - 1)
+	for _, sl := range old {
+		if sl.gen != ls.gen {
+			continue
+		}
+		h := hashLine(sl.line) & mask
+		for ls.slots[h].gen == ls.gen {
+			h = (h + 1) & mask
+		}
+		ls.slots[h] = sl
+	}
+}
+
+// hashLine spreads line numbers, which are dense and strided, over the
+// table (Fibonacci hashing; the high bits mix best, so fold them down).
+func hashLine(line uint64) uint64 {
+	h := line * 0x9E3779B97F4A7C15
+	return h ^ h>>32
 }
 
 // MakeReady implements Scheduler.  Each task is pinned to the smallest
@@ -135,11 +204,11 @@ func (s *SpaceBounded) MakeReady(core int, tasks []dag.TaskID) {
 		item := seqItem{id: id, seq: s.d.Task(id).Seq}
 		w := s.ws[id]
 		switch {
-		case w >= 0 && w <= s.m.L1Bytes:
+		case w <= s.m.L1Bytes:
 			s.coreQ[home].Push(item)
 			s.pinnedL1++
 			s.tr.Pin(int32(id), int32(home), obs.PinL1)
-		case w >= 0 && w <= s.m.L2SliceBytes:
+		case w <= s.m.L2SliceBytes:
 			s.sliceQ[s.m.SliceOf(home)].Push(item)
 			s.pinnedSlice++
 			s.tr.Pin(int32(id), int32(home), obs.PinSlice)

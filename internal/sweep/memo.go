@@ -7,20 +7,21 @@ import (
 	"cmpsched/internal/dag"
 )
 
-// A sweep's job list is typically a grid: the same (workload, parameters,
-// machine configuration) triple appears once per scheduler, and building the
-// DAG — emitting every task's reference stream — dominated the cost of the
-// uncached jobs.  The engine therefore memoises DAGs as templates: the first
-// job to need a triple builds it once and records it into the engine's
-// shared content-addressed trace store (dag.Record), and every job — the
-// first included — simulates that one DAG.  A DAG never changes after its
-// build and a simulation only reads it, so results are byte-identical to
-// per-job rebuilding at any worker count.
+// A sweep's job list is typically a grid: the same (workload, parameters)
+// pair appears once per scheduler and once per machine configuration, and
+// building the DAG — emitting every task's reference stream — dominated the
+// cost of the uncached jobs.  The engine therefore memoises DAGs as
+// templates: the first job to need a pair builds it once and records it into
+// the engine's shared content-addressed trace store (dag.Record), and every
+// job — the first included — simulates that one DAG.  A DAG never changes
+// after its build and a simulation only reads it, so results are
+// byte-identical to per-job rebuilding at any worker count.
 //
-// Memoisation is keyed by the job Key's Workload, Params and Config fields —
-// exactly the inputs BuildFunc is required to be a pure function of.  The
-// machine configuration is part of the key because some builders shape the
-// DAG to the machine (e.g. cache-size-driven coarsening).
+// Memoisation is keyed by the job Key's Workload and Params fields — exactly
+// the inputs BuildFunc is required to be a pure function of.  The machine
+// configuration is not part of the key: a builder that shapes its DAG to the
+// machine (e.g. Hash Join's L2-sized partitions, cache-size-driven
+// coarsening) folds what it reads from the configuration into Params.
 
 // templateEntry is one memoised DAG.  The sync.Once gives the entry
 // single-flight semantics: under the parallel engine, concurrent jobs that
@@ -34,7 +35,7 @@ type templateEntry struct {
 
 // templateKey is the content address of a job's DAG template.
 func templateKey(k Key) string {
-	return k.Workload + "\x00" + k.Params + "\x00" + k.Config
+	return k.Workload + "\x00" + k.Params
 }
 
 // template returns the job's DAG, building and recording it on first need.

@@ -49,8 +49,9 @@ func TestSharedTraceStoreByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The grid shape guarantees sharing: every (workload, cores) pair
-	// appears once per scheduler (plus the sequential baseline).
+	// The grid shape guarantees sharing: every (workload, params) pair
+	// appears once per scheduler (plus the sequential baseline) and once
+	// per topology, and Mergesort's pair spans both core counts too.
 	want := make([]*cmpsim.Result, len(jobs))
 	for i := range jobs {
 		want[i] = runDirect(t, jobs[i])
@@ -88,8 +89,8 @@ func TestSharedTraceStoreByteIdentical(t *testing.T) {
 }
 
 // TestMemoizedBuildRunsOncePerTemplate pins the single-flight contract: the
-// engine calls Build once per (workload, params, config) triple no matter
-// how many schedulers fan out from it or how many workers race.
+// engine calls Build once per (workload, params) pair no matter how many
+// schedulers and configurations fan out from it or how many workers race.
 func TestMemoizedBuildRunsOncePerTemplate(t *testing.T) {
 	jobs, err := testSpec().Jobs()
 	if err != nil {
@@ -110,12 +111,29 @@ func TestMemoizedBuildRunsOncePerTemplate(t *testing.T) {
 }
 
 // TestEngineSharesOneDAGPerTemplate pins the sharing contract: every job of a
-// (workload, params, config) template simulates the one DAG the engine
-// recorded for it.
+// (workload, params) template simulates the one DAG the engine recorded for
+// it, whatever machine configuration the job simulates.
 func TestEngineSharesOneDAGPerTemplate(t *testing.T) {
 	jobs, err := testSpec().Jobs()
 	if err != nil {
 		t.Fatal(err)
+	}
+	configs := make(map[string]map[string]bool)
+	for _, j := range jobs {
+		key := templateKey(j.Key)
+		if configs[key] == nil {
+			configs[key] = make(map[string]bool)
+		}
+		configs[key][j.Key.Config] = true
+	}
+	spanning := 0
+	for _, cs := range configs {
+		if len(cs) > 1 {
+			spanning++
+		}
+	}
+	if spanning == 0 {
+		t.Fatal("no template spans more than one configuration")
 	}
 	var mu sync.Mutex
 	seen := make(map[string]map[*dag.DAG]bool)

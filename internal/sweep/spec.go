@@ -14,6 +14,11 @@ import (
 // harness supplies a factory that sizes inputs the way the paper's runs do
 // (see experiments.Options.WorkloadFactory); DefaultFactory builds each
 // workload with its library defaults.
+//
+// The build must be a pure function of the name and the fingerprint: the
+// engine shares one DAG among all jobs whose (Workload, Params) agree, on
+// every configuration (see BuildFunc).  A factory that sizes an input from
+// cfg must therefore fold that input into the fingerprint.
 type WorkloadFactory func(name string, cfg config.CMP) (build BuildFunc, params string, err error)
 
 // DefaultFactory builds workloads with their default parameters.

@@ -14,8 +14,8 @@
 // after its build — concurrent jobs share one and only read it — and the
 // simulator itself is deterministic.
 //
-// Jobs that share a (workload, parameters, machine configuration) triple —
-// the common shape: one job per scheduler over the same build — share one
+// Jobs that share a (workload, parameters) pair — the common shape: one job
+// per scheduler and machine configuration over the same build — share one
 // memoised DAG recorded into a content-addressed trace store; see memo.go.
 // Sharing is driven entirely by job keys, so it needs no opt-in and cannot
 // change results: the shared DAG simulates bit-identically to a fresh
@@ -87,13 +87,15 @@ func (k Key) String() string {
 // must return a DAG of its own: the engine records the DAG into its trace
 // store (dag.Record).
 //
-// Builds must be pure functions of the job key's Workload, Params and Config
-// fields: the engine builds each (Workload, Params, Config) triple once and
-// hands that one DAG to every job of the triple (see memo.go), so two jobs
-// with equal triples MUST build equivalent DAGs, and at most one of their
-// Build functions will actually run per sweep engine.
-// Every standard constructor (NewJob callers fingerprinting their config
-// structs into Params) satisfies this by construction.
+// Builds must be pure functions of the job key's Workload and Params
+// fields: the engine builds each (Workload, Params) pair once and hands that
+// one DAG to every job of the pair, whatever its machine configuration (see
+// memo.go).  Two jobs with equal pairs MUST build equivalent DAGs, and at
+// most one of their Build functions will actually run per sweep engine.  A
+// build that reads the machine configuration (cache-sized inputs, say) must
+// fold what it reads into Params; NewJob callers fingerprinting their
+// default-filled workload config structs into Params satisfy this by
+// construction.
 type BuildFunc func() (*dag.DAG, error)
 
 // DeriveFunc computes named scalar metrics from a finished run while the
@@ -186,7 +188,7 @@ type Engine struct {
 	jobTimeout time.Duration
 	em         engineMetrics
 
-	// templates memoises one recorded DAG per (workload, params, config);
+	// templates memoises one recorded DAG per (workload, params);
 	// their streams live in traces, one store shared by the whole engine.
 	// See memo.go.
 	templMu   sync.Mutex

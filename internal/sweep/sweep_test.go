@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"cmpsched/internal/cache"
 	"cmpsched/internal/config"
 	"cmpsched/internal/dag"
 	"cmpsched/internal/workload"
@@ -42,6 +43,7 @@ func testSpec() Spec {
 		Workloads:  []string{"mergesort", "hashjoin"},
 		Schedulers: []string{"pdf", "ws"},
 		Cores:      []int{2, 8},
+		Topologies: []string{"shared", "private"},
 		Quick:      true,
 		Sequential: true,
 		Factory:    testFactory,
@@ -191,19 +193,23 @@ func TestSpecExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Jobs: %v", err)
 	}
-	// 2 workloads x 2 core counts x (seq + pdf + ws).
-	if len(jobs) != 2*2*3 {
-		t.Fatalf("jobs = %d, want 12", len(jobs))
+	// 2 workloads x 2 topologies x 2 core counts x (seq + pdf + ws).
+	if len(jobs) != 2*2*2*3 {
+		t.Fatalf("jobs = %d, want 24", len(jobs))
 	}
-	// Deterministic order: workload-major, then cores, then scheduler.
+	// Deterministic order: workload-major, then topology, then cores, then
+	// scheduler.
 	if jobs[0].Key.Workload != "mergesort" || jobs[0].Scheduler != Sequential {
 		t.Errorf("unexpected first job %+v", jobs[0].Key)
 	}
 	if jobs[1].Scheduler != "pdf" || jobs[2].Scheduler != "ws" {
 		t.Errorf("scheduler order wrong: %s, %s", jobs[1].Scheduler, jobs[2].Scheduler)
 	}
-	if jobs[6].Key.Workload != "hashjoin" {
-		t.Errorf("workload order wrong: %s", jobs[6].Key.Workload)
+	if jobs[3].Config.Cores != 8 || jobs[6].Config.Topology != cache.Private() {
+		t.Errorf("cores/topology order wrong: %s, %s", jobs[3].Config.Name, jobs[6].Config.Name)
+	}
+	if jobs[12].Key.Workload != "hashjoin" {
+		t.Errorf("workload order wrong: %s", jobs[12].Key.Workload)
 	}
 	// The scaled config is baked into the jobs.
 	wantScale := config.DefaultScale * 16
@@ -308,7 +314,8 @@ func TestStreamCallbackCoversAllJobs(t *testing.T) {
 		t.Errorf("summary order wrong: %+v", rows[0])
 	}
 	for _, row := range rows {
-		if row.Runs != 2 || row.TotalCycles == 0 || row.BestConfig == "" {
+		// 2 core counts x 2 topologies per (workload, scheduler).
+		if row.Runs != 4 || row.TotalCycles == 0 || row.BestConfig == "" {
 			t.Errorf("malformed summary row %+v", row)
 		}
 	}
