@@ -7,7 +7,10 @@
 // (package cmpsim) from the configuration tables in package config.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache.
 type Config struct {
@@ -88,43 +91,51 @@ func (s *Stats) Add(other Stats) {
 	s.Writebacks += other.Writebacks
 }
 
-// Per-way state bits held in Cache.state.
-const (
-	lineValid uint8 = 1 << iota
-	lineDirty
-)
-
 // Cache is a set-associative cache with true-LRU replacement and a
 // write-back, write-allocate policy.
 //
 // Way metadata is stored structure-of-arrays in flat set-major slices (set i
-// occupies index range [i*assoc, (i+1)*assoc)): tags, LRU use counters and
-// packed valid/dirty bits live in separate arrays so the hit scan — the
-// single hottest loop in the simulator — streams only the 8-byte tags
-// instead of dragging padded per-way structs through the host cache.
-// Line/set arithmetic uses shifts and masks whenever the line size and set
-// count are powers of two — every access otherwise pays two hardware
-// integer divisions.  Neither layout nor arithmetic affects classification:
-// the modelled geometry and LRU behaviour are identical.
+// occupies index range [i*assoc, (i+1)*assoc)): the 8-byte tags live apart
+// from everything else so the hit scan — the single hottest loop in the
+// simulator — streams only tags instead of dragging padded per-way structs
+// through the host cache.  Recency is a circular doubly-linked list per set
+// (prev/next hold flat way indices, heads the most recently used way), with
+// invalid ways kept at the LRU end, so the way behind the head is always the
+// one a miss fills: a hit moves its way to the front, a miss makes the
+// victim the head with a single write, and Invalidate moves its way to the
+// back.  Replacement therefore costs O(1) whatever the associativity.  A
+// set's list is linked on its first miss; until then the set holds no valid
+// line, so nothing reads its links, and a new cache is two zeroed
+// allocations however many sets it never touches.  Line/set arithmetic uses
+// shifts and masks whenever the line size and set count are powers of two —
+// every access otherwise pays two hardware integer divisions.  Neither
+// layout nor arithmetic affects classification: the modelled geometry and
+// LRU behaviour are identical.
 type Cache struct {
 	cfg Config
 	// tags[i] is the line base address held by flat way i (valid only when
-	// state[i]&lineValid is set; invalid ways may hold stale tags).
+	// way i's valid bit is set; invalid ways may hold stale tags).
 	tags []uint64
-	// use is the per-way LRU timestamp: the cache clock at last touch.
-	use []uint64
-	// state packs the valid and dirty bits per way.
-	state   []uint8
-	assoc   int
-	numSets int
-	setMask uint64
-	clock   uint64
-	// Per-access counters.  The access count itself is derived from the
-	// clock (which advances exactly once per Access) minus the clock value
-	// at the last stats reset, and Hits/Reads are derived in Stats()
-	// (Hits = Accesses-Misses, Reads = Accesses-Writes) — so a hit bumps
-	// nothing beyond the clock.
-	clockBase  uint64
+	// prev[i] and next[i] are the flat indices of way i's neighbours on its
+	// set's recency list, towards the MRU and LRU end respectively; the
+	// list is circular, so prev of the head is the LRU way.  prev, next,
+	// heads, valid and dirty share one backing array.
+	prev, next []int32
+	// heads[s] is 1 + the flat index of set s's most recently used way, or
+	// 0 while the set has never missed and its list is not linked yet.
+	heads []int32
+	// valid and dirty are per-way bitmaps, bit i%32 of word i/32 for flat
+	// way i (see wayBit).  Bits rather than a word per way keep a cache at
+	// about 16 bytes a line, which matters where caches are built fresh
+	// per measurement (profile.SetAssoc builds four per task group).
+	valid, dirty []int32
+	assoc        int
+	numSets      int
+	setMask      uint64
+	// Per-access counters.  Hits and Reads are derived in Stats()
+	// (Hits = Accesses-Misses, Reads = Accesses-Writes), so a hit bumps
+	// only accesses.
+	accesses   int64
 	misses     int64
 	writes     int64
 	evictions  int64
@@ -143,6 +154,9 @@ type Cache struct {
 	// slot a line occupies without an extra lookup.
 	lastSlot int
 }
+
+// wayBit returns the word index and mask of flat way w in a per-way bitmap.
+func wayBit(w int) (int, int32) { return w >> 5, 1 << (w & 31) }
 
 // AccessResult describes the outcome of a single cache access.
 type AccessResult struct {
@@ -164,14 +178,19 @@ func New(cfg Config) (*Cache, error) {
 	}
 	n := cfg.Sets()
 	lines := n * cfg.Assoc
-	// tags and use share one backing array to keep per-cache construction
-	// cheap; the hot scans index them independently.
-	words := make([]uint64, 2*lines)
+	words := (lines + 31) / 32
+	meta := make([]int32, 2*lines+n+2*words)
+	meta, prev := meta[lines:], meta[:lines:lines]
+	meta, next := meta[lines:], meta[:lines:lines]
+	meta, heads := meta[n:], meta[:n:n]
 	c := &Cache{
 		cfg:     cfg,
-		tags:    words[:lines:lines],
-		use:     words[lines:],
-		state:   make([]uint8, lines),
+		tags:    make([]uint64, lines),
+		prev:    prev,
+		next:    next,
+		heads:   heads,
+		valid:   meta[:words:words],
+		dirty:   meta[words:],
 		assoc:   cfg.Assoc,
 		numSets: n,
 		power2:  n&(n-1) == 0,
@@ -203,12 +222,11 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats {
-	accesses := int64(c.clock - c.clockBase)
 	return Stats{
-		Accesses:   accesses,
-		Hits:       accesses - c.misses,
+		Accesses:   c.accesses,
+		Hits:       c.accesses - c.misses,
 		Misses:     c.misses,
-		Reads:      accesses - c.writes,
+		Reads:      c.accesses - c.writes,
 		Writes:     c.writes,
 		Evictions:  c.evictions,
 		Writebacks: c.writebacks,
@@ -217,8 +235,7 @@ func (c *Cache) Stats() Stats {
 
 // ResetStats clears the statistics without touching cache contents.
 func (c *Cache) ResetStats() {
-	c.clockBase = c.clock
-	c.misses, c.writes, c.evictions, c.writebacks = 0, 0, 0, 0
+	c.accesses, c.misses, c.writes, c.evictions, c.writebacks = 0, 0, 0, 0, 0
 }
 
 // lineAddr returns the base address of the line containing addr.
@@ -242,71 +259,116 @@ func (c *Cache) setIndex(lineAddr uint64) int {
 	return int(idx % uint64(c.numSets))
 }
 
-// setBase returns the flat index of the first way of the set holding
-// lineAddr.
-func (c *Cache) setBase(lineAddr uint64) int {
-	return c.setIndex(lineAddr) * c.assoc
+// find returns the flat index of the valid way holding line la in set, or
+// -1.  The tag is compared first — a stale tag on an invalid way is the only
+// false positive, so the valid bit is consulted only on a match.
+func (c *Cache) find(la uint64, set int) int {
+	base := set * c.assoc
+	tags := c.tags[base : base+c.assoc]
+	for i := range tags {
+		if tags[i] == la {
+			if wd, m := wayBit(base + i); c.valid[wd]&m != 0 {
+				return base + i
+			}
+		}
+	}
+	return -1
 }
 
 // Access performs a read or write of addr, allocating on miss, and returns
 // the outcome.
 func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	la := c.lineAddr(addr)
-	base := c.setIndex(la) * c.assoc
-	c.clock++
+	set := c.setIndex(la)
+	c.accesses++
 	if write {
 		c.writes++
 	}
-	tags := c.tags[base : base+c.assoc]
-	st := c.state[base : base+c.assoc : base+c.assoc]
-	// Hit scan: tag compare first — a stale tag on an invalid way is the
-	// only false positive, so the state byte is consulted only on a match.
-	for i := range tags {
-		if tags[i] == la && st[i]&lineValid != 0 {
-			c.use[base+i] = c.clock
-			if write {
-				st[i] |= lineDirty
-			}
-			c.lastSlot = base + i
-			return AccessResult{Hit: true}
+	if w := c.find(la, set); w >= 0 {
+		if write {
+			wd, m := wayBit(w)
+			c.dirty[wd] |= m
 		}
+		if h := c.heads[set] - 1; int32(w) != h {
+			// Once w sits behind the head, taking the head makes it MRU.
+			c.moveBefore(int32(w), h)
+			c.heads[set] = int32(w) + 1
+		}
+		c.lastSlot = w
+		return AccessResult{Hit: true}
 	}
-	// Miss: fill the first invalid way, otherwise evict LRU (lowest use,
-	// ties to the lowest index) — one scan tracking both candidates.
+	// Miss: the way behind the head is invalid if any way is, otherwise the
+	// LRU way.  It fills, and on a circular list becoming the MRU way is
+	// just becoming the head.
 	c.misses++
-	use := c.use[base : base+c.assoc : base+c.assoc]
-	victim := -1
-	lru := 0
-	lruUse := use[0]
-	for i := range st {
-		if st[i]&lineValid == 0 {
-			victim = i
-			break
-		}
-		if use[i] < lruUse {
-			lru, lruUse = i, use[i]
-		}
+	h := c.heads[set]
+	if h == 0 {
+		h = c.link(set)
 	}
+	victim := c.prev[h-1]
+	c.heads[set] = victim + 1
 	res := AccessResult{}
-	if victim == -1 {
-		victim = lru
+	wd, m := wayBit(int(victim))
+	if c.valid[wd]&m != 0 {
 		res.Evicted = true
-		res.EvictedAddr = tags[victim]
-		res.EvictedDirty = st[victim]&lineDirty != 0
+		res.EvictedAddr = c.tags[victim]
+		res.EvictedDirty = c.dirty[wd]&m != 0
 		c.evictions++
 		if res.EvictedDirty {
 			c.writebacks++
 		}
 	}
-	tags[victim] = la
-	use[victim] = c.clock
+	c.tags[victim] = la
+	c.valid[wd] |= m
 	if write {
-		st[victim] = lineValid | lineDirty
+		c.dirty[wd] |= m
 	} else {
-		st[victim] = lineValid
+		c.dirty[wd] &^= m
 	}
-	c.lastSlot = base + victim
+	c.lastSlot = int(victim)
 	return res
+}
+
+// link builds set's recency list in way order on its first miss (every way
+// is still invalid, so any order is LRU-correct) and returns its head,
+// encoded as in heads.
+func (c *Cache) link(set int) int32 {
+	first := int32(set * c.assoc)
+	last := first + int32(c.assoc) - 1
+	for w := first; w <= last; w++ {
+		c.prev[w] = w - 1
+		c.next[w] = w + 1
+	}
+	c.prev[first] = last
+	c.next[last] = first
+	return first + 1
+}
+
+// moveBefore splices way w out of its set's recency list and back in just
+// before way h (w != h); with h the head, w becomes the LRU way.  A w
+// already behind h gets its links rewritten to the same values, so that
+// case needs no branch.
+func (c *Cache) moveBefore(w, h int32) {
+	prev, next := c.prev, c.next
+	p, n := prev[w], next[w]
+	next[p] = n
+	prev[n] = p
+	t := prev[h]
+	prev[w] = t
+	next[w] = h
+	next[t] = w
+	prev[h] = w
+}
+
+// toBack makes way w, which is on set's list, the least recently used.
+func (c *Cache) toBack(set int, w int32) {
+	h := c.heads[set] - 1
+	if w == h {
+		// Rotating the head forward leaves w behind it, at the LRU end.
+		c.heads[set] = c.next[w] + 1
+		return
+	}
+	c.moveBefore(w, h)
 }
 
 // LastSlot returns the flat slot index (set*assoc + way) of the line touched
@@ -320,53 +382,42 @@ func (c *Cache) LastSlot() int { return c.lastSlot }
 // affecting LRU state or statistics.
 func (c *Cache) Contains(addr uint64) bool {
 	la := c.lineAddr(addr)
-	base := c.setBase(la)
-	for i := 0; i < c.assoc; i++ {
-		if c.tags[base+i] == la && c.state[base+i]&lineValid != 0 {
-			return true
-		}
-	}
-	return false
+	return c.find(la, c.setIndex(la)) >= 0
 }
 
 // Invalidate removes the line holding addr if present, returning whether it
-// was present and dirty.
+// was present and dirty.  The emptied way moves to the LRU end of its set,
+// where the next miss in the set fills it.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	la := c.lineAddr(addr)
-	base := c.setBase(la)
-	for i := 0; i < c.assoc; i++ {
-		if c.tags[base+i] == la && c.state[base+i]&lineValid != 0 {
-			dirty = c.state[base+i]&lineDirty != 0
-			c.tags[base+i] = 0
-			c.use[base+i] = 0
-			c.state[base+i] = 0
-			return true, dirty
-		}
+	set := c.setIndex(la)
+	w := c.find(la, set)
+	if w < 0 {
+		return false, false
 	}
-	return false, false
+	wd, m := wayBit(w)
+	dirty = c.dirty[wd]&m != 0
+	c.valid[wd] &^= m
+	c.toBack(set, int32(w))
+	return true, dirty
 }
 
 // Flush invalidates every line, returning the number of dirty lines that
-// would have been written back.
+// would have been written back.  With every way invalid, each set's
+// recency list is valid in whatever order it is left.
 func (c *Cache) Flush() (dirty int64) {
-	for i := range c.state {
-		if c.state[i]&(lineValid|lineDirty) == lineValid|lineDirty {
-			dirty++
-		}
-		c.tags[i] = 0
-		c.use[i] = 0
-		c.state[i] = 0
+	for i, v := range c.valid {
+		dirty += int64(bits.OnesCount32(uint32(v & c.dirty[i])))
 	}
+	clear(c.valid)
 	return dirty
 }
 
 // OccupiedLines returns the number of valid lines currently resident.
 func (c *Cache) OccupiedLines() int64 {
 	var n int64
-	for i := range c.state {
-		if c.state[i]&lineValid != 0 {
-			n++
-		}
+	for _, v := range c.valid {
+		n += int64(bits.OnesCount32(uint32(v)))
 	}
 	return n
 }

@@ -95,7 +95,7 @@ func (o LeaseOptions) withDefaults() LeaseOptions {
 type leaseMetrics struct {
 	acquired  *obs.Counter // flights claimed first try
 	contested *obs.Counter // acquires that found another holder
-	adopted   *obs.Counter // waits resolved by adopting the holder's entry
+	adopted   *obs.Counter // acquires resolved by adopting another instance's entry
 	takeovers *obs.Counter // stale leases fenced and reclaimed
 	released  *obs.Counter // clean releases by the owner
 	fenced    *obs.Counter // releases refused because the lease moved on
@@ -169,9 +169,10 @@ func (c *LeasedCache) leasePath(k Key) string {
 }
 
 // Acquire implements FlightCache.  It loops until one of: the entry appears
-// (another instance finished — adopt), the claim succeeds (simulate under
-// the returned lease), the protocol hits an I/O error (degrade: simulate
-// uncoordinated), or ctx is cancelled.
+// (another instance finished — adopt), the claim succeeds and the entry is
+// still absent when re-read under the lease (simulate under the returned
+// lease), the protocol hits an I/O error (degrade: simulate uncoordinated),
+// or ctx is cancelled.
 func (c *LeasedCache) Acquire(ctx context.Context, k Key) (Entry, bool, *Lease, error) {
 	path := c.leasePath(k)
 	contested := false
@@ -189,6 +190,15 @@ func (c *LeasedCache) Acquire(ctx context.Context, k Key) (Entry, bool, *Lease, 
 			return Entry{}, false, nil, nil
 		}
 		if lease != nil {
+			// The entry can land between the Get above and the claim: a
+			// holder that Puts and releases in that window leaves the
+			// exclusive create free.  Re-read under the lease so a finished
+			// key is adopted, never simulated twice.
+			if e, ok := c.dc.Get(k); ok {
+				lease.Release()
+				c.lm.adopted.Add(1)
+				return e, true, nil, nil
+			}
 			if state == claimTakeover {
 				c.lm.takeovers.Add(1)
 				c.logf("sweep: lease: %s: took over a stale lease (token %d)", k, lease.token)

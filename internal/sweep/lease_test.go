@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -273,6 +274,65 @@ func TestLeaseAcquireDegradesOnIOErrors(t *testing.T) {
 	}
 	if got := c.lm.errors.Value(); got != 1 {
 		t.Fatalf("errors counter = %d, want 1", got)
+	}
+}
+
+// claimRaceFS passes every call through, except that just before the first
+// exclusive create of a lease file it runs race: the window between
+// Acquire's entry check and its claim, in which another instance can land
+// the entry and release its lease.
+type claimRaceFS struct {
+	faultinject.FS
+	once sync.Once
+	race func()
+}
+
+// OpenFile implements faultinject.FS.
+func (f *claimRaceFS) OpenFile(name string, flag int, perm fs.FileMode) (faultinject.File, error) {
+	if flag&os.O_EXCL != 0 && strings.HasSuffix(name, leaseSuffix) {
+		f.once.Do(f.race)
+	}
+	return f.FS.OpenFile(name, flag, perm)
+}
+
+// TestLeaseClaimRechecksEntry: an entry that another instance puts between
+// Acquire's entry check and its lease claim must be adopted, not handed out
+// as a fresh flight that simulates the key a second time.
+func TestLeaseClaimRechecksEntry(t *testing.T) {
+	dir := t.TempDir()
+	k := testKey(7)
+	other, err := NewDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raceFS := &claimRaceFS{FS: faultinject.OS(), race: func() {
+		if err := other.Put(testEntry(k)); err != nil {
+			t.Error(err)
+		}
+	}}
+	dc, err := NewDiskCacheWith(dir, DiskCacheOptions{FS: raceFS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewLeasedCache(dc, fastLeaseOptions("late"))
+	e, ok, lease, err := c.Acquire(context.Background(), k)
+	if lease != nil {
+		lease.Release()
+	}
+	if err != nil || !ok || lease != nil {
+		t.Fatalf("acquire: ok=%v lease=%v err=%v, want adoption of the raced entry", ok, lease, err)
+	}
+	if e.Sim == nil || e.Sim.Cycles != 42 {
+		t.Fatalf("adopted entry = %+v, want the raced entry", e)
+	}
+	if got := c.lm.adopted.Value(); got != 1 {
+		t.Fatalf("adopted counter = %d, want 1", got)
+	}
+	if got := c.lm.acquired.Value(); got != 0 {
+		t.Fatalf("acquired counter = %d, want 0", got)
+	}
+	if _, err := os.Stat(c.leasePath(k)); !os.IsNotExist(err) {
+		t.Fatalf("lease file survived adoption: %v", err)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-
-	"cmpsched/internal/sweep"
 )
 
 // maxFuzzPoints bounds the expansions FuzzDecodeRequest performs.  A grid
@@ -14,25 +12,13 @@ import (
 // reaching code the smaller grids do not.
 const maxFuzzPoints = 1 << 14
 
-// gridSize returns an upper bound on the number of points a request
-// expands to, without expanding it.
-func gridSize(r *Request) int {
-	if len(r.Points) > 0 {
-		return len(r.Points)
-	}
-	configs := 0
-	for _, tbl := range r.tables() {
-		cfgs, _ := sweep.TableConfigs(tbl)
-		configs += len(cfgs)
-	}
-	return len(r.Workloads) * configs * len(r.topologies()) * (len(r.schedulers()) + 1)
-}
-
 // FuzzDecodeRequest hands the wire decoder arbitrary bytes.  Whatever the
-// bytes, DecodeRequest, Validate and ExpandPoints must not panic; every
-// point of a successful expansion must validate on its own; and the
-// points-only request listing that expansion must expand to the same list,
-// which is what lets sweepctl shard a grid into per-point submissions.
+// bytes, DecodeRequest, Validate and ExpandPoints must not panic.  A
+// successful expansion must have exactly Size points (the count the
+// service holds to its job limit before expanding), every point must
+// validate on its own, and the points-only request listing the expansion
+// must expand to the same list, which is what lets sweepctl shard a grid
+// into per-point submissions.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRequest(bytes.NewReader(data))
@@ -42,12 +28,16 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err := req.Validate(); err != nil {
 			return
 		}
-		if gridSize(req) > maxFuzzPoints {
+		size := req.Size()
+		if size > maxFuzzPoints {
 			return
 		}
 		points, err := req.ExpandPoints()
 		if err != nil {
 			return
+		}
+		if len(points) != size {
+			t.Fatalf("Size() = %d, but %q expands to %d points", size, data, len(points))
 		}
 		for i, p := range points {
 			if err := p.validate(); err != nil {

@@ -1,8 +1,11 @@
 package sweepsvc
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -22,8 +25,10 @@ import (
 //
 // Admission failures map to transport codes: SaturatedError to 429 with a
 // Retry-After header, ErrDraining to 503 with Retry-After, LimitError and
-// wire-validation failures to 400.  A client that disconnects mid-stream
-// cancels its sweep, releasing its claim on every unstarted job.
+// wire-validation failures to 400, and a body over 64 KiB plus 1 KiB per
+// job of the per-sweep limit to 413.  A grid naming more jobs than that
+// limit is rejected before Expand runs.  A client that disconnects
+// mid-stream cancels its sweep, releasing its claim on every unstarted job.
 type Handler struct {
 	// Expand converts a decoded, validated Request into jobs; it defaults
 	// to (*Request).Jobs.  It is an exported seam so tests can drive the
@@ -153,15 +158,39 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// submit decodes, validates, admits and streams one sweep.
+// maxBodyBytes bounds a submission's body: 64 KiB plus 1 KiB per job the
+// per-sweep limit admits, far above what any admissible grid or points
+// list encodes to.
+func (h *Handler) maxBodyBytes() int64 {
+	return 64<<10 + 1<<10*int64(h.svc.opts.MaxJobsPerSweep)
+}
+
+// submit decodes, validates, admits and streams one sweep.  The body is
+// bounded before it is read, and the request's size before it is expanded,
+// so no submission costs more than its job limit allows.
 func (h *Handler) submit(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeRequest(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, h.maxBodyBytes()))
+	if err != nil {
+		h.logf("sweepd: reject: %v", err)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "sweepsvc: read request: "+err.Error(), status)
+		return
+	}
+	req, err := DecodeRequest(bytes.NewReader(body))
 	if err == nil {
 		err = req.Validate()
 	}
 	if err != nil {
 		h.logf("sweepd: reject: %v", err)
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if err := h.svc.checkJobCount(req.Size()); err != nil {
+		h.reject(w, err)
 		return
 	}
 	jobs, err := h.Expand(req)

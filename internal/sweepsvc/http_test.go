@@ -450,3 +450,77 @@ func TestHTTPBadRequests(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPRejectsOversizedGridBeforeExpand: a grid naming more jobs than
+// the per-sweep limit is a 400 decided from the request's size alone — the
+// Expand seam, which builds one job per point, never runs.
+func TestHTTPRejectsOversizedGridBeforeExpand(t *testing.T) {
+	svc := NewService(Options{Workers: 1})
+	defer svc.Drain(context.Background())
+	h := NewHandler(svc)
+	expanded := false
+	h.Expand = func(r *Request) ([]sweep.Job, error) {
+		expanded = true
+		return r.Jobs()
+	}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	req := Request{Workloads: make([]string, 1000), Schedulers: make([]string, 1000)}
+	for i := range req.Workloads {
+		req.Workloads[i], req.Schedulers[i] = "mergesort", "pdf"
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Client().Post(srv.URL+"/sweeps", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 (%s)", resp.StatusCode, msg)
+	}
+	// 1000 workloads x 6 default configurations x 1 topology x 1000
+	// schedulers.
+	if want := "6000000 jobs exceeds the per-sweep limit of 4096"; !strings.Contains(string(msg), want) {
+		t.Errorf("body = %q, want it to contain %q", msg, want)
+	}
+	if expanded {
+		t.Error("the oversized grid was expanded before it was rejected")
+	}
+}
+
+// TestHTTPRejectsOversizedBody: a body past 64 KiB plus 1 KiB per job of
+// the per-sweep limit is a 413, whatever it would have decoded to.
+func TestHTTPRejectsOversizedBody(t *testing.T) {
+	svc := NewService(Options{Workers: 1, MaxJobsPerSweep: 4})
+	defer svc.Drain(context.Background())
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	body := `{"workloads":["` + strings.Repeat("a", 68<<10) + `"]}`
+	resp, err := srv.Client().Post(srv.URL+"/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413 (%s)", resp.StatusCode, msg)
+	}
+
+	// Just under the bound the same shape decodes and fails validation.
+	body = `{"workloads":["` + strings.Repeat("a", 67<<10) + `"]}`
+	resp, err = srv.Client().Post(srv.URL+"/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status under the bound = %d, want 400", resp.StatusCode)
+	}
+}

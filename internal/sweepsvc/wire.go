@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"cmpsched/internal/cache"
 	"cmpsched/internal/config"
@@ -195,6 +196,59 @@ func (r *Request) schedulers() []string {
 	return r.Schedulers
 }
 
+// Size returns the number of points the request names without expanding
+// it: exactly len(ExpandPoints()) whenever the expansion succeeds, so a
+// service can hold a request to its job limit before building a single
+// job.  A grid multiplies its axes: a few hundred bytes of repeated values
+// name millions of points, and a few megabytes more than an int holds, so
+// Size saturates at math.MaxInt, which still compares over any limit.
+func (r *Request) Size() int {
+	if len(r.Points) > 0 {
+		return len(r.Points)
+	}
+	matching := make(map[string]int) // table -> configurations under Cores
+	configs := 0
+	for _, tbl := range r.tables() {
+		n, seen := matching[tbl]
+		if !seen {
+			cfgs, _ := sweep.TableConfigs(tbl)
+			for _, c := range cfgs {
+				if r.wantCores(c.Cores) {
+					n++
+				}
+			}
+			matching[tbl] = n
+		}
+		configs += n
+	}
+	schedulers := len(r.schedulers())
+	if r.Sequential {
+		schedulers++
+	}
+	size := len(r.Workloads)
+	for _, f := range []int{configs, len(r.topologies()), schedulers} {
+		if f != 0 && size > math.MaxInt/f {
+			return math.MaxInt
+		}
+		size *= f
+	}
+	return size
+}
+
+// wantCores reports whether the Cores filter admits a configuration with
+// the given core count.
+func (r *Request) wantCores(cores int) bool {
+	if len(r.Cores) == 0 {
+		return true
+	}
+	for _, want := range r.Cores {
+		if want == cores {
+			return true
+		}
+	}
+	return false
+}
+
 // ExpandPoints flattens the request into its explicit point list in the
 // canonical job order — the exact nesting sweep.Spec.Jobs uses (workloads,
 // then tables, then topologies, then the table's core counts, then the
@@ -213,17 +267,6 @@ func (r *Request) ExpandPoints() ([]Point, error) {
 		}
 		return out, nil
 	}
-	wantCores := func(c int) bool {
-		if len(r.Cores) == 0 {
-			return true
-		}
-		for _, want := range r.Cores {
-			if want == c {
-				return true
-			}
-		}
-		return false
-	}
 	var out []Point
 	for _, wl := range r.Workloads {
 		for _, tbl := range r.tables() {
@@ -234,7 +277,7 @@ func (r *Request) ExpandPoints() ([]Point, error) {
 			matched := false
 			for _, topo := range r.topologies() {
 				for _, base := range cfgs {
-					if !wantCores(base.Cores) {
+					if !r.wantCores(base.Cores) {
 						continue
 					}
 					matched = true
