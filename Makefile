@@ -16,7 +16,7 @@ test:
 
 # The concurrent pieces — the sweep engine's worker pool, the scheduler
 # registry (Register/New may race against running sweeps), the metrics
-# registry's sharded counters, the sweep service's single-flight dedup, the
+# registry's counters, the sweep service's single-flight dedup, the
 # cross-process cache leases (heartbeat goroutines vs takeover), the
 # fault-injection shims they are tested through, the graph kernels (whose
 # DAG builders sweeps run concurrently), and the simulator and profiler

@@ -44,26 +44,16 @@ import (
 	"sync"
 	"time"
 
-	"cmpsched/internal/config"
 	"cmpsched/internal/prng"
-	"cmpsched/internal/sched"
 	"cmpsched/internal/sweep"
 	"cmpsched/internal/sweepsvc"
-	"cmpsched/internal/workload"
 )
 
 func main() {
+	specFlags := sweep.BindSpecFlags(flag.CommandLine)
 	var (
 		servers    = flag.String("server", "http://127.0.0.1:8357", "comma-separated sweepd base URLs; more than one shards the grid")
-		workloads  = flag.String("workloads", "mergesort,hashjoin,lu", "comma-separated workloads: "+strings.Join(workload.Names(), ", "))
-		schedulers = flag.String("schedulers", "pdf,ws", "comma-separated schedulers: "+strings.Join(sched.Names(), ", "))
 		list       = flag.Bool("list", false, "print the available workloads, schedulers, topologies and configuration tables, then exit")
-		tables     = flag.String("tables", sweep.TableDefault, "configuration tables: default (Table 2), 45nm (Table 3)")
-		topology   = flag.String("topology", "shared", "comma-separated cache topologies: shared, private, clustered:<k>")
-		cores      = flag.String("cores", "", "comma-separated core counts (empty = all the tables define)")
-		scale      = flag.Int64("scale", config.DefaultScale, "capacity scale factor relative to the paper's configurations")
-		quick      = flag.Bool("quick", false, "use reduced inputs (seconds instead of minutes)")
-		seq        = flag.Bool("seq", false, "also run the sequential baseline per point")
 		format     = flag.String("format", "csv", "output format: csv or json")
 		out        = flag.String("o", "", "output file (empty = stdout)")
 		verbose    = flag.Bool("v", false, "log each received row to stderr")
@@ -74,45 +64,32 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Printf("workloads:  %s\n", strings.Join(workload.Names(), ", "))
-		fmt.Printf("schedulers: %s (plus the %q baseline via -seq)\n",
-			strings.Join(sched.Names(), ", "), sweep.Sequential)
-		fmt.Printf("topologies: shared, private, clustered:<cores-per-slice>\n")
-		fmt.Printf("tables:     %s (Table 2), %s (Table 3)\n", sweep.TableDefault, sweep.Table45nm)
+		sweep.WriteAxes(os.Stdout)
 		return
 	}
 	if *format != "csv" && *format != "json" {
 		fatalf("unknown format %q (want csv or json)", *format)
 	}
-	endpoints := splitList(*servers)
+	endpoints := sweep.SplitList(*servers)
 	if len(endpoints) == 0 {
 		fatalf("no -server endpoints")
 	}
 
-	req := &sweepsvc.Request{
-		Workloads:  splitList(*workloads),
-		Schedulers: splitList(*schedulers),
-		Tables:     splitList(*tables),
-		Topologies: splitList(*topology),
-		Scale:      *scale,
-		Quick:      *quick,
-		Sequential: *seq,
-	}
-	var err error
-	if req.Cores, err = parseInts(*cores); err != nil {
-		fatalf("bad -cores: %v", err)
+	spec, err := specFlags()
+	if err != nil {
+		fatalf("%v", err)
 	}
 	// Validate locally against the same registries the server consults, so
 	// typos fail here with the full diagnosis instead of as an HTTP 400.
-	points, err := req.ExpandPoints()
+	points, err := spec.Points()
 	if err != nil {
 		fatalf("%v", err)
 	}
 
 	cl := &client{
 		endpoints: endpoints,
-		scale:     req.Scale,
-		quick:     req.Quick,
+		scale:     spec.Scale,
+		quick:     spec.Quick,
 		retries:   *retries,
 		backoff:   *backoff,
 		verbose:   *verbose,
@@ -176,7 +153,7 @@ type client struct {
 // re-shard whatever a dead endpoint left behind across the survivors.  Each
 // round either finishes the sweep or loses at least one endpoint, so the
 // loop is bounded by the endpoint count.
-func (c *client) run(points []sweepsvc.Point, results []sweep.Result) ([]string, error) {
+func (c *client) run(points []sweep.Point, results []sweep.Result) ([]string, error) {
 	c.resolved = make([]bool, len(points))
 	alive := append([]string(nil), c.endpoints...)
 	missing := make([]int, len(points))
@@ -235,7 +212,7 @@ func (c *client) run(points []sweepsvc.Point, results []sweep.Result) ([]string,
 // The backoff jitter is drawn from a splitmix64 stream seeded by (endpoint,
 // round), so a replayed run backs off identically — failures under the
 // fault-injection harness reproduce from their seeds alone.
-func (c *client) sweepShard(endpoint string, round int, points []sweepsvc.Point, idxs []int, results []sweep.Result) bool {
+func (c *client) sweepShard(endpoint string, round int, points []sweep.Point, idxs []int, results []sweep.Result) bool {
 	rng := prng.SplitMix64{State: prng.Mix64(hash64(endpoint) ^ uint64(round)<<32)}
 	pending := append([]int(nil), idxs...)
 	for strikes := 0; ; {
@@ -411,28 +388,6 @@ func cachedTag(r sweep.Result) string {
 		return " (cached)"
 	}
 	return ""
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range splitList(s) {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func fatalf(format string, args ...any) {

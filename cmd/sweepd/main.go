@@ -34,22 +34,18 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"cmpsched/internal/faultinject"
 	"cmpsched/internal/obs"
-	"cmpsched/internal/sched"
 	"cmpsched/internal/sweep"
 	"cmpsched/internal/sweepsvc"
-	"cmpsched/internal/workload"
 )
 
 func main() {
@@ -71,7 +67,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		printAvailable(os.Stdout)
+		sweep.WriteAxes(os.Stdout)
 		return
 	}
 
@@ -150,15 +146,4 @@ func main() {
 		log.Printf("sweepd: shutdown: %v", err)
 	}
 	log.Printf("sweepd: drained, exiting")
-}
-
-// printAvailable lists every axis value a wire request accepts (-list),
-// straight from the live registries so late registrations and parameterised
-// scheduler spellings show up without server changes.
-func printAvailable(w *os.File) {
-	fmt.Fprintf(w, "workloads:  %s\n", strings.Join(workload.Names(), ", "))
-	fmt.Fprintf(w, "schedulers: %s (plus the %q baseline)\n",
-		strings.Join(sched.Names(), ", "), sweep.Sequential)
-	fmt.Fprintf(w, "topologies: shared, private, clustered:<cores-per-slice>\n")
-	fmt.Fprintf(w, "tables:     %s (Table 2), %s (Table 3)\n", sweep.TableDefault, sweep.Table45nm)
 }

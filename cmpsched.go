@@ -169,6 +169,7 @@ type (
 
 	// SweepSpec declares a design-space sweep: the cross product of
 	// workloads, schedulers and CMP configurations (see internal/sweep).
+	// It is the one expander of that grid, for the CLI and the wire alike.
 	SweepSpec = sweep.Spec
 	// SweepJob is one simulation of a sweep.
 	SweepJob = sweep.Job
@@ -207,11 +208,12 @@ type (
 	// health endpoints.
 	SweepHandler = sweepsvc.Handler
 	// SweepRequest is the strict wire encoding of one sweep submission — a
-	// declarative grid or an explicit point list — expanding to the same
-	// cache keys the CLI produces.
+	// declarative grid or an explicit point list — expanding through a
+	// SweepSpec to the same cache keys the CLI produces.
 	SweepRequest = sweepsvc.Request
-	// SweepPoint is one explicit design-space point of a SweepRequest.
-	SweepPoint = sweepsvc.Point
+	// SweepPoint is one explicit design-space point: one job of a
+	// SweepSpec's expansion, and the element of a SweepRequest's point list.
+	SweepPoint = sweep.Point
 	// SweepEvent is one message of a sweep's result stream (accepted,
 	// result, done, cancelled).
 	SweepEvent = sweepsvc.Event
@@ -231,8 +233,8 @@ type (
 	// (Tracer.WriteChromeTrace): core count and an optional task-name
 	// resolver for human-readable duration rows.
 	ChromeTraceConfig = obs.ChromeTraceConfig
-	// MetricsRegistry is a named collection of counters, gauges, histograms
-	// and sharded counters with snapshot-on-demand export; attach one via
+	// MetricsRegistry is a named collection of counters, gauges and
+	// histograms with snapshot-on-demand export; attach one via
 	// SimOptions.Metrics or SweepEngineOptions.Metrics.  A nil *Registry
 	// hands out nil instruments whose methods are no-ops.
 	MetricsRegistry = obs.Registry

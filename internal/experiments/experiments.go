@@ -57,16 +57,10 @@ type Options struct {
 	GraphRepr string
 }
 
-// effectiveScale returns the configuration scale factor for the options.
+// effectiveScale returns the configuration scale factor for the options,
+// by the rule sweep specifications follow.
 func (o Options) effectiveScale() int64 {
-	s := o.Scale
-	if s == 0 {
-		s = config.DefaultScale
-	}
-	if o.Quick {
-		s *= 16
-	}
-	return s
+	return sweep.Spec{Scale: o.Scale, Quick: o.Quick}.EffectiveScale()
 }
 
 // quickDiv returns the factor by which workload inputs shrink in quick mode.

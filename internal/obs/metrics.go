@@ -107,52 +107,11 @@ func ExpBuckets(start, factor int64, n int) []int64 {
 	return bounds
 }
 
-// shard is one cache-line-padded counter cell.  The padding keeps adjacent
-// shards out of each other's cache lines, so concurrent writers (one shard
-// per sweep worker or per core) never false-share.
-type shard struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// ShardedCounter is a counter split into padded per-writer shards.  Each
-// concurrent writer owns one shard index (its worker or core number) and
-// increments without contending — or false-sharing — with the others; Value
-// folds the shards on demand.  A nil *ShardedCounter is the disabled state.
-type ShardedCounter struct {
-	shards []shard
-}
-
-// Add increments the writer's shard by d; out-of-range writers fold onto
-// shard 0 so the total stays correct.
-func (s *ShardedCounter) Add(writer int, d int64) {
-	if s == nil {
-		return
-	}
-	if writer < 0 || writer >= len(s.shards) {
-		writer = 0
-	}
-	s.shards[writer].v.Add(d)
-}
-
-// Value returns the sum across shards (0 on a nil counter).
-func (s *ShardedCounter) Value() int64 {
-	if s == nil {
-		return 0
-	}
-	var total int64
-	for i := range s.shards {
-		total += s.shards[i].v.Load()
-	}
-	return total
-}
-
 // metric is one registered metric of any kind.
 type metric struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	sharded *ShardedCounter
 }
 
 // Registry holds named metrics and renders deterministic snapshots.
@@ -231,22 +190,6 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	return m.hist
 }
 
-// ShardedCounter returns the named sharded counter with the given shard
-// count, creating it on first use; later callers share the first
-// registration's shards.
-func (r *Registry) ShardedCounter(name string, shards int) *ShardedCounter {
-	if r == nil {
-		return nil
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	m := r.lookup(name,
-		func() *metric { return &metric{sharded: &ShardedCounter{shards: make([]shard, shards)}} },
-		func(m *metric) bool { return m.sharded != nil })
-	return m.sharded
-}
-
 // Sample is one flattened snapshot entry.
 type Sample struct {
 	// Name is the metric name; histogram entries carry stable sub-key
@@ -273,8 +216,6 @@ func (r *Registry) Snapshot() []Sample {
 			out = append(out, Sample{Name: name, Value: m.counter.Value()})
 		case m.gauge != nil:
 			out = append(out, Sample{Name: name, Value: m.gauge.Value()})
-		case m.sharded != nil:
-			out = append(out, Sample{Name: name, Value: m.sharded.Value()})
 		case m.hist != nil:
 			out = append(out, Sample{Name: name + ".count", Value: m.hist.Count()})
 			out = append(out, Sample{Name: name + ".sum", Value: m.hist.Sum()})

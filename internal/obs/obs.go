@@ -1,8 +1,8 @@
 // Package obs is the simulator's observability layer: a task-lifecycle
 // tracer that exports Chrome trace-event JSON (loadable in Perfetto or
 // chrome://tracing), a low-overhead metrics registry (counters, gauges,
-// fixed-bucket histograms, padded sharded counters) with deterministic
-// snapshot rendering, and a live progress reporter for long sweeps.
+// fixed-bucket histograms) with deterministic snapshot rendering, and a
+// live progress reporter for long sweeps.
 //
 // Everything here is built to be zero-cost when disabled.  The tracer and
 // every metric handle are nil-receiver safe: instrumentation points call

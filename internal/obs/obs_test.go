@@ -27,7 +27,6 @@ func TestNilDisabledState(t *testing.T) {
 		reg.Counter("c").Add(1)
 		reg.Gauge("g").Set(1)
 		reg.Histogram("h", nil).Observe(1)
-		reg.ShardedCounter("s", 4).Add(0, 1)
 		var p *Progress
 		p.Step(false)
 		p.Finish()
@@ -131,9 +130,6 @@ func TestRegistrySnapshotSortedAndDeterministic(t *testing.T) {
 		h.Observe(5)
 		h.Observe(50)
 		h.Observe(5000)
-		sc := r.ShardedCounter("s.sharded", 4)
-		sc.Add(0, 2)
-		sc.Add(3, 5)
 		return r
 	}
 	var a, b strings.Builder
@@ -154,7 +150,6 @@ func TestRegistrySnapshotSortedAndDeterministic(t *testing.T) {
 		"h.lat.le_inf=1",
 		"h.lat.sum=5055",
 		"m.gauge=-7",
-		"s.sharded=7",
 		"z.last=3",
 	}, "\n") + "\n"
 	if a.String() != want {
@@ -168,7 +163,7 @@ func TestRegistrySnapshotSortedAndDeterministic(t *testing.T) {
 	if err := json.Unmarshal(js.Bytes(), &decoded); err != nil {
 		t.Fatalf("WriteJSON output invalid: %v", err)
 	}
-	if decoded["s.sharded"] != 7 || decoded["h.lat.sum"] != 5055 {
+	if decoded["z.last"] != 3 || decoded["h.lat.sum"] != 5055 {
 		t.Fatalf("WriteJSON decoded %v", decoded)
 	}
 }
@@ -186,31 +181,26 @@ func TestRegistryHandleIdentityAndKindMismatch(t *testing.T) {
 	r.Gauge("x")
 }
 
-// TestShardedCounterConcurrent exercises the padded shards from concurrent
-// writers (run under -race in CI's race step).
-func TestShardedCounterConcurrent(t *testing.T) {
+// TestCounterConcurrent exercises one counter from concurrent writers, as
+// the sweep engine's workers share theirs (run under -race in CI's race
+// step).
+func TestCounterConcurrent(t *testing.T) {
 	r := NewRegistry()
 	const workers, per = 8, 1000
-	sc := r.ShardedCounter("jobs", workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < per; i++ {
-				sc.Add(w, 1)
+			c := r.Counter("jobs")
+			for range per {
+				c.Add(1)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	if got := sc.Value(); got != workers*per {
-		t.Fatalf("sharded counter sums to %d, want %d", got, workers*per)
-	}
-	// Out-of-range writers fold onto shard 0 rather than dropping updates.
-	sc.Add(-1, 1)
-	sc.Add(workers+5, 1)
-	if got := sc.Value(); got != workers*per+2 {
-		t.Fatalf("out-of-range adds lost: %d", got)
+	if got := r.Counter("jobs").Value(); got != workers*per {
+		t.Fatalf("counter sums to %d, want %d", got, workers*per)
 	}
 }
 

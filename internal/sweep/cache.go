@@ -115,7 +115,7 @@ type DiskCacheOptions struct {
 	// and I/O errors deterministically.
 	FS faultinject.FS
 	// Logf, when non-nil, receives corrupt-entry and garbage-collection
-	// reports (same role as SetLogf).
+	// reports; nil keeps them silent.
 	Logf func(format string, args ...any)
 	// TempMaxAge is the age beyond which an orphaned put-*.tmp file is
 	// collected on open.  Zero means one hour: long enough that no live
@@ -215,11 +215,6 @@ func (c *DiskCache) GCStats() (temps, leases int) { return c.gcTemps, c.gcLeases
 
 // Dir returns the backing directory.
 func (c *DiskCache) Dir() string { return c.dir }
-
-// SetLogf installs a Printf-style logger for corrupt-entry reports (nil, the
-// default, keeps them silent).  Set it before the cache is shared between
-// goroutines; the engine's workers call Get concurrently.
-func (c *DiskCache) SetLogf(logf func(format string, args ...any)) { c.logf = logf }
 
 func (c *DiskCache) path(k Key) string {
 	return filepath.Join(c.dir, k.Hash()+".json")

@@ -42,17 +42,16 @@ func TestDiskCacheCorruptEntryLogsAndOverwrites(t *testing.T) {
 			if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			c, err := NewDiskCache(dir)
-			if err != nil {
-				t.Fatalf("NewDiskCache: %v", err)
-			}
 			var mu sync.Mutex
 			var logs []string
-			c.SetLogf(func(format string, args ...any) {
+			c, err := NewDiskCacheWith(dir, DiskCacheOptions{Logf: func(format string, args ...any) {
 				mu.Lock()
 				logs = append(logs, fmt.Sprintf(format, args...))
 				mu.Unlock()
-			})
+			}})
+			if err != nil {
+				t.Fatalf("NewDiskCacheWith: %v", err)
+			}
 			if _, ok := c.Get(key); ok {
 				t.Fatalf("corrupt entry must miss")
 			}
@@ -108,12 +107,11 @@ func TestDiskCacheWrongKeyEntryLogsAndMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := NewDiskCache(dir)
-	if err != nil {
-		t.Fatalf("NewDiskCache: %v", err)
-	}
 	var logs []string
-	c.SetLogf(func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) })
+	c, err := NewDiskCacheWith(dir, DiskCacheOptions{Logf: func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }})
+	if err != nil {
+		t.Fatalf("NewDiskCacheWith: %v", err)
+	}
 	if _, ok := c.Get(jobs[0].Key); ok {
 		t.Fatalf("mismatched entry must miss")
 	}
@@ -142,15 +140,14 @@ func TestDiskCacheSimlessEntryLogsAndOverwrites(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			c, err := NewDiskCache(dir)
+			var logs []string
+			c, err := NewDiskCacheWith(dir, DiskCacheOptions{Logf: func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }})
 			if err != nil {
-				t.Fatalf("NewDiskCache: %v", err)
+				t.Fatalf("NewDiskCacheWith: %v", err)
 			}
 			if err := os.WriteFile(c.path(jobs[0].Key), []byte(body), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			var logs []string
-			c.SetLogf(func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) })
 			if _, ok := c.Get(jobs[0].Key); ok {
 				t.Fatalf("entry without a simulator result must miss")
 			}

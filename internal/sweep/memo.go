@@ -57,9 +57,9 @@ func (e *Engine) template(j Job) (*dag.DAG, error) {
 			return
 		}
 		// Template builds are once-per-key, so the counters are independent
-		// of worker count and completion order; shard 0's cell is atomic, so
+		// of worker count and completion order; the counter is atomic, so
 		// concurrent first-builders of different keys never race.
-		e.em.dagBuilds.Add(0, 1)
+		e.em.dagBuilds.Add(1)
 		dag.Record(d, e.traces)
 		ent.d = d
 	})
@@ -70,7 +70,7 @@ func (e *Engine) template(j Job) (*dag.DAG, error) {
 	// exactly one job observes the map miss per key, which is what makes
 	// jobs - builds a deterministic rebuild-avoided count.
 	if ok {
-		e.em.dagShared.Add(0, 1)
+		e.em.dagShared.Add(1)
 	}
 	return ent.d, nil
 }

@@ -73,8 +73,8 @@ func TestSharedTraceStoreByteIdentical(t *testing.T) {
 		// The grid has len(jobs) jobs over fewer distinct templates; the
 		// difference must show up as avoided rebuilds, and the shared store
 		// must have interned every recorded task exactly once per template.
-		builds := reg.ShardedCounter("sweep.dag_builds", 1).Value()
-		avoided := reg.ShardedCounter("sweep.dag_rebuilds_avoided", 1).Value()
+		builds := reg.Counter("sweep.dag_builds").Value()
+		avoided := reg.Counter("sweep.dag_rebuilds_avoided").Value()
 		if builds == 0 || avoided == 0 || builds+avoided != int64(len(jobs)) {
 			t.Fatalf("workers=%d: builds=%d avoided=%d, want both positive summing to %d",
 				workers, builds, avoided, len(jobs))
@@ -105,7 +105,7 @@ func TestMemoizedBuildRunsOncePerTemplate(t *testing.T) {
 	if _, err := e.Run(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if builds := reg.ShardedCounter("sweep.dag_builds", 1).Value(); builds != int64(len(templates)) {
+	if builds := reg.Counter("sweep.dag_builds").Value(); builds != int64(len(templates)) {
 		t.Fatalf("builds = %d, want one per template = %d", builds, len(templates))
 	}
 }

@@ -205,9 +205,8 @@ type EngineOptions struct {
 	Cache Cache
 	// Metrics, when non-nil, receives per-sweep aggregates (job counts,
 	// cache hit counts, simulated cycles, cache statistics) as the stream
-	// runs.  Workers publish into padded per-worker shards, so concurrent
-	// jobs never contend — and the folded totals are independent of worker
-	// count and completion order, keeping the published view deterministic.
+	// runs.  The totals are sums, independent of worker count and
+	// completion order, so the published view is deterministic.
 	Metrics *obs.Registry
 	// JobTimeout, when positive, bounds each job's simulation wall-clock
 	// time: a run that exceeds it is cancelled (cmpsim.ErrCancelled) and the
@@ -221,59 +220,60 @@ type EngineOptions struct {
 	JobTimeout time.Duration
 }
 
-// engineMetrics holds the engine's pre-resolved sharded-counter handles, one
-// shard per worker.  With a nil registry every handle is nil and each Add is
+// engineMetrics holds the engine's pre-resolved counter handles.  Each is
+// bumped a few times per job, so workers share them without contention
+// worth sharding.  With a nil registry every handle is nil and each Add is
 // a no-op, so the disabled state costs nothing per job.
 type engineMetrics struct {
-	jobs, cached                       *obs.ShardedCounter
-	simCycles, simTasks                *obs.ShardedCounter
-	l1Hits, l1Misses, l2Hits, l2Misses *obs.ShardedCounter
-	memFetches                         *obs.ShardedCounter
+	jobs, cached                       *obs.Counter
+	simCycles, simTasks                *obs.Counter
+	l1Hits, l1Misses, l2Hits, l2Misses *obs.Counter
+	memFetches                         *obs.Counter
 	// dagBuilds counts DAG templates actually built; dagShared counts jobs
 	// served from a memoised template instead (see memo.go).  Both are
 	// incremented once-per-key-event under the snapshot lock's ordering, so
 	// their totals are worker-count independent like everything else here.
-	dagBuilds, dagShared *obs.ShardedCounter
+	dagBuilds, dagShared *obs.Counter
 	// Trace-interning totals of the engine's shared store, set when a
 	// stream finishes.
 	traceUnique, traceInterned, traceArena *obs.Gauge
 }
 
-func newEngineMetrics(reg *obs.Registry, shards int) engineMetrics {
+func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	return engineMetrics{
-		jobs:          reg.ShardedCounter("sweep.jobs", shards),
-		cached:        reg.ShardedCounter("sweep.jobs_cached", shards),
-		simCycles:     reg.ShardedCounter("sweep.sim_cycles", shards),
-		simTasks:      reg.ShardedCounter("sweep.sim_tasks", shards),
-		l1Hits:        reg.ShardedCounter("sweep.cache.l1_hits", shards),
-		l1Misses:      reg.ShardedCounter("sweep.cache.l1_misses", shards),
-		l2Hits:        reg.ShardedCounter("sweep.cache.l2_hits", shards),
-		l2Misses:      reg.ShardedCounter("sweep.cache.l2_misses", shards),
-		memFetches:    reg.ShardedCounter("sweep.mem_fetches", shards),
-		dagBuilds:     reg.ShardedCounter("sweep.dag_builds", 1),
-		dagShared:     reg.ShardedCounter("sweep.dag_rebuilds_avoided", 1),
+		jobs:          reg.Counter("sweep.jobs"),
+		cached:        reg.Counter("sweep.jobs_cached"),
+		simCycles:     reg.Counter("sweep.sim_cycles"),
+		simTasks:      reg.Counter("sweep.sim_tasks"),
+		l1Hits:        reg.Counter("sweep.cache.l1_hits"),
+		l1Misses:      reg.Counter("sweep.cache.l1_misses"),
+		l2Hits:        reg.Counter("sweep.cache.l2_hits"),
+		l2Misses:      reg.Counter("sweep.cache.l2_misses"),
+		memFetches:    reg.Counter("sweep.mem_fetches"),
+		dagBuilds:     reg.Counter("sweep.dag_builds"),
+		dagShared:     reg.Counter("sweep.dag_rebuilds_avoided"),
 		traceUnique:   reg.Gauge("sweep.trace.unique"),
 		traceInterned: reg.Gauge("sweep.trace.interned"),
 		traceArena:    reg.Gauge("sweep.trace.arena_bytes"),
 	}
 }
 
-// publish folds one finished job into the worker's shards.
-func (em *engineMetrics) publish(worker int, r Result) {
-	em.jobs.Add(worker, 1)
+// publish folds one finished job into the counters.
+func (em *engineMetrics) publish(r Result) {
+	em.jobs.Add(1)
 	if r.Cached {
-		em.cached.Add(worker, 1)
+		em.cached.Add(1)
 	}
 	if r.Sim == nil {
 		return
 	}
-	em.simCycles.Add(worker, r.Sim.Cycles)
-	em.simTasks.Add(worker, int64(r.Sim.TasksExecuted))
-	em.l1Hits.Add(worker, r.Sim.L1.Hits)
-	em.l1Misses.Add(worker, r.Sim.L1.Misses)
-	em.l2Hits.Add(worker, r.Sim.L2.Hits)
-	em.l2Misses.Add(worker, r.Sim.L2.Misses)
-	em.memFetches.Add(worker, r.Sim.Mem.Fetches)
+	em.simCycles.Add(r.Sim.Cycles)
+	em.simTasks.Add(int64(r.Sim.TasksExecuted))
+	em.l1Hits.Add(r.Sim.L1.Hits)
+	em.l1Misses.Add(r.Sim.L1.Misses)
+	em.l2Hits.Add(r.Sim.L2.Hits)
+	em.l2Misses.Add(r.Sim.L2.Misses)
+	em.memFetches.Add(r.Sim.Mem.Fetches)
 }
 
 // NewEngine constructs an engine.
@@ -286,7 +286,7 @@ func NewEngine(opts EngineOptions) *Engine {
 		workers:    w,
 		cache:      opts.Cache,
 		jobTimeout: opts.JobTimeout,
-		em:         newEngineMetrics(opts.Metrics, w),
+		em:         newEngineMetrics(opts.Metrics),
 		templates:  make(map[string]*templateEntry),
 		traces:     refs.NewTraceStore(),
 	}
@@ -346,7 +346,7 @@ func (e *Engine) RunStreamContext(ctx context.Context, jobs []Job, onResult func
 				return results, fmt.Errorf("sweep: job %d (%s): %w", i, jobs[i].Key, err)
 			}
 			results[i] = r
-			e.em.publish(0, r)
+			e.em.publish(r)
 			if onResult != nil {
 				onResult(i, r)
 			}
@@ -359,9 +359,9 @@ func (e *Engine) RunStreamContext(ctx context.Context, jobs []Job, onResult func
 	var abortOnce sync.Once
 	var cbMu sync.Mutex
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for i := range indexes {
 				r, err := e.runJob(ctx, jobs[i])
@@ -372,17 +372,27 @@ func (e *Engine) RunStreamContext(ctx context.Context, jobs []Job, onResult func
 					continue
 				}
 				results[i] = r
-				e.em.publish(worker, r)
+				e.em.publish(r)
 				if onResult != nil {
 					cbMu.Lock()
 					onResult(i, r)
 					cbMu.Unlock()
 				}
 			}
-		}(w)
+		}()
 	}
 feed:
 	for i := range jobs {
+		// With a worker waiting, the send below is ready too, and select
+		// picks among ready cases at random: check for a stop first, so a
+		// cancelled or failed run starts no further job.
+		select {
+		case <-abort:
+			break feed
+		case <-ctx.Done():
+			break feed
+		default:
+		}
 		select {
 		case indexes <- i:
 		case <-abort:

@@ -237,6 +237,47 @@ func TestSpecExpansion(t *testing.T) {
 	}
 }
 
+// TestSpecJobsValidatesBeforeBuilding: Jobs checks the whole spec before
+// it calls the factory once, so a negative scale or a misspelt scheduler
+// fails up front instead of simulating an unscaled machine or failing job
+// by job, while the sequential baseline and parameterised scheduler
+// spellings pass.
+func TestSpecJobsValidatesBeforeBuilding(t *testing.T) {
+	calls := 0
+	spec := testSpec()
+	spec.Factory = func(name string, cfg config.CMP) (BuildFunc, string, error) {
+		calls++
+		return testFactory(name, cfg)
+	}
+	negative := spec
+	negative.Scale = -1
+	if _, err := negative.Jobs(); err == nil || !strings.Contains(err.Error(), "negative scale") {
+		t.Errorf("negative scale: err = %v", err)
+	}
+	misspelt := spec
+	misspelt.Schedulers = []string{"pdf", "pfd"}
+	if _, err := misspelt.Jobs(); err == nil || !strings.Contains(err.Error(), "pfd") {
+		t.Errorf("unknown scheduler: err = %v", err)
+	}
+	if calls != 0 {
+		t.Errorf("invalid specs called the factory %d times", calls)
+	}
+
+	valid := spec
+	valid.Sequential = false
+	valid.Schedulers = []string{Sequential, "ws:nearest"}
+	jobs, err := valid.Jobs()
+	if err != nil {
+		t.Fatalf("Jobs: %v", err)
+	}
+	if len(jobs) != 2*2*2*2 {
+		t.Fatalf("jobs = %d, want 16", len(jobs))
+	}
+	if jobs[0].Scheduler != Sequential || jobs[1].Scheduler != "ws:nearest" {
+		t.Errorf("schedulers = %s, %s", jobs[0].Scheduler, jobs[1].Scheduler)
+	}
+}
+
 func TestDefaultFactory(t *testing.T) {
 	if _, _, err := DefaultFactory("nope", config.MustDefault(2)); err == nil {
 		t.Fatalf("unknown workload should fail")

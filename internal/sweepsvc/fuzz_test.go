@@ -40,7 +40,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("Size() = %d, but %q expands to %d points", size, data, len(points))
 		}
 		for i, p := range points {
-			if err := p.validate(); err != nil {
+			if err := p.Validate(); err != nil {
 				t.Fatalf("expanded point %d %+v does not validate: %v", i, p, err)
 			}
 		}

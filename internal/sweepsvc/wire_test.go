@@ -121,6 +121,7 @@ func TestValidateRejections(t *testing.T) {
 		{"points plus grid", Request{Workloads: []string{"mergesort"}, Points: []Point{{Workload: "mergesort", Scheduler: "pdf", Cores: 2}}}, "mixes"},
 		{"point unknown workload", Request{Points: []Point{{Workload: "nope", Scheduler: "pdf", Cores: 2}}}, "nope"},
 		{"point bad cores", Request{Points: []Point{{Workload: "mergesort", Scheduler: "pdf", Cores: 3}}}, "3 cores"},
+		{"point negative scale", Request{Points: []Point{{Workload: "mergesort", Scheduler: "pdf", Cores: 2}}, Scale: -1}, "scale"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
