@@ -4,7 +4,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: all build test race-sweep fuzz-decoder fuzz-cache fuzz-wire doc-check vet fmt-check lint bench bench-gate bench-quick bench-module ci clean
+.PHONY: all build test race-sweep fuzz-decoder fuzz-cache fuzz-wire fuzz-lease doc-check vet fmt-check lint bench bench-gate bench-quick bench-module ci clean
 
 all: build
 
@@ -44,6 +44,13 @@ fuzz-cache:
 fuzz-wire:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRequest$$' -fuzztime 30s ./internal/sweepsvc
 
+# 30-second hunt on the lease protocol's record parser: arbitrary bytes as a
+# stale lease body must be taken over, fenced with a new token and released
+# (the committed corpus under internal/sweep/testdata/fuzz replays in plain
+# `go test`).  CI runs this step too.
+fuzz-lease:
+	$(GO) test -run '^$$' -fuzz 'FuzzLeaseTakeover$$' -fuzztime 30s ./internal/sweep
+
 # The docs gate: the public facade, the scheduler package, the observability
 # package, the sweep service and the fault-injection harness must carry a
 # package comment and a doc comment on every exported identifier (the rest
@@ -65,11 +72,14 @@ lint: fmt-check vet doc-check
 
 # The simulator benchmark suite -> BENCH_simulator.json: ns/op, B/op,
 # allocs/op and the shape metrics (L2-MPKI etc.) for every Simulate*
-# benchmark, in benchstat-comparable form (each entry keeps its raw line).
+# benchmark and the build-side BuildBFSDAG and Profiler* benchmarks, in
+# benchstat-comparable form (each entry keeps its raw line).  Record the
+# committed baseline with GOMAXPROCS=1, so its names carry no -N suffix and
+# benchgate matches them on any runner.
 # Compare two commits with
 #   jq -r '.benchmarks[].raw' old.json > old.txt   (and likewise new)
 #   benchstat old.txt new.txt
-BENCH ?= BenchmarkSimulate
+BENCH ?= BenchmarkSimulate|BenchmarkBuildBFSDAG|BenchmarkProfiler
 BENCHTIME ?= 1s
 BENCH_NOTES ?=
 bench:

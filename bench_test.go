@@ -2,6 +2,7 @@ package cmpsched
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -156,6 +157,29 @@ func BenchmarkSweepQuickFiguresCached(b *testing.B) {
 
 // Profiler benchmarks: the §6.1 timing comparison. The two benchmarks run
 // the identical annotation work so their ns/op can be compared directly.
+// Like BenchmarkBuildBFSDAG they allocate megabytes per op and run through
+// exactAllocs.
+
+// exactAllocs runs op b.N times so that allocs/op counts op's own
+// allocations exactly, which the alloc gate requires: on one P, with the
+// garbage collector off while timed and a full collection, untimed, before
+// each run.  Otherwise each collection cycle that happens to run during an
+// op, and each move of the goroutine to another P, adds allocations
+// (sync.Pool misses, for one), so the count drifts by a few per op from run
+// to run and with the runner's CPU count.  op itself starts no goroutines.
+func exactAllocs(b *testing.B, op func() error) {
+	b.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		if err := op(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func profilerFixture(b *testing.B) (*DAG, *GroupTree, profile.Config) {
 	b.Helper()
@@ -171,23 +195,23 @@ func profilerFixture(b *testing.B) (*DAG, *GroupTree, profile.Config) {
 func BenchmarkProfilerLruTree(b *testing.B) {
 	d, tree, cfg := profilerFixture(b)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	exactAllocs(b, func() error {
 		pr, err := profile.NewLruTree(cfg).ProfileDAG(d)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		_ = pr.AnnotateTree(tree)
-	}
+		return nil
+	})
 }
 
 func BenchmarkProfilerSetAssoc(b *testing.B) {
 	d, tree, cfg := profilerFixture(b)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := profile.NewSetAssoc(cfg, 16).AnnotateTree(d, tree); err != nil {
-			b.Fatal(err)
-		}
-	}
+	exactAllocs(b, func() error {
+		_, err := profile.NewSetAssoc(cfg, 16).AnnotateTree(d, tree)
+		return err
+	})
 }
 
 // Simulator micro-benchmarks: one full Mergesort simulation per iteration,
@@ -379,11 +403,10 @@ func BenchmarkSimulateEndToEndConnectivityCompressed(b *testing.B) {
 }
 
 func BenchmarkBuildBFSDAG(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := NewBFS(BFSConfig{Shape: benchShape("uniform")}).Build(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	exactAllocs(b, func() error {
+		_, _, err := NewBFS(BFSConfig{Shape: benchShape("uniform")}).Build()
+		return err
+	})
 }
 
 func BenchmarkIrregularComparisonQuick(b *testing.B) {

@@ -285,16 +285,7 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 		c.writes++
 	}
 	if w := c.find(la, set); w >= 0 {
-		if write {
-			wd, m := wayBit(w)
-			c.dirty[wd] |= m
-		}
-		if h := c.heads[set] - 1; int32(w) != h {
-			// Once w sits behind the head, taking the head makes it MRU.
-			c.moveBefore(int32(w), h)
-			c.heads[set] = int32(w) + 1
-		}
-		c.lastSlot = w
+		c.hit(set, int32(w), write)
 		return AccessResult{Hit: true}
 	}
 	// Miss: the way behind the head is invalid if any way is, otherwise the
@@ -327,6 +318,32 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	}
 	c.lastSlot = int(victim)
 	return res
+}
+
+// touch is a hitting Access of the line in flat way slot, which the caller
+// knows to be resident there: the same statistics and state, with no tag
+// search.
+func (c *Cache) touch(slot int, write bool) {
+	c.accesses++
+	if write {
+		c.writes++
+	}
+	c.hit(slot/c.assoc, int32(slot), write)
+}
+
+// hit records an access to flat way w of set: a write dirties it, it
+// becomes the most recently used way, and it is the last slot touched.
+func (c *Cache) hit(set int, w int32, write bool) {
+	if write {
+		wd, m := wayBit(int(w))
+		c.dirty[wd] |= m
+	}
+	if h := c.heads[set] - 1; w != h {
+		// Once w sits behind the head, taking the head makes it MRU.
+		c.moveBefore(w, h)
+		c.heads[set] = w + 1
+	}
+	c.lastSlot = int(w)
 }
 
 // link builds set's recency list in way order on its first miss (every way

@@ -35,7 +35,8 @@ func (l Level) String() string {
 type HierarchyConfig struct {
 	// Cores is the number of private L1 caches.
 	Cores int
-	// L1 is the per-core L1 configuration.
+	// L1 is the per-core L1 configuration.  Its line size must equal the
+	// L2's.
 	L1 Config
 	// L2 is the *total* L2 configuration; the topology divides it into
 	// slices (see Topology.SliceConfig).
@@ -54,46 +55,39 @@ type HierarchyConfig struct {
 type HierarchyAccess struct {
 	// Level is the level that satisfied the access (L1, L2, or memory).
 	Level Level
-	// Slice is the index of the L2 slice serving the accessing core (0 for
-	// the shared topology).  Callers use it to charge the slice's hit
-	// latency and to attribute off-chip traffic to the slice's port.
-	Slice int
 	// OffChipTransfers is the number of off-chip line transfers triggered:
 	// 1 for the fetch when the access missed in L2, plus 1 if a dirty L2
 	// victim must be written back.
 	OffChipTransfers int
-	// L1Evicted / L2Evicted report capacity displacement at each level.
-	L1Evicted bool
-	L2Evicted bool
-	// Invalidations is the number of remote L1 copies invalidated (only
-	// when WriteInvalidate is enabled).
-	Invalidations int
 }
 
 // Hierarchy is a private-L1, sliced-L2 cache hierarchy.  With the shared
 // topology (one slice) it is exactly the paper's machine.
+//
+// Each L1 way is linked to the L2 slot that backs its line, so the miss path
+// never searches for a line whose place it knows.  links[core*l1Lines + w]
+// is the slot, in core's slice, of the line in way w of core's L1.  It is set
+// when the way fills and read only while the way is valid; inclusion keeps
+// it right, because a slot is evicted only after every L1 copy of its line
+// is invalidated.  holders[s][slot] is the mask of cores whose L1 holds the
+// line in slot `slot` of slice s.  A core's bit is set when its L1 fills
+// from the slot and cleared, through the link, when its L1 evicts the line.
+// The mask is therefore exact, except that the write-invalidate directory
+// drops remote L1 copies without clearing their bits; probing such a core is
+// a statistics-free no-op.  An inclusive victim probes only the masked L1s,
+// and a dirty L1 victim is written back to its linked slot with no tag
+// search.
 type Hierarchy struct {
 	cfg      HierarchyConfig
 	l1s      []*Cache
 	l2s      []*Cache
-	sliceOf  []int      // core -> L2 slice index
-	sliceL1s [][]*Cache // slice -> the L1s of the cores it serves
+	sliceOf  []int // core -> L2 slice index
 	sliceCfg Config
 	dir      map[uint64]uint64 // line -> bitmask of cores with an L1 copy
 	invs     int64
-
-	// holders[s][slot] is a bitmask of cores that MAY hold, in their L1, the
-	// line resident in slot `slot` of L2 slice s.  It is maintained as a
-	// superset of the true holder set (bits go stale when an L1 silently
-	// drops its copy), which is sound: inclusive-victim invalidation probes
-	// exactly the masked L1s instead of every L1 the slice serves, and
-	// probing a non-holder is a statistics-free no-op.  Inclusion (an L1
-	// line is always present in its backing slice) guarantees L1 dirty
-	// write-backs hit L2 and therefore never move lines between slots behind
-	// the mask's back; if a write-back ever misses, probeAll pins the slice
-	// back to the exhaustive probe so classification stays identical.
-	holders  [][]uint64
-	probeAll bool
+	holders  [][]uint64 // slice -> slot -> cores whose L1 holds the line
+	links    []int32    // core*l1Lines + L1 way -> L2 slot of the way's line
+	l1Lines  int        // lines per L1
 }
 
 // NewHierarchy builds the hierarchy.
@@ -103,6 +97,9 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	}
 	if cfg.Cores > 64 {
 		return nil, fmt.Errorf("cache: hierarchy supports at most 64 cores, got %d", cfg.Cores)
+	}
+	if cfg.L1.LineBytes != cfg.L2.LineBytes {
+		return nil, fmt.Errorf("cache: L1 line size %d B differs from L2 line size %d B", cfg.L1.LineBytes, cfg.L2.LineBytes)
 	}
 	if err := cfg.Topology.Validate(cfg.Cores); err != nil {
 		return nil, err
@@ -125,16 +122,15 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 		h.l2s = append(h.l2s, l2)
 	}
 	h.sliceOf = make([]int, cfg.Cores)
-	h.sliceL1s = make([][]*Cache, slices)
+	for c := range h.sliceOf {
+		h.sliceOf[c] = cfg.Topology.SliceOf(c, cfg.Cores)
+	}
 	h.holders = make([][]uint64, slices)
 	for i := range h.holders {
 		h.holders[i] = make([]uint64, h.sliceCfg.Lines())
 	}
-	for c := 0; c < cfg.Cores; c++ {
-		s := cfg.Topology.SliceOf(c, cfg.Cores)
-		h.sliceOf[c] = s
-		h.sliceL1s[s] = append(h.sliceL1s[s], h.l1s[c])
-	}
+	h.l1Lines = int(cfg.L1.Lines())
+	h.links = make([]int32, cfg.Cores*h.l1Lines)
 	if cfg.WriteInvalidate {
 		h.dir = make(map[uint64]uint64)
 	}
@@ -172,54 +168,40 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) HierarchyAccess {
 	if core < 0 || core >= len(h.l1s) {
 		panic(fmt.Sprintf("cache: access from unknown core %d", core))
 	}
-	slice := h.sliceOf[core]
-	out := HierarchyAccess{Slice: slice}
 	l1 := h.l1s[core]
-	l2 := h.l2s[slice]
-
 	r1 := l1.Access(addr, write)
-	out.L1Evicted = r1.Evicted
 	if h.dir != nil {
-		line := addr - addr%uint64(h.cfg.L2.LineBytes)
-		h.trackL1(core, addr, line, write, r1, &out)
+		h.trackL1(core, addr, write, r1)
 	}
 	if r1.Hit {
-		out.Level = LevelL1
-		return out
+		return HierarchyAccess{Level: LevelL1}
 	}
 
-	// An L1 dirty victim is written back into the core's L2 slice (on-chip
-	// traffic only).  Inclusion means the victim is still resident in L2, so
-	// this hits; a miss would fill a slot without holder bookkeeping, so it
-	// drops the slice group back to exhaustive victim probing.
-	if r1.Evicted && r1.EvictedDirty {
-		wb := l2.Access(r1.EvictedAddr, true)
-		if !wb.Hit {
-			h.probeAll = true
-		}
-		if wb.Evicted && wb.EvictedDirty {
-			out.OffChipTransfers++
+	slice := h.sliceOf[core]
+	l2 := h.l2s[slice]
+	holders := h.holders[slice]
+	link := &h.links[core*h.l1Lines+l1.LastSlot()]
+	if r1.Evicted {
+		// The victim leaves this core's L1.  Its linked slot still holds it
+		// (inclusion), so a dirty victim is written back there (on-chip
+		// traffic only) without a tag search.
+		holders[*link] &^= 1 << uint(core)
+		if r1.EvictedDirty {
+			l2.touch(int(*link), true)
 		}
 	}
 
+	var out HierarchyAccess
 	r2 := l2.Access(addr, write)
 	slot := l2.LastSlot()
-	out.L2Evicted = r2.Evicted
+	*link = int32(slot)
 	if r2.Evicted {
-		// Inclusive L2 slices: drop any stale L1 copies of the victim line
-		// held by the cores this slice serves, so the model never holds
-		// lines absent from their backing slice.  Only the recorded holders
-		// need probing (Invalidate elsewhere is a no-op with no stats), which
-		// turns the per-eviction cost from cores-per-slice probes into a
-		// popcount-sized loop.
-		if h.probeAll {
-			for _, l1c := range h.sliceL1s[slice] {
-				l1c.Invalidate(r2.EvictedAddr)
-			}
-		} else {
-			for m := h.holders[slice][slot]; m != 0; m &= m - 1 {
-				h.l1s[bits.TrailingZeros64(m)].Invalidate(r2.EvictedAddr)
-			}
+		// Inclusive L2 slices: drop the L1 copies of the victim line held by
+		// the cores this slice serves, so the model never holds lines absent
+		// from their backing slice.  The holder mask names every such core
+		// (see Hierarchy).
+		for m := holders[slot]; m != 0; m &= m - 1 {
+			h.l1s[bits.TrailingZeros64(m)].Invalidate(r2.EvictedAddr)
 		}
 		if h.dir != nil {
 			h.dropDir(r2.EvictedAddr, slice)
@@ -229,11 +211,11 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) HierarchyAccess {
 		}
 	}
 	if r2.Hit {
-		h.holders[slice][slot] |= 1 << uint(core)
+		holders[slot] |= 1 << uint(core)
 		out.Level = LevelL2
 		return out
 	}
-	h.holders[slice][slot] = 1 << uint(core)
+	holders[slot] = 1 << uint(core)
 	out.Level = LevelMemory
 	out.OffChipTransfers++
 	return out
@@ -259,9 +241,10 @@ func (h *Hierarchy) dropDir(line uint64, slice int) {
 }
 
 // trackL1 maintains the write-invalidate directory.
-func (h *Hierarchy) trackL1(core int, addr, line uint64, write bool, r1 AccessResult, out *HierarchyAccess) {
+func (h *Hierarchy) trackL1(core int, addr uint64, write bool, r1 AccessResult) {
+	lineBytes := uint64(h.cfg.L2.LineBytes)
 	if r1.Evicted {
-		evLine := r1.EvictedAddr - r1.EvictedAddr%uint64(h.cfg.L2.LineBytes)
+		evLine := r1.EvictedAddr - r1.EvictedAddr%lineBytes
 		if mask, ok := h.dir[evLine]; ok {
 			mask &^= 1 << uint(core)
 			if mask == 0 {
@@ -271,6 +254,7 @@ func (h *Hierarchy) trackL1(core int, addr, line uint64, write bool, r1 AccessRe
 			}
 		}
 	}
+	line := addr - addr%lineBytes
 	mask := h.dir[line]
 	if write {
 		// Invalidate all other copies.
@@ -278,7 +262,6 @@ func (h *Hierarchy) trackL1(core int, addr, line uint64, write bool, r1 AccessRe
 		for c := 0; others != 0; c++ {
 			if others&1 != 0 {
 				if present, _ := h.l1s[c].Invalidate(addr); present {
-					out.Invalidations++
 					h.invs++
 				}
 			}

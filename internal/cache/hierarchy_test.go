@@ -109,10 +109,7 @@ func TestHierarchyWriteInvalidate(t *testing.T) {
 	h.Access(0, 4096, false)
 	h.Access(1, 4096, false)
 	// Core 1 writes: core 0's copy must be invalidated.
-	r := h.Access(1, 4096, true)
-	if r.Invalidations != 1 {
-		t.Fatalf("invalidations = %d, want 1", r.Invalidations)
-	}
+	h.Access(1, 4096, true)
 	if h.L1(0).Contains(4096) {
 		t.Fatalf("stale copy left in core 0's L1")
 	}
@@ -143,6 +140,12 @@ func TestHierarchyConfigErrors(t *testing.T) {
 		L2: Config{}})
 	if err == nil {
 		t.Fatalf("accepted invalid L2")
+	}
+	_, err = NewHierarchy(HierarchyConfig{Cores: 1,
+		L1: Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2},
+		L2: Config{SizeBytes: 4096, LineBytes: 128, Assoc: 2}})
+	if err == nil {
+		t.Fatalf("accepted L1 and L2 line sizes that differ")
 	}
 }
 

@@ -189,16 +189,16 @@ func TestHierarchyClusteredSharingWithinCluster(t *testing.T) {
 		t.Fatalf("NumSlices = %d, want 2", h.NumSlices())
 	}
 	// Core 0 fetches a line (misses to memory, fills slice 0).
-	if acc := h.Access(0, 0x2000, false); acc.Level != LevelMemory || acc.Slice != 0 {
-		t.Fatalf("first access: %+v", acc)
+	if acc := h.Access(0, 0x2000, false); acc.Level != LevelMemory || h.L2Slice(0).Stats().Misses != 1 {
+		t.Fatalf("first access: %+v, slice 0 %+v", acc, h.L2Slice(0).Stats())
 	}
 	// Cluster-mate core 1 hits it in the shared slice.
-	if acc := h.Access(1, 0x2000, false); acc.Level != LevelL2 || acc.Slice != 0 {
-		t.Errorf("cluster-mate access should hit slice 0's L2, got %+v", acc)
+	if acc := h.Access(1, 0x2000, false); acc.Level != LevelL2 || h.L2Slice(0).Stats().Hits != 1 {
+		t.Errorf("cluster-mate access should hit slice 0's L2, got %+v, slice 0 %+v", acc, h.L2Slice(0).Stats())
 	}
 	// Core 2 (other cluster) misses all the way to memory.
-	if acc := h.Access(2, 0x2000, false); acc.Level != LevelMemory || acc.Slice != 1 {
-		t.Errorf("cross-cluster access should miss to memory on slice 1, got %+v", acc)
+	if acc := h.Access(2, 0x2000, false); acc.Level != LevelMemory || h.L2Slice(1).Stats().Misses != 1 {
+		t.Errorf("cross-cluster access should miss to memory on slice 1, got %+v, slice 1 %+v", acc, h.L2Slice(1).Stats())
 	}
 }
 

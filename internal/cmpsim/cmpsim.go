@@ -318,10 +318,10 @@ func (q *eventQueue) pop() uint64 {
 	return top
 }
 
-// coreState tracks what a core is doing.  The task pointer and its arena
-// are cached at assignment so the per-reference loop never re-resolves them
-// through the DAG; the position in the arena is the core's own, so the
-// shared arena is only ever read.
+// coreState tracks what a core is doing.  The task pointer, its arena and
+// the core's L2 slice are cached at assignment so the per-reference loop
+// never re-resolves them; the position in the arena is the core's own, so
+// the shared arena is only ever read.
 type coreState struct {
 	busy      bool
 	finishing bool // refs exhausted, waiting for trailing instructions
@@ -330,6 +330,7 @@ type coreState struct {
 	pos       int        // next reference in arena: the count issued so far
 	start     int64      // cycle the current task started
 	l2Misses  int64
+	slice     int // the L2 slice serving the core
 }
 
 // RunWithOptions simulates d on cfg under scheduler s.
@@ -449,7 +450,7 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 			}
 			tr.Run(int32(id), int32(c))
 			t := d.Task(id)
-			cores[c] = coreState{busy: true, task: t, arena: t.Refs.Arena(), start: now}
+			cores[c] = coreState{busy: true, task: t, arena: t.Refs.Arena(), start: now, slice: hier.SliceOf(c)}
 			events.push(eventKey(now, c))
 		}
 		if prefer >= 0 && prefer < p {
@@ -531,17 +532,12 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 						done = issue + l1Lat
 					case cache.LevelL2:
 						done = issue + l1Lat + l2Lat
-						// Dirty L2 victims displaced by an L1 write-back
-						// still consume off-chip bandwidth.
-						for i := 0; i < acc.OffChipTransfers; i++ {
-							arb.Writeback(acc.Slice, issue)
-						}
 					case cache.LevelMemory:
 						st.l2Misses++
 						for i := 1; i < acc.OffChipTransfers; i++ {
-							arb.Writeback(acc.Slice, issue)
+							arb.Writeback(st.slice, issue)
 						}
-						done = arb.Fetch(acc.Slice, issue+l1Lat+l2Lat)
+						done = arb.Fetch(st.slice, issue+l1Lat+l2Lat)
 					}
 					busyCycles[c] += done - now
 					k := eventKey(done, c)

@@ -97,6 +97,10 @@ func (c CMP) Validate() error {
 	if err := c.L2.Validate(); err != nil {
 		return fmt.Errorf("config: %s: L2: %w", c.Name, err)
 	}
+	if c.L1.LineBytes != c.L2.LineBytes {
+		// The hierarchy links each L1 way to the one L2 slot backing it.
+		return fmt.Errorf("config: %s: L1 line size %d B differs from L2 line size %d B", c.Name, c.L1.LineBytes, c.L2.LineBytes)
+	}
 	if err := c.Topology.Validate(c.Cores); err != nil {
 		return fmt.Errorf("config: %s: topology: %w", c.Name, err)
 	}

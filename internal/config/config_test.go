@@ -182,6 +182,11 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		t.Fatalf("accepted invalid L2")
 	}
 	c = MustDefault(1)
+	c.L1.LineBytes = 64
+	if err := c.Validate(); err == nil {
+		t.Fatalf("accepted L1 and L2 line sizes that differ")
+	}
+	c = MustDefault(1)
 	c.Memory.LatencyCycles = -5
 	if err := c.Validate(); err == nil {
 		t.Fatalf("accepted invalid memory")
