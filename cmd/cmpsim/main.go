@@ -23,7 +23,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 
 	"cmpsched/internal/cache"
@@ -226,8 +228,8 @@ func printResult(res *cmpsim.Result) {
 	fmt.Printf("memory utilization   %.1f%%\n", res.MemUtilization*100)
 	fmt.Printf("core utilization     %.1f%%\n", res.AvgCoreUtilization()*100)
 	fmt.Printf("tasks executed       %d\n", res.TasksExecuted)
-	for k, v := range res.SchedMetrics {
-		fmt.Printf("sched metric         %s=%d\n", k, v)
+	for _, k := range slices.Sorted(maps.Keys(res.SchedMetrics)) {
+		fmt.Printf("sched metric         %s=%d\n", k, res.SchedMetrics[k])
 	}
 }
 

@@ -86,8 +86,10 @@ func main() {
 			log.Fatalf("sweepd: %v", err)
 		}
 		// Leases make the cache directory safely shareable with other
-		// sweepd instances (and CLI runs): each distinct key simulates once
-		// fleet-wide, crashed holders are fenced and taken over.
+		// sweepd instances: each distinct key simulates once fleet-wide,
+		// crashed holders are fenced and taken over.  cmd/sweep takes no
+		// leases, so a CLI run on the same directory may repeat a
+		// simulation the fleet is running.
 		cache = sweep.NewLeasedCache(dc, sweep.LeaseOptions{
 			TTL:     *leaseTTL,
 			Metrics: reg,

@@ -90,7 +90,8 @@ type (
 	// SchedMachine describes the cache machine a scheduler is placing
 	// tasks onto (core count, L1 and L2-slice capacities, core-to-slice
 	// map); the simulator hands it to schedulers implementing
-	// SchedMachineAware before each run.
+	// SchedMachineAware before each run.  Its core-to-slice map is the
+	// simulated hierarchy's own and must not be modified.
 	SchedMachine = sched.Machine
 	// SchedMachineAware is implemented by schedulers whose placement
 	// decisions depend on the cache machine, e.g. the space-bounded
@@ -251,6 +252,9 @@ const DefaultScale = config.DefaultScale
 
 // StealNearest and StealOldest are the steal policies NewLocalityWS
 // accepts: nearest-slice-first stealing and globally-oldest-task stealing.
+// Work stealing is one scheduler type whose victim order is the only
+// difference between "ws" (NewWS: a forward scan from the thief),
+// "ws:nearest" and "ws:oldest".
 const (
 	StealNearest = sched.StealNearest
 	StealOldest  = sched.StealOldest
@@ -259,7 +263,8 @@ const (
 // NewPDF returns a Parallel Depth First scheduler.
 func NewPDF() Scheduler { return sched.NewPDF() }
 
-// NewWS returns a Work Stealing scheduler.
+// NewWS returns the paper's Work Stealing scheduler ("ws"): an idle core
+// steals from the first non-empty deque scanning forward from itself.
 func NewWS() Scheduler { return sched.NewWS() }
 
 // NewSpaceBounded returns the space-bounded scheduler ("sb"): tasks are
@@ -269,7 +274,8 @@ func NewWS() Scheduler { return sched.NewWS() }
 func NewSpaceBounded() Scheduler { return sched.NewSpaceBounded() }
 
 // NewLocalityWS returns a Work Stealing scheduler with a locality-guided
-// steal policy ("ws:nearest", "ws:oldest").
+// steal policy ("ws:nearest", "ws:oldest"); out-of-range policies fall back
+// to StealNearest.
 func NewLocalityWS(policy StealPolicy) Scheduler { return sched.NewLocalityWS(policy) }
 
 // NewScheduler constructs a registered scheduler by canonical name ("pdf",
@@ -461,10 +467,11 @@ func NewSweepMemoryCache() SweepCache { return sweep.NewMemoryCache() }
 func NewSweepDiskCache(dir string) (SweepCache, error) { return sweep.NewDiskCache(dir) }
 
 // NewSweepSharedDiskCache returns a disk-backed sweep cache that is safe to
-// share between concurrent processes (a sweepd fleet, CLI runs): per-key
-// crash-safe flight leases make each distinct simulation run at most once
-// across every process on the directory, with stale leases from crashed
-// holders fenced and taken over after opts.TTL.
+// share between concurrent processes (a sweepd fleet, or programs that open
+// the directory through this constructor): per-key crash-safe flight leases
+// make each distinct simulation run at most once across every such process
+// on the directory, with stale leases from crashed holders fenced and taken
+// over after opts.TTL.
 func NewSweepSharedDiskCache(dir string, opts SweepLeaseOptions) (SweepCache, error) {
 	dc, err := sweep.NewDiskCache(dir)
 	if err != nil {

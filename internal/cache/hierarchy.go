@@ -45,10 +45,6 @@ type HierarchyConfig struct {
 	// them: shared (one slice, the paper's machine), private (one slice per
 	// core) or clustered (ClusterSize cores per slice).
 	Topology Topology
-	// WriteInvalidate enables a simple directory that invalidates other
-	// cores' L1 copies when a core writes a line.  It affects only
-	// coherence statistics, not timing.
-	WriteInvalidate bool
 }
 
 // HierarchyAccess is the outcome of one access through the hierarchy.
@@ -71,20 +67,18 @@ type HierarchyAccess struct {
 // it right, because a slot is evicted only after every L1 copy of its line
 // is invalidated.  holders[s][slot] is the mask of cores whose L1 holds the
 // line in slot `slot` of slice s.  A core's bit is set when its L1 fills
-// from the slot and cleared, through the link, when its L1 evicts the line.
-// The mask is therefore exact, except that the write-invalidate directory
-// drops remote L1 copies without clearing their bits; probing such a core is
-// a statistics-free no-op.  An inclusive victim probes only the masked L1s,
-// and a dirty L1 victim is written back to its linked slot with no tag
-// search.
+// from the slot and cleared, through the link, when its L1 evicts the line;
+// an inclusive invalidation, the only other way a line leaves an L1, empties
+// the slot, and the slot's next fill resets the mask.  The mask is therefore
+// exact, and it is the one record of which L1s hold a line.  An inclusive
+// victim probes only the masked L1s, and a dirty L1 victim is written back
+// to its linked slot with no tag search.
 type Hierarchy struct {
 	cfg      HierarchyConfig
 	l1s      []*Cache
 	l2s      []*Cache
 	sliceOf  []int // core -> L2 slice index
 	sliceCfg Config
-	dir      map[uint64]uint64 // line -> bitmask of cores with an L1 copy
-	invs     int64
 	holders  [][]uint64 // slice -> slot -> cores whose L1 holds the line
 	links    []int32    // core*l1Lines + L1 way -> L2 slot of the way's line
 	l1Lines  int        // lines per L1
@@ -131,9 +125,6 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	}
 	h.l1Lines = int(cfg.L1.Lines())
 	h.links = make([]int32, cfg.Cores*h.l1Lines)
-	if cfg.WriteInvalidate {
-		h.dir = make(map[uint64]uint64)
-	}
 	return h, nil
 }
 
@@ -156,12 +147,13 @@ func (h *Hierarchy) L2Slice(i int) *Cache { return h.l2s[i] }
 // SliceOf returns the L2 slice index serving core.
 func (h *Hierarchy) SliceOf(core int) int { return h.sliceOf[core] }
 
+// SliceMap returns the core-to-slice map, indexed by core.  It is the
+// hierarchy's own slice: callers must not modify it.
+func (h *Hierarchy) SliceMap() []int { return h.sliceOf }
+
 // SliceConfig returns the per-slice L2 configuration (capacity and latency
 // already divided by the topology).
 func (h *Hierarchy) SliceConfig() Config { return h.sliceCfg }
-
-// Invalidations returns the total number of coherence invalidations.
-func (h *Hierarchy) Invalidations() int64 { return h.invs }
 
 // Access performs one memory access by core and classifies it.
 func (h *Hierarchy) Access(core int, addr uint64, write bool) HierarchyAccess {
@@ -170,9 +162,6 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) HierarchyAccess {
 	}
 	l1 := h.l1s[core]
 	r1 := l1.Access(addr, write)
-	if h.dir != nil {
-		h.trackL1(core, addr, write, r1)
-	}
 	if r1.Hit {
 		return HierarchyAccess{Level: LevelL1}
 	}
@@ -203,9 +192,6 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) HierarchyAccess {
 		for m := holders[slot]; m != 0; m &= m - 1 {
 			h.l1s[bits.TrailingZeros64(m)].Invalidate(r2.EvictedAddr)
 		}
-		if h.dir != nil {
-			h.dropDir(r2.EvictedAddr, slice)
-		}
 		if r2.EvictedDirty {
 			out.OffChipTransfers++
 		}
@@ -219,59 +205,6 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) HierarchyAccess {
 	out.Level = LevelMemory
 	out.OffChipTransfers++
 	return out
-}
-
-// dropDir removes from the directory the L1 copies belonging to slice's
-// cores after an inclusive-L2 victim invalidation.
-func (h *Hierarchy) dropDir(line uint64, slice int) {
-	mask, ok := h.dir[line]
-	if !ok {
-		return
-	}
-	for c := range h.l1s {
-		if h.sliceOf[c] == slice {
-			mask &^= 1 << uint(c)
-		}
-	}
-	if mask == 0 {
-		delete(h.dir, line)
-	} else {
-		h.dir[line] = mask
-	}
-}
-
-// trackL1 maintains the write-invalidate directory.
-func (h *Hierarchy) trackL1(core int, addr uint64, write bool, r1 AccessResult) {
-	lineBytes := uint64(h.cfg.L2.LineBytes)
-	if r1.Evicted {
-		evLine := r1.EvictedAddr - r1.EvictedAddr%lineBytes
-		if mask, ok := h.dir[evLine]; ok {
-			mask &^= 1 << uint(core)
-			if mask == 0 {
-				delete(h.dir, evLine)
-			} else {
-				h.dir[evLine] = mask
-			}
-		}
-	}
-	line := addr - addr%lineBytes
-	mask := h.dir[line]
-	if write {
-		// Invalidate all other copies.
-		others := mask &^ (1 << uint(core))
-		for c := 0; others != 0; c++ {
-			if others&1 != 0 {
-				if present, _ := h.l1s[c].Invalidate(addr); present {
-					h.invs++
-				}
-			}
-			others >>= 1
-		}
-		mask = 1 << uint(core)
-	} else {
-		mask |= 1 << uint(core)
-	}
-	h.dir[line] = mask
 }
 
 // L1Stats returns the aggregate statistics over all private L1 caches.
@@ -310,5 +243,4 @@ func (h *Hierarchy) ResetStats() {
 	for _, c := range h.l2s {
 		c.ResetStats()
 	}
-	h.invs = 0
 }

@@ -2,13 +2,12 @@ package cache
 
 import "testing"
 
-func testHierarchy(t *testing.T, cores int, writeInv bool) *Hierarchy {
+func testHierarchy(t *testing.T, cores int) *Hierarchy {
 	t.Helper()
 	h, err := NewHierarchy(HierarchyConfig{
-		Cores:           cores,
-		L1:              Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2, HitLatency: 1},
-		L2:              Config{SizeBytes: 16 * 1024, LineBytes: 64, Assoc: 4, HitLatency: 10},
-		WriteInvalidate: writeInv,
+		Cores: cores,
+		L1:    Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2, HitLatency: 1},
+		L2:    Config{SizeBytes: 16 * 1024, LineBytes: 64, Assoc: 4, HitLatency: 10},
 	})
 	if err != nil {
 		t.Fatalf("NewHierarchy: %v", err)
@@ -17,7 +16,7 @@ func testHierarchy(t *testing.T, cores int, writeInv bool) *Hierarchy {
 }
 
 func TestHierarchyLevels(t *testing.T) {
-	h := testHierarchy(t, 2, false)
+	h := testHierarchy(t, 2)
 	// Cold: must go to memory.
 	r := h.Access(0, 4096, false)
 	if r.Level != LevelMemory || r.OffChipTransfers != 1 {
@@ -39,7 +38,7 @@ func TestHierarchyLevels(t *testing.T) {
 }
 
 func TestHierarchyStatsAggregation(t *testing.T) {
-	h := testHierarchy(t, 4, false)
+	h := testHierarchy(t, 4)
 	for core := 0; core < 4; core++ {
 		for i := 0; i < 10; i++ {
 			h.Access(core, uint64(i*64), false)
@@ -101,20 +100,6 @@ func TestHierarchyInclusionInvalidatesL1(t *testing.T) {
 	}
 	if h.L1(0).Contains(0) && !h.L2().Contains(0) {
 		t.Fatalf("inclusion violated: line 0 in L1 but not in L2")
-	}
-}
-
-func TestHierarchyWriteInvalidate(t *testing.T) {
-	h := testHierarchy(t, 2, true)
-	h.Access(0, 4096, false)
-	h.Access(1, 4096, false)
-	// Core 1 writes: core 0's copy must be invalidated.
-	h.Access(1, 4096, true)
-	if h.L1(0).Contains(4096) {
-		t.Fatalf("stale copy left in core 0's L1")
-	}
-	if h.Invalidations() != 1 {
-		t.Fatalf("total invalidations = %d, want 1", h.Invalidations())
 	}
 }
 

@@ -7,36 +7,32 @@ import (
 )
 
 // holderTestConfigs is a spread of hierarchy shapes for the holder-mask and
-// link bookkeeping: small caches force heavy eviction traffic, several
-// topologies exercise multi-L1 slices, and WriteInvalidate adds the
-// directory's own L1 invalidations to the mix.
+// link bookkeeping: small caches force heavy eviction traffic, and several
+// topologies exercise multi-L1 slices.
 func holderTestConfigs() []HierarchyConfig {
 	l1 := Config{SizeBytes: 1 << 10, LineBytes: 64, Assoc: 2, HitLatency: 1}
 	l2 := Config{SizeBytes: 8 << 10, LineBytes: 64, Assoc: 4, HitLatency: 10}
 	return []HierarchyConfig{
 		{Cores: 4, L1: l1, L2: l2},
 		{Cores: 8, L1: l1, L2: l2},
-		{Cores: 8, L1: l1, L2: l2, WriteInvalidate: true},
+		{Cores: 8, L1: l1, L2: l2, Topology: Topology{Kind: TopologyClustered, ClusterSize: 2}},
 		{Cores: 8, L1: l1, L2: l2, Topology: Topology{Kind: TopologyPrivate}},
 		{Cores: 8, L1: l1, L2: l2, Topology: Topology{Kind: TopologyClustered, ClusterSize: 4}},
 	}
 }
 
 // refHierarchy is an independent reference for Hierarchy, built from one
-// lruModel per L1 and per L2 slice.  It keeps no links, holder masks or
-// directory: a dirty L1 victim is written back by address lookup in the
-// core's slice, an inclusive L2 victim is invalidated by probing every L1
-// the slice serves, and with WriteInvalidate a write invalidates the line
-// in every other L1.
+// lruModel per L1 and per L2 slice.  It keeps no links or holder masks: a
+// dirty L1 victim is written back by address lookup in the core's slice,
+// and an inclusive L2 victim is invalidated by probing every L1 the slice
+// serves.
 type refHierarchy struct {
-	writeInvalidate bool
-	l1s, l2s        []*lruModel
-	sliceOf         []int
-	invs            int64
+	l1s, l2s []*lruModel
+	sliceOf  []int
 }
 
 func newRefHierarchy(cfg HierarchyConfig) *refHierarchy {
-	r := &refHierarchy{writeInvalidate: cfg.WriteInvalidate}
+	r := &refHierarchy{}
 	for c := 0; c < cfg.Cores; c++ {
 		r.l1s = append(r.l1s, newLRUModel(cfg.L1))
 		r.sliceOf = append(r.sliceOf, cfg.Topology.SliceOf(c, cfg.Cores))
@@ -49,16 +45,6 @@ func newRefHierarchy(cfg HierarchyConfig) *refHierarchy {
 
 func (r *refHierarchy) access(core int, addr uint64, write bool) HierarchyAccess {
 	r1 := r.l1s[core].access(addr, write)
-	if write && r.writeInvalidate {
-		for c, l1 := range r.l1s {
-			if c == core {
-				continue
-			}
-			if present, _ := l1.invalidate(addr); present {
-				r.invs++
-			}
-		}
-	}
 	if r1.Hit {
 		return HierarchyAccess{Level: LevelL1}
 	}
@@ -92,10 +78,13 @@ func (r *refHierarchy) access(core int, addr uint64, write bool) HierarchyAccess
 // lockstep through one seeded stream of reads and writes and requires the
 // same Level and OffChipTransfers after every access, the same residency of
 // the touched line in the accessing core's L1, and identical per-core L1,
-// per-slice L2 and aggregate statistics and invalidation counts at the end.
-// It is the bit-identity claim behind the links and exact holder masks:
-// writing back through a link and probing only the masked L1s must be
-// indistinguishable from searching and probing everything.
+// per-slice L2 and aggregate statistics at the end; every 97 steps each
+// valid slot's holder mask must equal its line's L1 residency.  It is the
+// bit-identity claim behind the links and exact holder masks: writing back
+// through a link and probing only the masked L1s must be indistinguishable
+// from searching and probing everything.  Every shape's name ends in
+// "-wi=false": no shape invalidates other L1s' copies on a write, because
+// the hierarchy models no write-invalidate coherence.
 func TestHierarchyMatchesReferenceModel(t *testing.T) {
 	configs := append(holderTestConfigs(), HierarchyConfig{
 		// 20 ways over 3 sets at both levels' line size: the
@@ -105,7 +94,7 @@ func TestHierarchyMatchesReferenceModel(t *testing.T) {
 		L2:    Config{SizeBytes: 128 * 20 * 3, LineBytes: 128, Assoc: 20, HitLatency: 10},
 	})
 	for ci, cfg := range configs {
-		t.Run(fmt.Sprintf("%d-%dcores-%s-wi=%t", ci, cfg.Cores, cfg.Topology, cfg.WriteInvalidate), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%d-%dcores-%s-wi=false", ci, cfg.Cores, cfg.Topology), func(t *testing.T) {
 			h, err := NewHierarchy(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -133,6 +122,9 @@ func TestHierarchyMatchesReferenceModel(t *testing.T) {
 				if g, w := h.L1(core).Contains(addr), ref.l1s[core].contains(addr); g != w {
 					t.Fatalf("step %d: core %d L1 holds %#x: hierarchy %v, reference %v", step, core, addr, g, w)
 				}
+				if step%97 == 0 {
+					checkHoldersExact(t, step, h)
+				}
 			}
 			var l1, l2 Stats
 			for c, m := range ref.l1s {
@@ -153,10 +145,30 @@ func TestHierarchyMatchesReferenceModel(t *testing.T) {
 			if g := h.L2Stats(); g != l2 {
 				t.Errorf("L2 stats: hierarchy %+v, reference %+v", g, l2)
 			}
-			if g, w := h.Invalidations(), ref.invs; g != w {
-				t.Errorf("invalidations: hierarchy %d, reference %d", g, w)
-			}
 		})
+	}
+}
+
+// checkHoldersExact requires every valid L2 slot's holder mask to name
+// exactly the cores, among those its slice serves, whose L1 holds the slot's
+// line: the masks are the hierarchy's only record of L1 residency.
+func checkHoldersExact(t *testing.T, step int, h *Hierarchy) {
+	t.Helper()
+	for s, l2 := range h.l2s {
+		for slot, line := range l2.tags {
+			if w, b := wayBit(slot); l2.valid[w]&b == 0 {
+				continue
+			}
+			var want uint64
+			for c, l1 := range h.l1s {
+				if h.sliceOf[c] == s && l1.Contains(line) {
+					want |= 1 << uint(c)
+				}
+			}
+			if got := h.holders[s][slot]; got != want {
+				t.Fatalf("step %d: slice %d slot %d (line %#x): holder mask %#x, L1 residency %#x", step, s, slot, line, got, want)
+			}
+		}
 	}
 }
 

@@ -88,15 +88,6 @@ func ParseTopology(s string) (Topology, error) {
 	}
 }
 
-// MustParseTopology is ParseTopology but panics on error.
-func MustParseTopology(s string) Topology {
-	t, err := ParseTopology(s)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // String returns the canonical encoding accepted by ParseTopology.  It is
 // the form folded into sweep content-address keys (config fingerprints), so
 // distinct topologies always hash to distinct cache entries.

@@ -379,10 +379,6 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 
 	n := d.NumTasks()
 	p := cfg.Cores
-	// Capacity- and topology-aware schedulers (sched.MachineAware) are told
-	// what machine they are placing tasks onto before Reset; the classic
-	// schedulers ignore this entirely, so their event streams — and the
-	// golden fingerprints pinned on them — are untouched.
 	// Trace-aware schedulers emit steal/migrate/pin events through the same
 	// tracer the simulator stamps lifecycle events into.  The tracer is set
 	// unconditionally (nil clears any sink from a previous run), and a nil
@@ -391,18 +387,18 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 	if ta, ok := s.(sched.TraceAware); ok {
 		ta.SetTracer(opts.Tracer)
 	}
+	// Capacity- and topology-aware schedulers (sched.MachineAware) are told
+	// what machine they are placing tasks onto before Reset.  Its
+	// core-to-slice map is the hierarchy's own, so describing the machine
+	// allocates nothing.
 	if ma, ok := s.(sched.MachineAware); ok {
-		sliceOf := make([]int, p)
-		for c := range sliceOf {
-			sliceOf[c] = hier.SliceOf(c)
-		}
 		ma.SetMachine(sched.Machine{
 			Cores:        p,
 			LineBytes:    cfg.L2.LineBytes,
 			L1Bytes:      cfg.L1.SizeBytes,
 			L2SliceBytes: hier.SliceConfig().SizeBytes,
 			Slices:       hier.NumSlices(),
-			SliceOfCore:  sliceOf,
+			SliceOfCore:  hier.SliceMap(),
 		})
 	}
 	s.Reset(d, p)

@@ -256,36 +256,3 @@ func TestWithTopology(t *testing.T) {
 		t.Errorf("accepted cluster size 0")
 	}
 }
-
-func TestAreaModel(t *testing.T) {
-	m := DefaultAreaModel()
-	if m.UsableAreaMM2() <= 0 || m.UsableAreaMM2() >= m.DieMM2 {
-		t.Fatalf("usable area %f out of range", m.UsableAreaMM2())
-	}
-	// More cores always means less cache at a fixed technology.
-	prev := m.CacheMBFor(45, 1)
-	for p := 2; p <= 26; p++ {
-		cur := m.CacheMBFor(45, p)
-		if cur > prev {
-			t.Fatalf("cache grew with cores at p=%d", p)
-		}
-		prev = cur
-	}
-	// The calibration should bracket Table 3's endpoints loosely.
-	if got := m.CacheMBFor(45, 1); got < 30 || got > 70 {
-		t.Fatalf("45nm 1-core cache estimate %f MB implausible vs Table 3 (48 MB)", got)
-	}
-	if got := m.CacheMBFor(45, 26); got < 0 || got > 8 {
-		t.Fatalf("45nm 26-core cache estimate %f MB implausible vs Table 3 (1 MB)", got)
-	}
-	// Unknown technology yields zero.
-	if m.CacheMBFor(22, 4) != 0 {
-		t.Fatalf("unknown technology should yield 0")
-	}
-	if m.MaxCores(45, 1.0) < 20 {
-		t.Fatalf("MaxCores(45nm, 1MB) = %d, expected >= 20", m.MaxCores(45, 1.0))
-	}
-	if m.MaxCores(22, 1.0) != 0 {
-		t.Fatalf("MaxCores for unknown tech should be 0")
-	}
-}

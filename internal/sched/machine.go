@@ -5,7 +5,7 @@ package sched
 // the mapping from cores to L2 slices.  The simulator derives it from the
 // CMP configuration and its cache topology and hands it to every scheduler
 // that implements MachineAware before Reset, so capacity-aware schedulers
-// (SpaceBounded) and topology-aware steal policies (LocalityWS) see the
+// (SpaceBounded) and topology-aware steal policies (StealNearest) see the
 // same machine the caches model.
 type Machine struct {
 	// Cores is the number of processing cores P.
@@ -20,7 +20,8 @@ type Machine struct {
 	// Slices is the number of L2 slices (1 for shared, Cores for private).
 	Slices int
 	// SliceOfCore maps each core to the L2 slice serving it; its length is
-	// Cores.
+	// Cores.  It is read-only: the simulator hands over the cache
+	// hierarchy's own map.
 	SliceOfCore []int
 }
 

@@ -1,9 +1,10 @@
 // Package sched implements the greedy thread schedulers compared in the
 // paper — Work Stealing (WS) and Parallel Depth First (PDF) — plus a central
-// FIFO queue used as an ablation baseline, a space-bounded scheduler that
+// FIFO queue used as an ablation baseline and a space-bounded scheduler that
 // pins tasks to the smallest cache level or slice whose capacity fits their
-// working set, and locality-guided work-stealing variants with
-// pluggable steal policies.
+// working set.  One WS type serves the paper's work stealing ("ws") and its
+// locality-guided variants ("ws:nearest", "ws:oldest"): they differ only in
+// the order an idle core tries its steal victims.
 //
 // The schedulers are driven by the CMP simulator (package cmpsim) through a
 // small event interface: the simulator announces tasks that became ready
@@ -15,9 +16,10 @@
 // registry (Register / New / Names), mirroring the workload registry: the
 // table — not a hardcoded switch — decides what New accepts, and programs
 // may register custom schedulers at run time.  Schedulers that want to place
-// tasks by cache capacity additionally implement MachineAware; the simulator
-// describes the machine (core count, L1 and L2-slice capacities, core→slice
-// map) before each run.  See ARCHITECTURE.md, "Registries".
+// tasks by cache capacity or topology additionally implement MachineAware;
+// the simulator describes the machine (core count, L1 and L2-slice
+// capacities, core→slice map) before each run.  See ARCHITECTURE.md,
+// "Registries".
 package sched
 
 import (
@@ -28,7 +30,6 @@ import (
 
 	"cmpsched/internal/dag"
 	"cmpsched/internal/minheap"
-	"cmpsched/internal/obs"
 )
 
 // Scheduler decides which ready task each idle core runs next.
@@ -90,12 +91,10 @@ func Register(name string, f Factory) {
 	registry[name] = f
 }
 
-// The built-in schedulers register here; SpaceBounded and LocalityWS
-// register in their own files.  New schedulers only need their own Register
-// call.
+// The built-in schedulers register here; WS and SpaceBounded register in
+// their own files.  New schedulers only need their own Register call.
 func init() {
 	Register("pdf", func() Scheduler { return NewPDF() })
-	Register("ws", func() Scheduler { return NewWS() })
 	Register("fifo", func() Scheduler { return NewFIFO() })
 }
 
@@ -192,102 +191,8 @@ type seqItem struct {
 func (a seqItem) Less(b seqItem) bool { return a.seq < b.seq }
 
 // ---------------------------------------------------------------------------
-// Work Stealing (WS)
+// Work-stealing deque (see WS in ws.go)
 // ---------------------------------------------------------------------------
-
-// WS is the Work Stealing scheduler [Blumofe & Leiserson].  Each core owns a
-// double-ended work queue: tasks forked by work running on the core are
-// pushed on top of its local deque, the core pops from the top (LIFO, good
-// locality), and an idle core steals from the bottom (the oldest work) of
-// the first non-empty deque it finds scanning the other cores.
-type WS struct {
-	d      *dag.DAG
-	deques []deque
-	cores  int
-	steals int64
-	local  int64
-	tr     *obs.Tracer // steal-event sink; nil when tracing is off
-}
-
-// NewWS returns a Work Stealing scheduler.
-func NewWS() *WS { return &WS{} }
-
-// Name implements Scheduler.
-func (*WS) Name() string { return "ws" }
-
-// Reset implements Scheduler.
-func (w *WS) Reset(d *dag.DAG, cores int) {
-	w.d = d
-	w.cores = cores
-	if cap(w.deques) >= cores {
-		w.deques = w.deques[:cores]
-		for i := range w.deques {
-			w.deques[i].reset()
-		}
-	} else {
-		w.deques = make([]deque, cores)
-	}
-	w.steals = 0
-	w.local = 0
-}
-
-// MakeReady implements Scheduler.
-//
-// Tasks enabled by a completion on core c are pushed onto c's deque in
-// sequential order, so the most recently forked work sits on top (run next
-// locally) and the earliest forked work sits at the bottom (stolen first),
-// matching the classic work-first deque discipline. Initial roots (core -1)
-// are seeded onto core 0, where the sequential program would begin.
-func (w *WS) MakeReady(core int, tasks []dag.TaskID) {
-	if core < 0 {
-		core = 0
-	}
-	if core >= w.cores {
-		core = core % w.cores
-	}
-	for _, id := range tasks {
-		w.deques[core].pushTop(id)
-	}
-}
-
-// Next implements Scheduler.
-func (w *WS) Next(core int) (dag.TaskID, bool) {
-	if core < 0 || core >= w.cores {
-		return dag.None, false
-	}
-	if id, ok := w.deques[core].popTop(); ok {
-		w.local++
-		return id, true
-	}
-	// Steal from the bottom of the first non-empty deque, scanning the
-	// other cores deterministically starting after the thief.
-	for i := 1; i < w.cores; i++ {
-		victim := (core + i) % w.cores
-		if id, ok := w.deques[victim].popBottom(); ok {
-			w.steals++
-			w.tr.Steal(int32(id), int32(core), int32(victim))
-			return id, true
-		}
-	}
-	return dag.None, false
-}
-
-// Pending implements Scheduler.
-func (w *WS) Pending() int {
-	total := 0
-	for i := range w.deques {
-		total += w.deques[i].len()
-	}
-	return total
-}
-
-// Metrics implements Scheduler.
-func (w *WS) Metrics() map[string]int64 {
-	return map[string]int64{"steals": w.steals, "local": w.local}
-}
-
-// Steals returns the number of successful steals in the last run.
-func (w *WS) Steals() int64 { return w.steals }
 
 // deque is a double-ended queue of task IDs: a slice plus a head index.
 // popBottom advances head instead of re-slicing away the front, so the

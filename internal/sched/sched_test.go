@@ -90,9 +90,6 @@ func TestWSLocalLIFO(t *testing.T) {
 	if !ok || id != 1 {
 		t.Fatalf("steal = %d, want 1", id)
 	}
-	if s.Steals() != 1 {
-		t.Fatalf("Steals = %d, want 1", s.Steals())
-	}
 	m := s.Metrics()
 	if m["steals"] != 1 || m["local"] != 1 {
 		t.Fatalf("metrics = %v", m)

@@ -19,7 +19,4 @@ type TraceAware interface {
 func (w *WS) SetTracer(tr *obs.Tracer) { w.tr = tr }
 
 // SetTracer implements TraceAware.
-func (w *LocalityWS) SetTracer(tr *obs.Tracer) { w.tr = tr }
-
-// SetTracer implements TraceAware.
 func (s *SpaceBounded) SetTracer(tr *obs.Tracer) { s.tr = tr }

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"cmpsched/internal/dag"
@@ -120,6 +122,46 @@ func TestStealNearestFlatMachineMatchesClassicWS(t *testing.T) {
 		nid, nok := near.Next(core)
 		if wid != nid || wok != nok {
 			t.Fatalf("Next(%d): ws = (%d, %v), ws:nearest = (%d, %v)", core, wid, wok, nid, nok)
+		}
+	}
+}
+
+// TestWSPoliciesNamesMetricsAndVictims pins, for each of the three names the
+// WS type serves, Name(), the key set of Metrics() and the victim it steals
+// from on a clustered machine.  The golden fingerprints omit the scheduler
+// name and SchedMetrics, yet both reach sweep keys, JSON exports and the
+// sched.steals totals, so a policy leaking near_steals/far_steals into "ws",
+// or "ws" picking up the machine's slices, must fail here.
+func TestWSPoliciesNamesMetricsAndVictims(t *testing.T) {
+	for _, tc := range []struct {
+		s    *WS
+		name string
+		keys []string
+		// The task thief core 3 steals with task 3 on core 0, task 1 (the
+		// oldest) on core 1 and task 2 on its slice mate, core 2.
+		stolen dag.TaskID
+	}{
+		{NewWS(), "ws", []string{"local", "steals"}, 3},
+		{NewLocalityWS(StealNearest), "ws:nearest", []string{"far_steals", "local", "near_steals", "steals"}, 2},
+		{NewLocalityWS(StealOldest), "ws:oldest", []string{"local", "steals"}, 1},
+	} {
+		if got := tc.s.Name(); got != tc.name {
+			t.Errorf("Name() = %q, want %q", got, tc.name)
+		}
+		tc.s.SetMachine(localWSMachine())
+		tc.s.Reset(fanOutDAG(t, 4), 4)
+		tc.s.MakeReady(0, []dag.TaskID{3})
+		tc.s.MakeReady(1, []dag.TaskID{1})
+		tc.s.MakeReady(2, []dag.TaskID{2})
+		if id, ok := tc.s.Next(3); !ok || id != tc.stolen {
+			t.Errorf("%s: Next(3) = (%d, %v), want steal of task %d", tc.name, id, ok, tc.stolen)
+		}
+		m := tc.s.Metrics()
+		if keys := slices.Sorted(maps.Keys(m)); !slices.Equal(keys, tc.keys) {
+			t.Errorf("%s: Metrics() keys = %v, want %v", tc.name, keys, tc.keys)
+		}
+		if m["steals"] != 1 || m["local"] != 0 {
+			t.Errorf("%s: Metrics() = %v, want one steal and no local pops", tc.name, m)
 		}
 	}
 }

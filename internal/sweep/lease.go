@@ -115,8 +115,11 @@ func newLeaseMetrics(reg *obs.Registry) leaseMetrics {
 }
 
 // LeasedCache adds crash-safe cross-process single-flight to a DiskCache: a
-// fleet of instances (sweepd processes, CLI runs) sharing one cache
-// directory each simulate a disjoint subset of any overlapping key sets.
+// fleet of sweepd processes (or other programs that wrap their DiskCache in
+// a LeasedCache) sharing one cache directory each simulate a disjoint subset
+// of any overlapping key sets.  cmd/sweep opens a plain DiskCache: a CLI run
+// on a fleet's directory shares its entries but takes no leases, so it may
+// repeat a simulation the fleet is running.
 //
 // The protocol is lease files next to the cache entries.  Before simulating
 // a missed key, an instance claims <hash>.lease with an atomic

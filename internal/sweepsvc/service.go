@@ -187,15 +187,6 @@ type Status struct {
 	DedupHits int `json:"dedup_hits"`
 }
 
-// flightState is a flight's lifecycle position.
-type flightState int
-
-const (
-	flightQueued flightState = iota
-	flightRunning
-	flightDone
-)
-
 // flightSub is one sweep's claim on a flight's outcome: the sweep and the
 // job's index within it.
 type flightSub struct {
@@ -207,10 +198,9 @@ type flightSub struct {
 // sweep that submitted its key — the single-flight unit.  All fields after
 // job/hash are guarded by the Service mutex.
 type flight struct {
-	job   sweep.Job
-	hash  string
-	state flightState
-	subs  []flightSub
+	job  sweep.Job
+	hash string
+	subs []flightSub
 }
 
 // Sweep is one accepted submission: a handle streaming the submission's
@@ -452,14 +442,12 @@ func (s *Service) runner() {
 		s.pending--
 		if len(f.subs) == 0 {
 			// Every subscriber cancelled before the job started.
-			f.state = flightDone
 			delete(s.flights, f.hash)
 			s.sm.jobsSkipped.Add(1)
 			s.updateGauges()
 			s.mu.Unlock()
 			continue
 		}
-		f.state = flightRunning
 		s.running++
 		s.updateGauges()
 		s.mu.Unlock()
@@ -471,7 +459,6 @@ func (s *Service) runner() {
 		}
 
 		s.mu.Lock()
-		f.state = flightDone
 		delete(s.flights, f.hash)
 		s.running--
 		if err != nil {
@@ -553,9 +540,6 @@ func (s *Service) Cancel(id string) bool {
 		return false
 	}
 	for _, f := range sw.flights {
-		if f.state == flightDone {
-			continue
-		}
 		keep := f.subs[:0]
 		for _, sub := range f.subs {
 			if sub.sw != sw {
