@@ -16,7 +16,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cmpsched/internal/imath"
 	"cmpsched/internal/prng"
@@ -238,7 +238,7 @@ func fromPairs(n int64, pairs [][2]int32) *CSR {
 	newOffsets := make([]int64, n+1)
 	for v := int64(0); v < n; v++ {
 		adj := edges[offsets[v]:offsets[v+1]]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+		slices.Sort(adj)
 		newOffsets[v] = int64(len(out))
 		for i, w := range adj {
 			if i > 0 && w == adj[i-1] {

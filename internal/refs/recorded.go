@@ -2,6 +2,7 @@ package refs
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"unsafe"
@@ -10,16 +11,16 @@ import (
 )
 
 // Recorded is a materialized reference stream: an immutable arena of Refs,
-// the instructions retired after the last one, and the stream's content
-// fingerprint.  It is the form every DAG task's stream takes once recorded
-// (dag.AddTask), and a TraceStore shares one Recorded among all identical
-// streams.  Nothing writes a Recorded after construction, so any number of
-// goroutines may read one concurrently.
+// the instructions retired after the last one, and the stream's lookup key
+// in a TraceStore.  It is the form every DAG task's stream takes once
+// recorded (dag.AddTask), and a TraceStore shares one Recorded among all
+// identical streams.  Nothing writes a Recorded after construction, so any
+// number of goroutines may read one concurrently.
 type Recorded struct {
 	refs   []Ref
 	tail   int64
-	instrs int64 // sum of refs[i].Instrs plus tail
-	fp     uint64
+	instrs int64  // sum of refs[i].Instrs plus tail
+	key    uint64 // lookupKey(refs, tail)
 }
 
 // refBytes is the in-memory footprint of one arena entry, used for the
@@ -35,8 +36,8 @@ const fingerprintSeed = 0x9E3779B97F4A7C15
 // stream: a splitmix64-mixed hash over every reference (address, write bit,
 // instruction count) and the trailing instruction count.  Two identical
 // streams always fingerprint identically; the converse holds only
-// probabilistically, which is why TraceStore verifies content equality before
-// sharing an arena.
+// probabilistically.  The value is stable, so tests pin streams by it; the
+// TraceStore buckets streams by the cheaper lookupKey instead.
 func FingerprintRefs(rs []Ref, tail int64) uint64 {
 	h := prng.Mix64(fingerprintSeed ^ uint64(len(rs)))
 	for i := range rs {
@@ -49,6 +50,56 @@ func FingerprintRefs(rs []Ref, tail int64) uint64 {
 		h = prng.Mix64(h ^ uint64(r.Instrs)<<1 ^ w)
 	}
 	return prng.Mix64(h ^ uint64(tail))
+}
+
+// The xxHash64 primes, the multipliers of lookupKey's lane rounds.
+const (
+	lanePrime1 = 0x9E3779B185EBCA87
+	lanePrime2 = 0xC2B2AE3D27D4EB4F
+)
+
+// lookupKey is the TraceStore's 64-bit bucket key of a stream.  Interning
+// hashes every reference of every task a build emits, so the key must be
+// cheaper than FingerprintRefs' chain of two dependent splitmix64 rounds per
+// reference: four lanes take every fourth reference each, so their multiply
+// chains overlap, and a reference costs one xxHash64 round.  A round is a
+// bijection of its lane for a fixed word and of its word for a fixed lane,
+// refWord is injective in each field of a reference, and the final mix is a
+// bijection of each lane and of the tail, so two streams of one length that
+// differ in one field of one reference, or in the tail alone, never share a
+// key.  Content equality is still verified on every match.
+func lookupKey(rs []Ref, tail int64) uint64 {
+	var l [4]uint64
+	n := len(rs) &^ 3
+	for i := 0; i < n; i += 4 {
+		l[0] = laneRound(l[0], refWord(&rs[i]))
+		l[1] = laneRound(l[1], refWord(&rs[i+1]))
+		l[2] = laneRound(l[2], refWord(&rs[i+2]))
+		l[3] = laneRound(l[3], refWord(&rs[i+3]))
+	}
+	for i := n; i < len(rs); i++ {
+		l[i-n] = laneRound(l[i-n], refWord(&rs[i]))
+	}
+	h := prng.Mix64(uint64(len(rs)))
+	for _, v := range l {
+		h = prng.Mix64(h ^ v)
+	}
+	return prng.Mix64(h ^ uint64(tail))
+}
+
+// laneRound folds one word into a lane (xxHash64's round).
+func laneRound(lane, w uint64) uint64 {
+	return bits.RotateLeft64(lane+w*lanePrime2, 31) * lanePrime1
+}
+
+// refWord packs a reference into one word: the address, xored with the
+// instruction count and write bit rotated into the address's high half.
+func refWord(r *Ref) uint64 {
+	w := uint64(r.Instrs) << 1
+	if r.Write {
+		w |= 1
+	}
+	return r.Addr ^ bits.RotateLeft64(w, 32)
 }
 
 // Arena returns the stream's references.  The slice is shared by every
@@ -65,8 +116,9 @@ func (r *Recorded) Instrs() int64 { return r.instrs }
 // Tail returns the number of instructions retired after the final reference.
 func (r *Recorded) Tail() int64 { return r.tail }
 
-// Fingerprint returns the stream's canonical content fingerprint.
-func (r *Recorded) Fingerprint() uint64 { return r.fp }
+// Fingerprint returns the stream's canonical content fingerprint,
+// FingerprintRefs of its references and tail, computed on each call.
+func (r *Recorded) Fingerprint() uint64 { return FingerprintRefs(r.refs, r.tail) }
 
 // Emit implements Gen, so recordings compose like any other stream (the
 // coarsening pass concatenates its members' recordings).
@@ -84,19 +136,19 @@ type TraceStoreStats struct {
 }
 
 // TraceStore interns reference streams by content: streams with identical
-// references and tails share one Recorded.  Lookup is by 64-bit fingerprint
-// with full content verification on a match, so fingerprint collisions cost
-// a comparison but can never alias two different streams.  A store is safe
-// for concurrent use.
+// references and tails share one Recorded.  Lookup is by a 64-bit hash of
+// the content (lookupKey) with full content verification on a match, so key
+// collisions cost a comparison but can never alias two different streams.
+// A store is safe for concurrent use.
 type TraceStore struct {
 	mu    sync.Mutex
-	byFP  map[uint64][]*Recorded
+	byKey map[uint64][]*Recorded
 	stats TraceStoreStats
 }
 
 // NewTraceStore returns an empty store.
 func NewTraceStore() *TraceStore {
-	return &TraceStore{byFP: make(map[uint64][]*Recorded)}
+	return &TraceStore{byKey: make(map[uint64][]*Recorded)}
 }
 
 // Intern returns the store's recording of the stream rs followed by tail
@@ -105,10 +157,10 @@ func NewTraceStore() *TraceStore {
 // no reference to rs, so callers may reuse it).  A reference whose count
 // NarrowInstrs marked as out of range fails with ErrInstrsRange.
 func (s *TraceStore) Intern(rs []Ref, tail int64) (*Recorded, error) {
-	fp := FingerprintRefs(rs, tail)
+	key := lookupKey(rs, tail)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if r := s.lookup(fp, rs, tail); r != nil {
+	if r := s.lookup(key, rs, tail); r != nil {
 		return r, nil
 	}
 	var sum int64
@@ -118,7 +170,7 @@ func (s *TraceStore) Intern(rs []Ref, tail int64) (*Recorded, error) {
 		}
 		sum += int64(rs[i].Instrs)
 	}
-	r := &Recorded{refs: slices.Clone(rs), tail: tail, instrs: sum + tail, fp: fp}
+	r := &Recorded{refs: slices.Clone(rs), tail: tail, instrs: sum + tail, key: key}
 	s.add(r)
 	return r, nil
 }
@@ -129,7 +181,7 @@ func (s *TraceStore) Intern(rs []Ref, tail int64) (*Recorded, error) {
 func (s *TraceStore) Adopt(r *Recorded) *Recorded {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t := s.lookup(r.fp, r.refs, r.tail); t != nil {
+	if t := s.lookup(r.key, r.refs, r.tail); t != nil {
 		return t
 	}
 	s.add(r)
@@ -138,9 +190,9 @@ func (s *TraceStore) Adopt(r *Recorded) *Recorded {
 
 // lookup counts one request and returns the store's recording of the given
 // content, or nil when the content is new to the store.
-func (s *TraceStore) lookup(fp uint64, rs []Ref, tail int64) *Recorded {
+func (s *TraceStore) lookup(key uint64, rs []Ref, tail int64) *Recorded {
 	s.stats.Interned++
-	for _, r := range s.byFP[fp] {
+	for _, r := range s.byKey[key] {
 		if r.tail == tail && sameRefs(r.refs, rs) {
 			return r
 		}
@@ -150,7 +202,7 @@ func (s *TraceStore) lookup(fp uint64, rs []Ref, tail int64) *Recorded {
 
 // add makes r the store's recording of its content.
 func (s *TraceStore) add(r *Recorded) {
-	s.byFP[r.fp] = append(s.byFP[r.fp], r)
+	s.byKey[r.key] = append(s.byKey[r.key], r)
 	s.stats.Unique++
 	s.stats.ArenaBytes += int64(len(r.refs)) * refBytes
 }

@@ -171,6 +171,65 @@ func TestFingerprintQuickCheck(t *testing.T) {
 	}
 }
 
+// TestLookupKeySeparatesOneFieldChanges pins the store's bucket key: a
+// stream that differs from another only in one reference's address,
+// instruction count or write bit, at any position (so in each of the four
+// lanes and in the remainder loop), only in its tail, or only in its length
+// gets a different key; and an equal stream interned separately still
+// shares the first one's arena.
+func TestLookupKeySeparatesOneFieldChanges(t *testing.T) {
+	base := make([]Ref, 11)
+	for i := range base {
+		base[i] = Ref{Addr: uint64(i) * 64, Instrs: uint32(i % 3), Write: i%2 == 0}
+	}
+	const tail = 7
+	want := lookupKey(base, tail)
+	mutations := map[string]func(*Ref){
+		"addr+64":     func(r *Ref) { r.Addr += 64 },
+		"addr-bit63":  func(r *Ref) { r.Addr ^= 1 << 63 },
+		"instrs+1":    func(r *Ref) { r.Instrs++ },
+		"instrs-max":  func(r *Ref) { r.Instrs = MaxInstrs },
+		"write-flip":  func(r *Ref) { r.Write = !r.Write },
+		"instrs+addr": func(r *Ref) { r.Instrs, r.Addr = r.Instrs+1, r.Addr+64 },
+	}
+	for i := range base {
+		for name, mutate := range mutations {
+			rs := slices.Clone(base)
+			mutate(&rs[i])
+			if lookupKey(rs, tail) == want {
+				t.Errorf("reference %d, %s: key unchanged", i, name)
+			}
+		}
+	}
+	if lookupKey(base, tail+1) == want {
+		t.Errorf("tail+1: key unchanged")
+	}
+	for n := range len(base) {
+		if lookupKey(base[:n], tail) == want {
+			t.Errorf("prefix of length %d: key unchanged", n)
+		}
+	}
+	if lookupKey(append(slices.Clone(base), Ref{}), tail) == want {
+		t.Errorf("one more zero reference: key unchanged")
+	}
+
+	s := NewTraceStore()
+	a, err := s.Intern(base, tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Intern(slices.Clone(base), tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b || &a.Arena()[0] != &b.Arena()[0] {
+		t.Fatalf("equal streams got distinct recordings")
+	}
+	if st := s.Stats(); st.Interned != 2 || st.Unique != 1 {
+		t.Fatalf("stats = %+v, want Interned 2, Unique 1", st)
+	}
+}
+
 // TestTraceStoreConcurrentIntern hammers one store from many goroutines and
 // checks the ledger adds up.
 func TestTraceStoreConcurrentIntern(t *testing.T) {

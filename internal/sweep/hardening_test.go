@@ -26,23 +26,36 @@ func hardeningCfg(t *testing.T) config.CMP {
 // not kill the worker (and, transitively, a sweepd daemon).
 func TestRunJobRecoversPanic(t *testing.T) {
 	cfg := hardeningCfg(t)
-	j := NewJob("panicky", "p", "pdf", cfg, func() (*dag.DAG, error) {
-		panic("workload bug")
-	})
-	_, err := NewEngine(EngineOptions{Workers: 1}).Run([]Job{j})
-	if err == nil || !strings.Contains(err.Error(), "job panicked: workload bug") {
+	panicky := func() (*dag.DAG, error) { panic("workload bug") }
+	j := NewJob("panicky", "p", "pdf", cfg, panicky)
+	eng := NewEngine(EngineOptions{Workers: 1})
+	_, err := eng.Run([]Job{j})
+	if err == nil || !strings.Contains(err.Error(), "build panicked: workload bug") {
 		t.Fatalf("err = %v, want the recovered panic", err)
 	}
+	// The panic is memoised as the template's error: a later job of the
+	// same template on the same engine reports it too, instead of finding a
+	// template with neither a DAG nor an error.
+	again := NewJob("panicky", "p", "ws", cfg, panicky)
+	if _, err := eng.Run([]Job{again}); err == nil || !strings.Contains(err.Error(), "build panicked: workload bug") {
+		t.Fatalf("second job of the panicked template: err = %v, want the memoised panic", err)
+	}
 
-	// The pool path recovers too, and healthy jobs around the panicking one
-	// still complete.
+	// A panic outside the build (here in a derivation) fails its job too.
 	build, params, err := testFactory("mergesort", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := NewJob("mergesort", params, "pdf", cfg, build)
+	bad := good.WithDerive("panicky", func(*dag.DAG, *cmpsim.Result) (map[string]int64, error) { panic("derive bug") })
+	if _, err := NewEngine(EngineOptions{Workers: 1}).Run([]Job{bad}); err == nil || !strings.Contains(err.Error(), "job panicked: derive bug") {
+		t.Fatalf("derive err = %v, want the recovered panic", err)
+	}
+
+	// The pool path recovers too, and healthy jobs around the panicking one
+	// still complete.
 	results, err := NewEngine(EngineOptions{Workers: 2}).Run([]Job{good, j})
-	if err == nil || !strings.Contains(err.Error(), "job panicked") {
+	if err == nil || !strings.Contains(err.Error(), "build panicked: workload bug") {
 		t.Fatalf("pool err = %v, want the recovered panic", err)
 	}
 	if results[0].Sim == nil {

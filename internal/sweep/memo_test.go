@@ -1,11 +1,14 @@
 package sweep
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"cmpsched/internal/cmpsim"
+	"cmpsched/internal/config"
 	"cmpsched/internal/dag"
 	"cmpsched/internal/obs"
 	"cmpsched/internal/sched"
@@ -155,6 +158,45 @@ func TestEngineSharesOneDAGPerTemplate(t *testing.T) {
 	for key, ds := range seen {
 		if len(ds) != 1 {
 			t.Errorf("template %q: jobs simulated %d distinct DAGs, want 1", key, len(ds))
+		}
+	}
+}
+
+// TestDispatchDoesNotParkWorker pins the dispatcher's contract: while one
+// worker builds template a, a free worker takes the next job of another
+// template instead of waiting on a's build.  a's build waits until b's has
+// started, so a worker parked on a's second job would time the build out.
+func TestDispatchDoesNotParkWorker(t *testing.T) {
+	cfg := config.MustDefault(2).Scaled(512)
+	build, _, err := testFactory("mergesort", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bStarted := make(chan struct{})
+	buildA := func() (*dag.DAG, error) {
+		select {
+		case <-bStarted:
+			return build()
+		case <-time.After(2 * time.Second):
+			return nil, errors.New("b's build never started: a worker waited on a's")
+		}
+	}
+	buildB := func() (*dag.DAG, error) {
+		close(bStarted)
+		return build()
+	}
+	jobs := []Job{
+		NewJob("a", "p", "pdf", cfg, buildA),
+		NewJob("a", "p", "ws", cfg, buildA),
+		NewJob("b", "p", "pdf", cfg, buildB),
+	}
+	results, err := NewEngine(EngineOptions{Workers: 2}).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Sim == nil || r.Key != jobs[i].Key {
+			t.Fatalf("result %d is %+v, want job %s's", i, r, jobs[i].Key)
 		}
 	}
 }

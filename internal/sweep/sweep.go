@@ -19,7 +19,9 @@
 // memoised DAG recorded into a content-addressed trace store; see memo.go.
 // Sharing is driven entirely by job keys, so it needs no opt-in and cannot
 // change results: the shared DAG simulates bit-identically to a fresh
-// build.
+// build.  The pool hands a free worker the lowest-index job whose template
+// no other worker is building, so a job waiting on a build no longer blocks
+// a worker while any other job can start.
 package sweep
 
 import (
@@ -341,7 +343,7 @@ func (e *Engine) RunStreamContext(ctx context.Context, jobs []Job, onResult func
 			if err := ctx.Err(); err != nil {
 				return results, fmt.Errorf("sweep: %w", err)
 			}
-			r, err := e.runJob(ctx, jobs[i])
+			r, err := e.runJob(ctx, jobs[i], nil)
 			if err != nil {
 				return results, fmt.Errorf("sweep: job %d (%s): %w", i, jobs[i].Key, err)
 			}
@@ -354,21 +356,22 @@ func (e *Engine) RunStreamContext(ctx context.Context, jobs []Job, onResult func
 		return results, nil
 	}
 
-	indexes := make(chan int)
-	abort := make(chan struct{})
-	var abortOnce sync.Once
+	disp := newDispatcher(jobs)
 	var cbMu sync.Mutex
 	var wg sync.WaitGroup
 	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range indexes {
-				r, err := e.runJob(ctx, jobs[i])
+			for ctx.Err() == nil {
+				i, ok := disp.next()
+				if !ok {
+					return
+				}
+				r, err := e.runJob(ctx, jobs[i], func() { disp.ready(i) })
+				disp.done(i, err != nil)
 				if err != nil {
 					errs[i] = err
-					// Stop feeding new jobs; in-flight ones finish.
-					abortOnce.Do(func() { close(abort) })
 					continue
 				}
 				results[i] = r
@@ -381,27 +384,6 @@ func (e *Engine) RunStreamContext(ctx context.Context, jobs []Job, onResult func
 			}
 		}()
 	}
-feed:
-	for i := range jobs {
-		// With a worker waiting, the send below is ready too, and select
-		// picks among ready cases at random: check for a stop first, so a
-		// cancelled or failed run starts no further job.
-		select {
-		case <-abort:
-			break feed
-		case <-ctx.Done():
-			break feed
-		default:
-		}
-		select {
-		case indexes <- i:
-		case <-abort:
-			break feed
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(indexes)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -414,7 +396,9 @@ feed:
 	return results, nil
 }
 
-// runJob executes (or recalls) a single job.
+// runJob executes (or recalls) a single job.  ready, when non-nil, is
+// called once the job's template is built (the pool's dispatcher then stops
+// holding the template's other jobs back).
 //
 // A panic anywhere in the job — a buggy workload builder, a scheduler edge
 // case, a derivation indexing past its stats — is recovered into the job's
@@ -423,7 +407,7 @@ feed:
 // coordination (FlightCache.Acquire waits); simulation cancellation is
 // governed by EngineOptions.JobTimeout alone, preserving the documented
 // between-jobs cancellation contract.
-func (e *Engine) runJob(ctx context.Context, j Job) (res Result, err error) {
+func (e *Engine) runJob(ctx context.Context, j Job, ready func()) (res Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("job panicked: %v\n%s", p, debug.Stack())
@@ -457,6 +441,9 @@ func (e *Engine) runJob(ctx context.Context, j Job) (res Result, err error) {
 		return Result{}, fmt.Errorf("job has no build function")
 	}
 	d, err := e.template(j)
+	if ready != nil {
+		ready()
+	}
 	if err != nil {
 		return Result{}, err
 	}

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"cmpsched/internal/cache"
 	"cmpsched/internal/config"
@@ -555,6 +556,38 @@ func TestEngineErrorIsDeterministic(t *testing.T) {
 		_, err := NewEngine(EngineOptions{Workers: workers}).Run(jobs)
 		if err == nil || !strings.Contains(err.Error(), "job 1") || !strings.Contains(err.Error(), "boom") {
 			t.Errorf("workers=%d: error = %v, want lowest failing job 1", workers, err)
+		}
+	}
+	// A higher-index job fails while the lowest failing job's template is
+	// still in flight: template a's build fails only after b's has, so the
+	// dispatcher starts job 2 before job 0 fails.  Job 0's error must win,
+	// and with two workers job 3, above the first failure, must not start.
+	for _, workers := range []int{2, 4} {
+		bFailed := make(chan struct{})
+		slowBad := func() (*dag.DAG, error) {
+			select {
+			case <-bFailed:
+				return nil, fmt.Errorf("boom a")
+			case <-time.After(2 * time.Second):
+				return nil, fmt.Errorf("b's build never ran while a's was in flight")
+			}
+		}
+		fastBad := func() (*dag.DAG, error) {
+			defer close(bFailed)
+			return nil, fmt.Errorf("boom b")
+		}
+		layout := []Job{
+			NewJob("a", "p", "pdf", cfg, slowBad),
+			NewJob("a", "p", "ws", cfg, slowBad),
+			NewJob("b", "p", "pdf", cfg, fastBad),
+			NewJob("c", "p", "pdf", cfg, good),
+		}
+		results, err := NewEngine(EngineOptions{Workers: workers}).Run(layout)
+		if err == nil || !strings.Contains(err.Error(), "job 0") || !strings.Contains(err.Error(), "boom a") {
+			t.Errorf("in-flight layout, workers=%d: error = %v, want lowest failing job 0", workers, err)
+		}
+		if workers == 2 && results[3].Sim != nil {
+			t.Errorf("in-flight layout: job 3 started after job 2 failed")
 		}
 	}
 	// A nil build function is rejected rather than panicking.

@@ -32,7 +32,7 @@ func TestPanickingJobBecomesFailedRow(t *testing.T) {
 	for _, ev := range results {
 		if ev.Err != "" {
 			failed++
-			if !strings.Contains(ev.Err, "job panicked") {
+			if !strings.Contains(ev.Err, "build panicked: workload bug") {
 				t.Fatalf("failed row error = %q, want the recovered panic", ev.Err)
 			}
 		} else {
