@@ -4,7 +4,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: all build test race-sweep fuzz-decoder fuzz-cache fuzz-wire fuzz-lease doc-check vet fmt-check lint bench bench-gate bench-quick bench-module ci clean
+.PHONY: all build test race-sweep race-pool fuzz-decoder fuzz-cache fuzz-wire fuzz-lease doc-check vet fmt-check lint bench bench-gate bench-quick bench-module ci clean
 
 all: build
 
@@ -24,6 +24,16 @@ test:
 # this step too).
 race-sweep:
 	$(GO) test -race ./internal/sweep/... ./internal/sched/... ./internal/obs/... ./internal/sweepsvc/... ./internal/faultinject/... ./internal/graph/... ./internal/cmpsim/... ./internal/profile/...
+
+# The worker pool's timing-dependent contracts, repeated under the race
+# detector: dispatch around in-flight template builds (engine and service),
+# parallel cache lookups within one template, a held-back job's lease, one
+# Workers bound across concurrent runs, the lowest-index error and
+# cancellation between jobs, and the service's single-flight, admission,
+# cancellation and drain.  CI runs this step too.
+POOL_TESTS = ^(TestDispatchDoesNotParkWorker|TestCacheLookupsOfOneTemplateOverlap|TestHeldJobKeepsItsLease|TestEngineBoundsConcurrentRuns|TestEngineErrorIsDeterministic|TestRunContextCancelled|TestServiceDispatchesAroundBuilds|TestSingleFlightAcrossClients|TestAdmissionSaturation|TestCancelSkipsUnstartedJobs|TestDrainRejectsAndFinishes)$$
+race-pool:
+	$(GO) test -race -count=20 -run '$(POOL_TESTS)' ./internal/sweep ./internal/sweepsvc
 
 # 30-second crash hunt on the varint-delta adjacency decoder (the committed
 # corpus under internal/graph/testdata/fuzz replays in plain `go test`; this
@@ -115,7 +125,7 @@ bench-quick:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: build lint test race-sweep bench-module
+ci: build lint test race-sweep race-pool bench-module
 
 clean:
 	$(GO) clean ./...

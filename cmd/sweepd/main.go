@@ -58,7 +58,7 @@ func main() {
 		retryAfter   = flag.Duration("retry-after", 0, "Retry-After hint on saturated rejections (0 = default)")
 		cacheDir     = flag.String("cache-dir", "", "directory for the persistent result cache (empty = in-memory only)")
 		leaseTTL     = flag.Duration("lease-ttl", 10*time.Second, "staleness bound on shared-cache flight leases: a crashed instance's lease is taken over after this long without a heartbeat")
-		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "per-job simulation wall-clock bound; an exceeding job fails as one row instead of wedging a runner (0 = unbounded)")
+		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "per-job simulation wall-clock bound; an exceeding job fails as one row instead of wedging a worker (0 = unbounded)")
 		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "limit on reading a request's headers and body (result streams are unbounded)")
 		faultSpec    = flag.String("fault-inject", "", "arm the deterministic HTTP fault harness on the data path, e.g. seed=7,429=0.2,503=0.1,drop=0.1,latency=10ms (dev/chaos use)")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "max time to finish the backlog on SIGTERM before cancelling it")

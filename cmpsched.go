@@ -178,8 +178,8 @@ type (
 	SweepKey = sweep.Key
 	// SweepResult is the outcome of one sweep job.
 	SweepResult = sweep.Result
-	// SweepEngine runs job lists on a bounded worker pool with
-	// deterministic result ordering.
+	// SweepEngine runs job lists on one bounded worker pool, shared by
+	// every run on the engine, with deterministic result ordering.
 	SweepEngine = sweep.Engine
 	// SweepEngineOptions configure a SweepEngine.
 	SweepEngineOptions = sweep.EngineOptions
@@ -191,15 +191,15 @@ type (
 	// ExperimentOptions.WorkloadFactory for the paper-sized inputs.
 	SweepWorkloadFactory = sweep.WorkloadFactory
 	// SweepLeaseOptions tune the crash-safe flight leases that make a disk
-	// cache directory shareable between processes (TTL before a dead
-	// holder's lease is taken over, heartbeat and poll cadence; see
-	// NewSweepSharedDiskCache).
+	// cache directory shareable between processes (the TTL before a dead
+	// holder's lease is taken over, a quarter of which is the heartbeat
+	// interval; see NewSweepSharedDiskCache).
 	SweepLeaseOptions = sweep.LeaseOptions
 
-	// SweepService shares one sweep engine between concurrent clients with
-	// cross-client single-flight deduplication, admission control and
-	// streaming per-job delivery (the core of cmd/sweepd; see
-	// internal/sweepsvc).
+	// SweepService shares one sweep engine, and its one worker pool,
+	// between concurrent clients with cross-client single-flight
+	// deduplication, admission control and streaming per-job delivery (the
+	// core of cmd/sweepd; see internal/sweepsvc).
 	SweepService = sweepsvc.Service
 	// SweepServiceOptions configure a SweepService (worker count, queue and
 	// sweep bounds, cache, metrics).

@@ -191,7 +191,7 @@ type seqItem struct {
 func (a seqItem) Less(b seqItem) bool { return a.seq < b.seq }
 
 // ---------------------------------------------------------------------------
-// Work-stealing deque (see WS in ws.go)
+// Task deque (WS's per-core deques in ws.go, and FIFO's queue below)
 // ---------------------------------------------------------------------------
 
 // deque is a double-ended queue of task IDs: a slice plus a head index.
@@ -251,12 +251,12 @@ func (q *deque) popBottom() (dag.TaskID, bool) {
 
 // FIFO is a central first-come-first-served ready queue.  It is not part of
 // the paper's comparison; it exists as an ablation point between WS
-// (per-core LIFO with stealing) and PDF (global sequential priority).  The
-// queue is a slice plus head index (like the WS deque) so dequeues never
-// strand capacity and steady-state enqueues are allocation-free.
+// (per-core LIFO with stealing) and PDF (global sequential priority).  It
+// queues on the WS deque, pushing on top and taking from the bottom, so
+// dequeues never strand capacity and steady-state enqueues are
+// allocation-free.
 type FIFO struct {
-	queue    []dag.TaskID
-	head     int
+	queue    deque
 	assigned int64
 }
 
@@ -268,33 +268,28 @@ func (*FIFO) Name() string { return "fifo" }
 
 // Reset implements Scheduler.
 func (f *FIFO) Reset(d *dag.DAG, cores int) {
-	f.queue = f.queue[:0]
-	f.head = 0
+	f.queue.reset()
 	f.assigned = 0
 }
 
 // MakeReady implements Scheduler.
 func (f *FIFO) MakeReady(core int, tasks []dag.TaskID) {
-	f.queue = append(f.queue, tasks...)
+	for _, id := range tasks {
+		f.queue.pushTop(id)
+	}
 }
 
 // Next implements Scheduler.
 func (f *FIFO) Next(core int) (dag.TaskID, bool) {
-	if f.Pending() == 0 {
-		return dag.None, false
+	id, ok := f.queue.popBottom()
+	if ok {
+		f.assigned++
 	}
-	id := f.queue[f.head]
-	f.head++
-	if f.head == len(f.queue) {
-		f.queue = f.queue[:0]
-		f.head = 0
-	}
-	f.assigned++
-	return id, true
+	return id, ok
 }
 
 // Pending implements Scheduler.
-func (f *FIFO) Pending() int { return len(f.queue) - f.head }
+func (f *FIFO) Pending() int { return f.queue.len() }
 
 // Metrics implements Scheduler.
 func (f *FIFO) Metrics() map[string]int64 {

@@ -185,7 +185,7 @@ func TestRunContextCancelled(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d/pre-cancelled", workers), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			results, err := NewEngine(EngineOptions{Workers: workers}).RunContext(ctx, jobs)
+			results, err := NewEngine(EngineOptions{Workers: workers}).RunStreamContext(ctx, jobs, nil)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}

@@ -42,7 +42,7 @@ func csvRow(r Result) []string {
 }
 
 // CSVWriter streams results to CSV, writing the header lazily so it also
-// works as a RunStream callback sink.
+// works as a RunStreamContext callback sink.
 type CSVWriter struct {
 	w           *csv.Writer
 	wroteHeader bool

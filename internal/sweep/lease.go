@@ -54,20 +54,21 @@ type LeaseOptions struct {
 	// host:pid:<random> — distinct per process, stable within it.
 	Owner string
 	// TTL is the staleness bound: a lease whose mtime is older than TTL is
-	// considered abandoned and eligible for takeover.  Zero means 10s.
+	// considered abandoned and eligible for takeover.  Zero means 10s.  The
+	// holder refreshes the mtime every TTL/4, keeping several missed beats
+	// between liveness and takeover; a waiter re-checks a contested key
+	// every leasePoll, whatever the TTL.
 	TTL time.Duration
-	// Heartbeat is the holder's mtime refresh interval.  Zero means TTL/4,
-	// keeping several missed beats between liveness and takeover.
-	Heartbeat time.Duration
-	// Poll is the waiter's re-check interval on a contested key.  Zero
-	// means 25ms.
-	Poll time.Duration
 	// Metrics, when non-nil, receives the sweep.lease.* counters.
 	Metrics *obs.Registry
 	// Logf, when non-nil, receives one line per degradation (I/O failures
 	// in the lease protocol) and takeover.
 	Logf func(format string, args ...any)
 }
+
+// leasePoll is how often a waiter re-checks a contested key for the entry or
+// a stale lease.
+const leasePoll = 25 * time.Millisecond
 
 // withDefaults fills the zero fields.
 func (o LeaseOptions) withDefaults() LeaseOptions {
@@ -81,12 +82,6 @@ func (o LeaseOptions) withDefaults() LeaseOptions {
 	}
 	if o.TTL <= 0 {
 		o.TTL = 10 * time.Second
-	}
-	if o.Heartbeat <= 0 {
-		o.Heartbeat = o.TTL / 4
-	}
-	if o.Poll <= 0 {
-		o.Poll = 25 * time.Millisecond
 	}
 	return o
 }
@@ -146,9 +141,6 @@ type LeasedCache struct {
 func NewLeasedCache(dc *DiskCache, opts LeaseOptions) *LeasedCache {
 	return &LeasedCache{dc: dc, opts: opts.withDefaults(), lm: newLeaseMetrics(opts.Metrics)}
 }
-
-// Owner returns this instance's lease identity.
-func (c *LeasedCache) Owner() string { return c.opts.Owner }
 
 // Get implements Cache by delegating to the wrapped DiskCache.
 func (c *LeasedCache) Get(k Key) (Entry, bool) { return c.dc.Get(k) }
@@ -217,7 +209,7 @@ func (c *LeasedCache) Acquire(ctx context.Context, k Key) (Entry, bool, *Lease, 
 		select {
 		case <-ctx.Done():
 			return Entry{}, false, nil, ctx.Err()
-		case <-time.After(c.opts.Poll):
+		case <-time.After(leasePoll):
 		}
 	}
 }
@@ -339,7 +331,7 @@ func (c *LeasedCache) startLease(path string, k Key, rec leaseRecord) *Lease {
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	go l.heartbeat(c.opts.Heartbeat)
+	go l.heartbeat(c.opts.TTL / 4)
 	return l
 }
 
@@ -359,14 +351,6 @@ type Lease struct {
 	done  chan struct{}
 	lost  atomic.Bool
 }
-
-// Key returns the leased key.
-func (l *Lease) Key() Key { return l.key }
-
-// Lost reports whether the lease was observed fenced away (a successor took
-// over during a stall).  The flight's result is still valid — entries are
-// idempotent — it just may have been duplicated.
-func (l *Lease) Lost() bool { return l.lost.Load() }
 
 // heartbeat refreshes the lease file's mtime every interval, re-verifying
 // ownership as it goes; it exits on Release or on discovering the lease was

@@ -21,11 +21,9 @@ import (
 // fastLeaseOptions keeps the protocol's waits in test territory.
 func fastLeaseOptions(owner string) LeaseOptions {
 	return LeaseOptions{
-		Owner:     owner,
-		TTL:       200 * time.Millisecond,
-		Heartbeat: 20 * time.Millisecond,
-		Poll:      5 * time.Millisecond,
-		Metrics:   obs.NewRegistry(),
+		Owner:   owner,
+		TTL:     200 * time.Millisecond,
+		Metrics: obs.NewRegistry(),
 	}
 }
 
@@ -395,11 +393,9 @@ func TestTwoEnginesShareOneCacheDir(t *testing.T) {
 			t.Fatal(err)
 		}
 		lc := NewLeasedCache(dc, LeaseOptions{
-			Owner:     fmt.Sprintf("inst-%d", i),
-			TTL:       2 * time.Second,
-			Heartbeat: 50 * time.Millisecond,
-			Poll:      5 * time.Millisecond,
-			Metrics:   inst.reg,
+			Owner:   fmt.Sprintf("inst-%d", i),
+			TTL:     2 * time.Second,
+			Metrics: inst.reg,
 		})
 		eng := NewEngine(EngineOptions{Workers: 2, Cache: lc, Metrics: inst.reg})
 		wg.Add(1)

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"cmpsched/internal/dag"
@@ -24,19 +25,25 @@ import (
 // coarsening) folds what it reads from the configuration into Params.
 //
 // A grid lists each template's jobs back to back, so handing jobs out in
-// index order would send a free worker straight to the job after a
+// queue order would send a free worker straight to the job after a
 // template's first one, to wait while another worker builds the DAG.  The
-// pool's dispatcher hands out jobs around such builds instead: a waiting job
-// no longer blocks a worker while any other job can start (see dispatcher).
+// engine's pool dispatches around such builds instead (see next and claim):
+// no worker ever waits on a build, and a job held back for one waits in the
+// queue.  A job claims its template's build only once it has missed the
+// result cache, so the cache lookups of one template's jobs run in parallel.
 
-// templateEntry is one memoised DAG.  The sync.Once gives the entry
-// single-flight semantics: under the parallel engine, concurrent jobs that
-// need the same template block on the first builder instead of building
-// redundantly.
+// templateEntry is one memoised DAG, and the pool's dispatch state for it.
+// The sync.Once gives the entry single-flight semantics: however jobs reach
+// it, Build runs once.
 type templateEntry struct {
 	once sync.Once
 	d    *dag.DAG
 	err  error
+
+	// Guarded by the engine's mutex.  A template is claimed by the job that
+	// builds it, and built once that build has finished, with or without an
+	// error.
+	claimed, built bool
 }
 
 // templateKey is the content address of a job's DAG template.
@@ -49,22 +56,17 @@ func templateKey(k Key) string {
 // the same deterministic error.  So is a panic in the build: sync.Once
 // counts a panicking call as done, and without the recover every later job
 // of the template would find neither a DAG nor an error.
-func (e *Engine) template(j Job) (*dag.DAG, error) {
-	key := templateKey(j.Key)
-	e.templMu.Lock()
-	ent, ok := e.templates[key]
-	if !ok {
-		ent = &templateEntry{}
-		e.templates[key] = ent
-	}
-	e.templMu.Unlock()
+func (e *Engine) template(ent *templateEntry, build BuildFunc) (*dag.DAG, error) {
+	builder := false
 	ent.once.Do(func() {
+		builder = true
+		defer e.markBuilt(ent)
 		defer func() {
 			if p := recover(); p != nil {
 				ent.err = fmt.Errorf("build panicked: %v", p)
 			}
 		}()
-		d, err := j.Build()
+		d, err := build()
 		if err != nil {
 			ent.err = err
 			return
@@ -79,113 +81,52 @@ func (e *Engine) template(j Job) (*dag.DAG, error) {
 	if ent.err != nil {
 		return nil, fmt.Errorf("build: %w", ent.err)
 	}
-	// Not necessarily the builder (another job may have interleaved), but
-	// exactly one job observes the map miss per key, which is what makes
-	// jobs - builds a deterministic rebuild-avoided count.
-	if ok {
+	// Every job of the template but its builder is served from the memo,
+	// which makes jobs - builds a deterministic rebuild-avoided count.
+	if !builder {
 		e.em.dagShared.Add(1)
 	}
 	return ent.d, nil
 }
 
-// dispatcher hands the jobs of one pooled run to its workers.  A free worker
-// takes the lowest-index job whose template no other worker is building.  A
-// template is in flight from the moment its first job is handed out until
-// its build finishes or that job returns, so a cache hit releases it too.
-// Only when every remaining job waits on a build does a worker take the
-// lowest of them, and wait in the template's once as it would in index
-// order.  Results are stored by index, so the dispatch order changes no
-// output.
-//
-// After a job fails only lower-index jobs still start, which keeps the
-// reported error that of the lowest-indexed failing job at any worker
-// count.
-type dispatcher struct {
-	tmpl []int // template number of each job
-
-	mu      sync.Mutex
-	started []bool
-	low     int   // every job below low has started
-	stop    int   // only jobs below stop may start
-	state   []int // per template: the job that may be building it, templIdle or templBuilt
-}
-
-// Template states in dispatcher.state other than a job index.
-const (
-	templIdle  = -1 // no job is building the template
-	templBuilt = -2 // its build finished during this run
-)
-
-func newDispatcher(jobs []Job) *dispatcher {
-	ids := make(map[string]int)
-	tmpl := make([]int, len(jobs))
-	for i := range jobs {
-		key := templateKey(jobs[i].Key)
-		id, ok := ids[key]
-		if !ok {
-			id = len(ids)
-			ids[key] = id
-		}
-		tmpl[i] = id
-	}
-	state := make([]int, len(ids))
-	for t := range state {
-		state[t] = templIdle
-	}
-	return &dispatcher{tmpl: tmpl, started: make([]bool, len(jobs)), stop: len(jobs), state: state}
-}
-
-// next returns the job the calling worker runs next, or false when no job
-// may start.
-func (d *dispatcher) next() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for d.low < d.stop && d.started[d.low] {
-		d.low++
-	}
-	if d.low >= d.stop {
-		return 0, false
-	}
-	i := d.low
-	for k := d.low; k < d.stop; k++ {
-		if !d.started[k] && d.state[d.tmpl[k]] < 0 {
-			i = k
-			break
-		}
-	}
-	d.started[i] = true
-	if t := d.tmpl[i]; d.state[t] == templIdle {
-		d.state[t] = i
-	}
-	return i, true
-}
-
-// ready records that job i's template is built: its build has finished,
-// with or without an error, in this job or in another.
-func (d *dispatcher) ready(i int) {
-	d.mu.Lock()
-	d.state[d.tmpl[i]] = templBuilt
-	d.mu.Unlock()
-}
-
-// done records that job i has returned.
-func (d *dispatcher) done(i int, failed bool) {
-	d.mu.Lock()
-	if t := d.tmpl[i]; d.state[t] == i {
-		d.state[t] = templIdle
-	}
-	if failed && i < d.stop {
-		d.stop = i
-	}
-	d.mu.Unlock()
-}
-
-// publishTraceStats exposes the shared trace store's interning counters as
-// gauges.  Called when a stream finishes; the values are cumulative over the
-// engine's lifetime and deterministic for a given job list.
-func (e *Engine) publishTraceStats() {
+// markBuilt records that ent's build has finished, with or without an
+// error, so the jobs held back for it may start.  It also publishes the
+// trace store's interning totals, which only a build changes; under e.mu the
+// last publication reads the totals after the last recording.
+func (e *Engine) markBuilt(ent *templateEntry) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ent.built = true
+	e.spawnLocked()
 	st := e.traces.Stats()
 	e.em.traceUnique.Set(st.Unique)
 	e.em.traceInterned.Set(st.Interned)
 	e.em.traceArena.Set(st.ArenaBytes)
+}
+
+// next removes and returns the first queued task whose template no job is
+// building, or nil when every queued task waits on a build; the caller holds
+// e.mu.
+func (e *Engine) next() *task {
+	for k, t := range e.queue {
+		if t.ent.built || !t.ent.claimed {
+			e.queue = slices.Delete(e.queue, k, k+1)
+			return t
+		}
+	}
+	return nil
+}
+
+// claim reports whether a job that missed the result cache may enter its
+// template now: the template is built, or no job is building it and the
+// caller claims the build.  A job that may not goes back to the queue, so no
+// worker waits in a build's once.
+func (e *Engine) claim(ent *templateEntry) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if ent.claimed && !ent.built {
+		return false
+	}
+	ent.claimed = true
+	return true
 }

@@ -1,7 +1,10 @@
 package sweep
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -198,5 +201,186 @@ func TestDispatchDoesNotParkWorker(t *testing.T) {
 		if r.Sim == nil || r.Key != jobs[i].Key {
 			t.Fatalf("result %d is %+v, want job %s's", i, r, jobs[i].Key)
 		}
+	}
+}
+
+// TestCacheLookupsOfOneTemplateOverlap pins that a job claims its
+// template's build only after missing the result cache: on a warm cache the
+// lookups of one template's jobs run side by side.  Each Get waits for
+// another to overlap it, so lookups run one at a time time out at a peak of
+// 1.
+func TestCacheLookupsOfOneTemplateOverlap(t *testing.T) {
+	cfg := config.MustDefault(2).Scaled(512)
+	build, _, err := testFactory("mergesort", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []Job{NewJob("a", "p", "pdf", cfg, build), NewJob("a", "p", "ws", cfg, build)}
+	warm := NewMemoryCache()
+	if _, err := NewEngine(EngineOptions{Workers: 1, Cache: warm}).Run(jobs); err != nil {
+		t.Fatal(err)
+	}
+	oc := &overlapCache{Cache: warm, overlap: make(chan struct{})}
+	results, err := NewEngine(EngineOptions{Workers: 2, Cache: oc}).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if !r.Cached {
+			t.Errorf("job %d was not served from the warm cache", i)
+		}
+	}
+	if oc.peak != 2 {
+		t.Fatalf("peak concurrent cache lookups = %d on a two-worker engine, want 2", oc.peak)
+	}
+}
+
+// TestHeldJobKeepsItsLease: a job that misses a leased cache while another
+// job builds its template goes back to the queue still holding its flight
+// lease, skips its lookup when picked again, and releases the lease once,
+// after its simulation.  The two a jobs' lookups wait for each other, so
+// both miss before either claims a's build, and a's build waits for b's to
+// start.
+func TestHeldJobKeepsItsLease(t *testing.T) {
+	cfg := config.MustDefault(2).Scaled(512)
+	build, _, err := testFactory("mergesort", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, err := NewDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := NewLeasedCache(dc, fastLeaseOptions("solo"))
+	jobs := []Job{NewJob("a", "p", "pdf", cfg, nil), NewJob("a", "p", "ws", cfg, nil), NewJob("b", "p", "pdf", cfg, nil)}
+	bStarted := make(chan struct{})
+	leasesDuringBuild := 0
+	jobs[0].Build = func() (*dag.DAG, error) {
+		select {
+		case <-bStarted:
+		case <-time.After(2 * time.Second):
+			return nil, errors.New("b's build never started: a worker waited on a's")
+		}
+		for _, j := range jobs[:2] {
+			if _, err := os.Stat(lc.leasePath(j.Key)); err == nil {
+				leasesDuringBuild++
+			}
+		}
+		return build()
+	}
+	jobs[1].Build = jobs[0].Build
+	jobs[2].Build = func() (*dag.DAG, error) {
+		close(bStarted)
+		return build()
+	}
+	oc := &overlapCache{Cache: lc, overlap: make(chan struct{})}
+	results, err := NewEngine(EngineOptions{Workers: 2, Cache: overlapFlightCache{oc, lc}}).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Sim == nil || r.Cached {
+			t.Fatalf("result %d is %+v, want a simulation", i, r)
+		}
+	}
+	if leasesDuringBuild != 2 {
+		t.Errorf("a's jobs held %d leases during a's build, want 2", leasesDuringBuild)
+	}
+	if acq, rel := lc.lm.acquired.Value(), lc.lm.released.Value(); acq != 3 || rel != 3 {
+		t.Errorf("leases acquired %d, released %d; want one each per job (3)", acq, rel)
+	}
+}
+
+// overlapFlightCache is an overlapCache over a LeasedCache that keeps the
+// lease protocol.
+type overlapFlightCache struct {
+	*overlapCache
+	fc FlightCache
+}
+
+func (c overlapFlightCache) Acquire(ctx context.Context, k Key) (Entry, bool, *Lease, error) {
+	return c.fc.Acquire(ctx, k)
+}
+
+// overlapCache records how many Gets run at once; each waits up to 2 s for a
+// second to join it.
+type overlapCache struct {
+	Cache
+	mu           sync.Mutex
+	active, peak int
+	overlap      chan struct{}
+}
+
+func (c *overlapCache) Get(k Key) (Entry, bool) {
+	c.mu.Lock()
+	if c.active++; c.active > c.peak {
+		if c.peak = c.active; c.peak == 2 {
+			close(c.overlap)
+		}
+	}
+	c.mu.Unlock()
+	select {
+	case <-c.overlap:
+	case <-time.After(2 * time.Second):
+	}
+	c.mu.Lock()
+	c.active--
+	c.mu.Unlock()
+	return c.Cache.Get(k)
+}
+
+// TestEngineBoundsConcurrentRuns pins that Workers bounds the engine, not
+// each run: two runs on one one-worker engine never build at the same time.
+// Each build waits briefly for another to overlap it, so a second pool
+// shows up as a peak of 2.
+func TestEngineBoundsConcurrentRuns(t *testing.T) {
+	cfg := config.MustDefault(2).Scaled(512)
+	build, _, err := testFactory("mergesort", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	active, peak := 0, 0
+	overlap := make(chan struct{})
+	counted := func() (*dag.DAG, error) {
+		mu.Lock()
+		if active++; active > peak {
+			if peak = active; peak == 2 {
+				close(overlap)
+			}
+		}
+		mu.Unlock()
+		defer func() {
+			mu.Lock()
+			active--
+			mu.Unlock()
+		}()
+		select {
+		case <-overlap:
+		case <-time.After(100 * time.Millisecond):
+		}
+		return build()
+	}
+	e := NewEngine(EngineOptions{Workers: 1})
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for r := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[r] = e.Run([]Job{
+				NewJob(fmt.Sprintf("run%d-a", r), "p", "pdf", cfg, counted),
+				NewJob(fmt.Sprintf("run%d-b", r), "p", "pdf", cfg, counted),
+			})
+		}()
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", r, err)
+		}
+	}
+	if peak != 1 {
+		t.Fatalf("peak concurrent builds = %d on a one-worker engine, want 1", peak)
 	}
 }

@@ -19,9 +19,9 @@
 // memoised DAG recorded into a content-addressed trace store; see memo.go.
 // Sharing is driven entirely by job keys, so it needs no opt-in and cannot
 // change results: the shared DAG simulates bit-identically to a fresh
-// build.  The pool hands a free worker the lowest-index job whose template
-// no other worker is building, so a job waiting on a build no longer blocks
-// a worker while any other job can start.
+// build.  The engine's one worker pool hands a free worker the first queued
+// job whose template no other worker is building, so a job waiting on a
+// build never blocks a worker.
 package sweep
 
 import (
@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -183,25 +184,54 @@ type Result struct {
 	Elapsed time.Duration `json:"elapsed_ns"`
 }
 
-// Engine runs job lists on a bounded worker pool.
+// Engine runs jobs on a bounded worker pool.  It keeps one queue, fed by
+// RunStreamContext and Go, and starts workers on demand, up to its Workers
+// bound; a worker exits when no queued job can start.  So concurrent runs on
+// one engine share the bound, and a job of any caller can be dispatched
+// around the template builds of another's.
 type Engine struct {
 	workers    int
 	cache      Cache
 	jobTimeout time.Duration
 	em         engineMetrics
+	// traces holds the recorded streams of every template, one store shared
+	// by the whole engine.  See memo.go.
+	traces *refs.TraceStore
 
-	// templates memoises one recorded DAG per (workload, params);
-	// their streams live in traces, one store shared by the whole engine.
-	// See memo.go.
-	templMu   sync.Mutex
+	// mu guards the queue, the live worker count and the templates, which
+	// memoise one recorded DAG per (workload, params) together with its
+	// dispatch state.
+	mu        sync.Mutex
+	queue     []*task
+	running   int
 	templates map[string]*templateEntry
-	traces    *refs.TraceStore
 }
+
+// task is one queued job with the hooks of the caller that queued it.
+type task struct {
+	ctx   context.Context
+	job   Job
+	ent   *templateEntry
+	start func() bool
+	done  func(Result, error)
+	// held is set when the job missed the result cache while another job
+	// built its template, and went back to the queue (errBuildInFlight).
+	// Picked again, it is not started twice, does not repeat its lookup, and
+	// still holds the flight lease its lookup took.
+	held  bool
+	lease *Lease
+}
+
+// errBuildInFlight is runJob's signal that the job missed the result cache
+// while another job builds its template: the worker puts it back in the
+// queue instead of waiting for the build.
+var errBuildInFlight = errors.New("template build in flight")
 
 // EngineOptions configure an Engine.
 type EngineOptions struct {
-	// Workers is the maximum number of concurrent simulations.  Zero (or
-	// negative) means runtime.NumCPU(); 1 forces serial execution.
+	// Workers is the maximum number of concurrent jobs, across every run
+	// on the engine.  Zero (or negative) means runtime.NumCPU(); 1 forces
+	// serial execution.
 	Workers int
 	// Cache, when non-nil, is consulted before each run and updated after.
 	Cache Cache
@@ -215,7 +245,7 @@ type EngineOptions struct {
 	// job fails with a timeout error, instead of a runaway simulation
 	// wedging a worker forever.  The timeout covers only the simulation —
 	// cache hits and adopted flights are exempt — and is private to the job:
-	// engine-level cancellation (RunContext) still takes effect only between
+	// a run's cancellation (RunStreamContext) still takes effect only between
 	// jobs, so every non-timed-out Result stays complete and cacheable.
 	// Jobs that carry their own Options.Cancel keep it unless a timeout is
 	// configured.
@@ -297,93 +327,61 @@ func NewEngine(opts EngineOptions) *Engine {
 // Workers returns the engine's concurrency bound.
 func (e *Engine) Workers() int { return e.workers }
 
-// Run executes the jobs and returns their results in job order, regardless
-// of the completion order of the workers.  On failure it returns the partial
-// results together with the error of the lowest-indexed failing job, so the
-// reported error is deterministic too.
+// Run is RunStreamContext with no cancellation and no callback.
 func (e *Engine) Run(jobs []Job) ([]Result, error) {
 	return e.RunStreamContext(context.Background(), jobs, nil)
 }
 
-// RunContext is Run with cancellation: when ctx is cancelled the engine
-// stops starting new jobs, lets in-flight jobs finish, and returns the
-// partial results (completed entries filled, the rest zero) together with
-// the context's error.  Cancellation is checked between jobs, never inside a
-// simulation, so every returned Result is complete and cacheable.
-func (e *Engine) RunContext(ctx context.Context, jobs []Job) ([]Result, error) {
-	return e.RunStreamContext(ctx, jobs, nil)
-}
-
-// RunStream is Run with a streaming callback: onResult is invoked once per
-// finished job, in completion order (not job order), serialised by the
-// engine so the callback needs no locking.  The returned slice is still in
-// job order.
-func (e *Engine) RunStream(jobs []Job, onResult func(index int, r Result)) ([]Result, error) {
-	return e.RunStreamContext(context.Background(), jobs, onResult)
-}
-
-// RunStreamContext is RunStream with cancellation, combining the contracts
-// of RunContext and RunStream: results stream in completion order until ctx
-// is cancelled, at which point no new jobs start and the partial job-ordered
-// slice is returned with the context's error.  Job errors take precedence
-// over cancellation in the returned error, keeping failure reporting
-// deterministic.
+// RunStreamContext executes the jobs on the engine's pool and returns their
+// results in job order, regardless of the completion order of the workers.
+// onResult, when non-nil, is invoked once per finished job, in completion
+// order, serialised by the engine so the callback needs no locking.
+//
+// On failure it returns the partial results together with the error of the
+// lowest-indexed failing job: after a job fails only lower-index jobs still
+// start, so the reported error is deterministic too.  When ctx is cancelled
+// no new job starts, jobs in flight finish, and the partial results
+// (completed entries filled, the rest zero) are returned with the context's
+// error.  Cancellation is checked between jobs, never inside a simulation,
+// so every returned Result is complete and cacheable.  Job errors take
+// precedence over cancellation.
 func (e *Engine) RunStreamContext(ctx context.Context, jobs []Job, onResult func(index int, r Result)) ([]Result, error) {
-	defer e.publishTraceStats()
 	results := make([]Result, len(jobs))
 	errs := make([]error, len(jobs))
-
-	workers := e.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		// Serial fast path: stop at the first error, like a plain loop.
-		for i := range jobs {
-			if err := ctx.Err(); err != nil {
-				return results, fmt.Errorf("sweep: %w", err)
+	var (
+		mu   sync.Mutex
+		stop = len(jobs)    // only jobs below stop may start
+		wg   sync.WaitGroup // one count per job, done when it finishes or is dropped
+	)
+	wg.Add(len(jobs))
+	tasks := make([]*task, len(jobs))
+	for i := range jobs {
+		start := func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			if i < stop && ctx.Err() == nil {
+				return true
 			}
-			r, err := e.runJob(ctx, jobs[i], nil)
+			wg.Done()
+			return false
+		}
+		done := func(r Result, err error) {
+			defer wg.Done()
+			mu.Lock()
+			defer mu.Unlock()
 			if err != nil {
-				return results, fmt.Errorf("sweep: job %d (%s): %w", i, jobs[i].Key, err)
+				errs[i] = err
+				stop = min(stop, i)
+				return
 			}
 			results[i] = r
-			e.em.publish(r)
 			if onResult != nil {
 				onResult(i, r)
 			}
 		}
-		return results, nil
+		tasks[i] = &task{ctx: ctx, job: jobs[i], start: start, done: done}
 	}
-
-	disp := newDispatcher(jobs)
-	var cbMu sync.Mutex
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i, ok := disp.next()
-				if !ok {
-					return
-				}
-				r, err := e.runJob(ctx, jobs[i], func() { disp.ready(i) })
-				disp.done(i, err != nil)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				results[i] = r
-				e.em.publish(r)
-				if onResult != nil {
-					cbMu.Lock()
-					onResult(i, r)
-					cbMu.Unlock()
-				}
-			}
-		}()
-	}
+	e.enqueue(tasks...)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -396,54 +394,124 @@ func (e *Engine) RunStreamContext(ctx context.Context, jobs []Job, onResult func
 	return results, nil
 }
 
-// runJob executes (or recalls) a single job.  ready, when non-nil, is
-// called once the job's template is built (the pool's dispatcher then stops
-// holding the template's other jobs back).
+// Go queues one job on the engine's pool and returns at once.  When a
+// worker first picks the job it calls start, and returning false drops the
+// job; otherwise the job runs and done receives its outcome.  start and done
+// run on the worker, outside the engine's locks.  ctx feeds only the job's
+// cross-process flight coordination (FlightCache.Acquire), as in
+// RunStreamContext.
+func (e *Engine) Go(ctx context.Context, j Job, start func() bool, done func(Result, error)) {
+	e.enqueue(&task{ctx: ctx, job: j, start: start, done: done})
+}
+
+// enqueue appends tasks to the queue, with their template entries, and
+// starts workers for them.
+func (e *Engine) enqueue(ts ...*task) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, t := range ts {
+		key := templateKey(t.job.Key)
+		if t.ent = e.templates[key]; t.ent == nil {
+			t.ent = &templateEntry{}
+			e.templates[key] = t.ent
+		}
+	}
+	e.queue = append(e.queue, ts...)
+	e.spawnLocked()
+}
+
+// spawnLocked starts workers, up to the bound, for the queued tasks; the
+// caller holds e.mu.  A worker started for a task another worker takes, or
+// one that waits on a build, finds nothing to start and exits.
+func (e *Engine) spawnLocked() {
+	for n := len(e.queue); n > 0 && e.running < e.workers; n-- {
+		e.running++
+		go e.work()
+	}
+}
+
+// work is one pool worker: it runs queued tasks until none can start, then
+// exits.
+func (e *Engine) work() {
+	e.mu.Lock()
+	for {
+		t := e.next()
+		if t == nil {
+			e.running--
+			e.mu.Unlock()
+			return
+		}
+		e.mu.Unlock()
+		if t.held || t.start() {
+			r, err := e.runJob(t)
+			if err == errBuildInFlight {
+				// The build's end starts a worker for it (markBuilt); this
+				// one looks for other work meanwhile.
+				t.held = true
+				e.mu.Lock()
+				e.queue = slices.Insert(e.queue, 0, t)
+				continue
+			}
+			if err == nil {
+				e.em.publish(r)
+			}
+			t.done(r, err)
+		}
+		e.mu.Lock()
+	}
+}
+
+// runJob executes (or recalls) a single task's job.
 //
 // A panic anywhere in the job — a buggy workload builder, a scheduler edge
 // case, a derivation indexing past its stats — is recovered into the job's
 // error, so one bad job fails one row instead of killing the process (and,
-// under sweepsvc, the whole daemon).  ctx feeds only cross-process flight
-// coordination (FlightCache.Acquire waits); simulation cancellation is
-// governed by EngineOptions.JobTimeout alone, preserving the documented
+// under sweepsvc, the whole daemon).  The task's ctx feeds only cross-process
+// flight coordination (FlightCache.Acquire waits); simulation cancellation
+// is governed by EngineOptions.JobTimeout alone, preserving the documented
 // between-jobs cancellation contract.
-func (e *Engine) runJob(ctx context.Context, j Job, ready func()) (res Result, err error) {
+func (e *Engine) runJob(t *task) (res Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("job panicked: %v\n%s", p, debug.Stack())
 		}
 	}()
+	j := t.job
 	start := time.Now()
-	if e.cache != nil && !j.KeepTaskStats {
+	if !t.held && e.cache != nil && !j.KeepTaskStats {
 		if ent, ok := e.cache.Get(j.Key); ok {
 			return Result{Key: j.Key, Sim: ent.Sim, Derived: ent.Derived, Cached: true, Elapsed: time.Since(start)}, nil
 		}
 		if fc, ok := e.cache.(FlightCache); ok {
 			// Cross-process single-flight: adopt the entry if another
-			// instance lands it first, otherwise hold the flight's lease for
-			// the duration of the simulation.  The lease is released after
-			// the Put below (deferred, so also on failure — a waiter then
-			// re-claims and re-simulates); a nil lease with a nil error means
-			// coordination is degraded and we simulate uncoordinated.
-			ent, adopted, lease, aerr := fc.Acquire(ctx, j.Key)
+			// instance lands it first, otherwise hold the flight's lease
+			// until the job ends, also while it waits in the queue for its
+			// template's build.  The lease is released after the Put below
+			// (deferred, so also on failure — a waiter then re-claims and
+			// re-simulates); a nil lease with a nil error means coordination
+			// is degraded and we simulate uncoordinated.
+			ent, adopted, lease, aerr := fc.Acquire(t.ctx, j.Key)
 			if aerr != nil {
 				return Result{}, aerr
 			}
 			if adopted {
 				return Result{Key: j.Key, Sim: ent.Sim, Derived: ent.Derived, Cached: true, Elapsed: time.Since(start)}, nil
 			}
-			if lease != nil {
-				defer lease.Release()
-			}
+			t.lease = lease
 		}
 	}
+	defer func() {
+		if t.lease != nil && err != errBuildInFlight {
+			t.lease.Release()
+		}
+	}()
 	if j.Build == nil {
 		return Result{}, fmt.Errorf("job has no build function")
 	}
-	d, err := e.template(j)
-	if ready != nil {
-		ready()
+	if !e.claim(t.ent) {
+		return Result{}, errBuildInFlight
 	}
+	d, err := e.template(t.ent, j.Build)
 	if err != nil {
 		return Result{}, err
 	}
@@ -538,7 +606,7 @@ type SummaryRow struct {
 }
 
 // Aggregator accumulates results into per-(workload, scheduler) summaries.
-// Add may be called from RunStream's callback; Rows returns a
+// Add may be called from RunStreamContext's callback; Rows returns a
 // deterministically sorted snapshot.
 type Aggregator struct {
 	mu   sync.Mutex

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"fmt"
 	"os"
@@ -335,12 +336,12 @@ func TestStreamCallbackCoversAllJobs(t *testing.T) {
 	}
 	agg := NewAggregator()
 	seen := make([]bool, len(jobs))
-	_, err = NewEngine(EngineOptions{Workers: 4}).RunStream(jobs, func(i int, r Result) {
+	_, err = NewEngine(EngineOptions{Workers: 4}).RunStreamContext(context.Background(), jobs, func(i int, r Result) {
 		seen[i] = true
 		agg.Add(r)
 	})
 	if err != nil {
-		t.Fatalf("RunStream: %v", err)
+		t.Fatalf("RunStreamContext: %v", err)
 	}
 	for i, s := range seen {
 		if !s {

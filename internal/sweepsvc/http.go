@@ -96,7 +96,8 @@ type ServiceSummary struct {
 	UptimeSec float64 `json:"uptime_sec"`
 	// QueueDepth is the number of admitted-but-unstarted jobs.
 	QueueDepth int64 `json:"queue_depth"`
-	// InflightJobs is the number of jobs on runners right now.
+	// InflightJobs is the number of jobs the engine's workers are running
+	// right now.
 	InflightJobs int64 `json:"inflight_jobs"`
 	// ActiveSweeps is the number of admitted, unfinished sweeps.
 	ActiveSweeps int64 `json:"active_sweeps"`

@@ -13,14 +13,16 @@
 // in-flight job (keyed by sweep.Key) and both receive its row when it
 // completes.
 //
-// The service is explicitly bounded: a fixed runner pool, a bounded queue of
-// unstarted jobs, a cap on concurrently active sweeps and on jobs per
-// submission.  Submissions that would exceed a bound fail fast with a
-// SaturatedError carrying a retry hint (HTTP maps it to 429 + Retry-After)
-// instead of queueing without limit.  Cancellation drops a sweep's claim on
-// its unstarted jobs; jobs already running finish (their results are
-// cacheable) but deliver to nobody.  Drain stops admission, lets the backlog
-// finish, and then stops the runners, so SIGTERM never truncates a row.
+// The service runs its jobs on the engine's one worker pool (sweep.Engine.Go),
+// which dispatches them around in-flight DAG template builds as it does a
+// grid's.  It is explicitly bounded: the pool's worker count, a bounded
+// number of admitted-but-unstarted jobs, a cap on concurrently active sweeps
+// and on jobs per submission.  Submissions that would exceed a bound fail
+// fast with a SaturatedError carrying a retry hint (HTTP maps it to 429 +
+// Retry-After) instead of queueing without limit.  Cancellation drops a
+// sweep's claim on its unstarted jobs; jobs already running finish (their
+// results are cacheable) but deliver to nobody.  Drain stops admission and
+// lets the backlog finish, so SIGTERM never truncates a row.
 package sweepsvc
 
 import (
@@ -37,8 +39,8 @@ import (
 
 // Options configure a Service.
 type Options struct {
-	// Workers is the number of concurrent job runners.  Zero means one per
-	// host CPU (the sweep engine's convention).
+	// Workers bounds the engine's worker pool: at most this many jobs run
+	// at once.  Zero means one per host CPU (the sweep engine's convention).
 	Workers int
 	// MaxQueue bounds the number of admitted-but-unstarted jobs across all
 	// sweeps.  A submission whose new (non-deduplicated) jobs would exceed
@@ -61,7 +63,7 @@ type Options struct {
 	// JobTimeout, when positive, bounds each job's simulation wall-clock
 	// time (sweep.EngineOptions.JobTimeout): a runaway simulation is
 	// cancelled and reported as that job's failed row instead of wedging a
-	// runner forever.
+	// worker forever.
 	JobTimeout time.Duration
 }
 
@@ -259,9 +261,9 @@ func newServiceMetrics(reg *obs.Registry) serviceMetrics {
 }
 
 // Service is the transport-neutral sweep job server.  One Service owns one
-// sweep.Engine (hence one DAG-template store and one result cache) and a
-// fixed runner pool; Submit adds jobs, deduplicating against everything
-// queued or running.
+// sweep.Engine (hence one worker pool, one DAG-template store and one result
+// cache); Submit adds jobs, deduplicating against everything queued or
+// running.
 type Service struct {
 	opts   Options
 	engine *sweep.Engine
@@ -269,41 +271,35 @@ type Service struct {
 	sm     serviceMetrics
 	birth  time.Time
 
-	queue chan *flight
-	wg    sync.WaitGroup
-
 	mu       sync.Mutex
 	flights  map[string]*flight
 	sweeps   map[string]*Sweep
-	pending  int // flights admitted but not yet picked up by a runner
+	pending  int // flights admitted but not yet picked up by a worker
 	running  int // flights being simulated
 	seq      int64
 	draining bool
+	drained  chan struct{} // closed once draining and no flight is left
 }
 
-// NewService starts a service: the runner pool is live on return.
+// NewService returns a service ready for submissions; the engine starts
+// workers as jobs arrive.
 func NewService(opts Options) *Service {
 	opts = opts.withDefaults()
-	s := &Service{
-		opts:    opts,
-		reg:     opts.Metrics,
-		sm:      newServiceMetrics(opts.Metrics),
-		birth:   time.Now(),
-		queue:   make(chan *flight, opts.MaxQueue),
+	return &Service{
+		opts:  opts,
+		reg:   opts.Metrics,
+		sm:    newServiceMetrics(opts.Metrics),
+		birth: time.Now(),
+		engine: sweep.NewEngine(sweep.EngineOptions{
+			Workers:    opts.Workers,
+			Cache:      opts.Cache,
+			Metrics:    opts.Metrics,
+			JobTimeout: opts.JobTimeout,
+		}),
 		flights: make(map[string]*flight),
 		sweeps:  make(map[string]*Sweep),
+		drained: make(chan struct{}),
 	}
-	s.engine = sweep.NewEngine(sweep.EngineOptions{
-		Workers:    opts.Workers,
-		Cache:      opts.Cache,
-		Metrics:    opts.Metrics,
-		JobTimeout: opts.JobTimeout,
-	})
-	for i := 0; i < s.engine.Workers(); i++ {
-		s.wg.Add(1)
-		go s.runner()
-	}
-	return s
 }
 
 // Metrics returns the service's registry (engine and service metrics both).
@@ -401,18 +397,22 @@ func (s *Service) Submit(jobs []sweep.Job) (*Sweep, error) {
 		start: time.Now(),
 		// Capacity for the full stream (accepted + one result per job +
 		// terminal) keeps delivery non-blocking forever: a consumer that
-		// stops reading can never back up a runner.
+		// stops reading can never back up a worker.
 		events: make(chan Event, len(jobs)+2),
 	}
-	var enqueue []*flight
+	sw.events <- Event{Type: EventAccepted, SweepID: sw.id, Total: sw.total}
 	for i := range jobs {
 		h := jobs[i].Key.Hash()
 		f := s.flights[h]
 		if f == nil {
 			f = &flight{job: jobs[i], hash: h}
 			s.flights[h] = f
-			enqueue = append(enqueue, f)
 			s.pending++
+			// The hooks take s.mu, so no worker starts or delivers f before
+			// this submission is complete.
+			s.engine.Go(context.Background(), f.job,
+				func() bool { return s.startFlight(f) },
+				func(r sweep.Result, err error) { s.finishFlight(f, r, err) })
 		} else {
 			sw.dedup++
 			s.sm.jobsDeduped.Add(1)
@@ -423,56 +423,53 @@ func (s *Service) Submit(jobs []sweep.Job) (*Sweep, error) {
 	s.sweeps[sw.id] = sw
 	s.sm.sweepsAccepted.Add(1)
 	s.sm.jobsSubmitted.Add(int64(len(jobs)))
-	sw.events <- Event{Type: EventAccepted, SweepID: sw.id, Total: sw.total}
-	// The queue's capacity equals MaxQueue and pending <= MaxQueue is the
-	// admission invariant, so these sends cannot block under the lock.
-	for _, f := range enqueue {
-		s.queue <- f
-	}
 	s.updateGauges()
 	return sw, nil
 }
 
-// runner is one worker: it executes flights off the queue until Drain
-// closes it.
-func (s *Service) runner() {
-	defer s.wg.Done()
-	for f := range s.queue {
-		s.mu.Lock()
-		s.pending--
-		if len(f.subs) == 0 {
-			// Every subscriber cancelled before the job started.
-			delete(s.flights, f.hash)
-			s.sm.jobsSkipped.Add(1)
-			s.updateGauges()
-			s.mu.Unlock()
-			continue
-		}
-		s.running++
-		s.updateGauges()
-		s.mu.Unlock()
-
-		results, err := s.engine.Run([]sweep.Job{f.job})
-		var res sweep.Result
-		if err == nil {
-			res = results[0]
-		}
-
-		s.mu.Lock()
-		delete(s.flights, f.hash)
-		s.running--
-		if err != nil {
-			s.sm.jobsFailed.Add(1)
-		} else {
-			s.sm.jobsCompleted.Add(1)
-		}
-		for _, sub := range f.subs {
-			sub.sw.deliverLocked(sub.index, res, err)
-		}
-		f.subs = nil
-		s.updateGauges()
-		s.mu.Unlock()
+// startFlight is f's start hook, called when a worker picks f: it reports
+// whether anyone still wants f, and retires f if every subscriber cancelled
+// before it started.
+func (s *Service) startFlight(f *flight) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pending--
+	if len(f.subs) == 0 {
+		s.sm.jobsSkipped.Add(1)
+		s.retireLocked(f)
+		return false
 	}
+	s.running++
+	s.updateGauges()
+	return true
+}
+
+// finishFlight is f's done hook: it delivers the outcome to every
+// subscriber and retires f.
+func (s *Service) finishFlight(f *flight, r sweep.Result, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.running--
+	if err != nil {
+		s.sm.jobsFailed.Add(1)
+	} else {
+		s.sm.jobsCompleted.Add(1)
+	}
+	for _, sub := range f.subs {
+		sub.sw.deliverLocked(sub.index, r, err)
+	}
+	f.subs = nil
+	s.retireLocked(f)
+}
+
+// retireLocked removes a finished or skipped flight and, under Drain, ends
+// the drain with the last one; the caller holds the service mutex.
+func (s *Service) retireLocked(f *flight) {
+	delete(s.flights, f.hash)
+	if s.draining && len(s.flights) == 0 {
+		close(s.drained)
+	}
+	s.updateGauges()
 }
 
 // deliverLocked folds one finished job into the sweep and emits its event;
@@ -500,13 +497,22 @@ func (sw *Sweep) deliverLocked(index int, r sweep.Result, err error) {
 	}
 }
 
-// finishLocked emits the terminal event, closes the stream and retires the
-// sweep; the caller holds the service mutex.
+// finishLocked retires the sweep, then emits the terminal event and closes
+// the stream; the caller holds the service mutex.
 func (sw *Sweep) finishLocked(typ EventType) {
 	if sw.closed {
 		return
 	}
 	sw.closed = true
+	// A client that has read the terminal event must find the sweep
+	// retired in the service's metrics.
+	delete(sw.svc.sweeps, sw.id)
+	if typ == EventDone {
+		sw.svc.sm.sweepsCompleted.Add(1)
+	} else {
+		sw.svc.sm.sweepsCancelled.Add(1)
+	}
+	sw.svc.updateGauges()
 	sw.events <- Event{
 		Type: typ, SweepID: sw.id, Done: sw.done, Failed: sw.failed, Total: sw.total,
 		Summary: &Summary{
@@ -519,16 +525,10 @@ func (sw *Sweep) finishLocked(typ EventType) {
 		},
 	}
 	close(sw.events)
-	delete(sw.svc.sweeps, sw.id)
-	if typ == EventDone {
-		sw.svc.sm.sweepsCompleted.Add(1)
-	} else {
-		sw.svc.sm.sweepsCancelled.Add(1)
-	}
 }
 
 // Cancel withdraws an active sweep: its claims on unstarted jobs are
-// dropped (a job nobody else wants is skipped when a runner reaches it), its
+// dropped (a job nobody else wants is skipped when a worker reaches it), its
 // running jobs finish without delivering to it (their results still land in
 // the cache), and its stream terminates with EventCancelled.  It reports
 // whether the ID named an active sweep.
@@ -549,7 +549,6 @@ func (s *Service) Cancel(id string) bool {
 		f.subs = keep
 	}
 	sw.finishLocked(EventCancelled)
-	s.updateGauges()
 	return true
 }
 
@@ -578,35 +577,31 @@ func (s *Service) ActiveSweeps() []string {
 	return out
 }
 
-// Drain stops admission (Submit returns ErrDraining), closes the queue, and
-// waits for the backlog — everything already admitted — to finish.  If ctx
-// expires first, the remaining active sweeps are cancelled so unstarted jobs
-// are skipped, running jobs are awaited (a simulation cannot be interrupted
-// mid-run), and ctx's error is returned.  Drain is idempotent; concurrent
-// calls all wait.
+// Drain stops admission (Submit returns ErrDraining) and waits for the
+// backlog — everything already admitted — to finish.  If ctx expires first,
+// the remaining active sweeps are cancelled so unstarted jobs are skipped,
+// running jobs are awaited (a simulation cannot be interrupted mid-run), and
+// ctx's error is returned.  Drain is idempotent; concurrent calls all wait.
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
-		close(s.queue)
+		if len(s.flights) == 0 {
+			close(s.drained)
+		}
 	}
 	s.mu.Unlock()
 
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
 	select {
-	case <-done:
+	case <-s.drained:
 		return nil
 	case <-ctx.Done():
 	}
 	// Forced drain: withdraw the remaining sweeps and wait out the jobs
-	// that are actually on a runner.
+	// that are actually running.
 	for _, id := range s.ActiveSweeps() {
 		s.Cancel(id)
 	}
-	<-done
+	<-s.drained
 	return ctx.Err()
 }

@@ -210,6 +210,48 @@ func TestSingleFlightAcrossClients(t *testing.T) {
 	}
 }
 
+// TestServiceDispatchesAroundBuilds: the service's jobs run on the engine's
+// pool, which hands a free worker a job whose template nobody is building
+// rather than one that would wait on a build.  Template a's build waits
+// until b's has started, so a worker parked on a/ws would time the build out
+// and fail both a rows.
+func TestServiceDispatchesAroundBuilds(t *testing.T) {
+	svc := NewService(Options{Workers: 2})
+	defer svc.Drain(context.Background())
+
+	bStarted := make(chan struct{})
+	buildA := func() (*dag.DAG, error) {
+		select {
+		case <-bStarted:
+			return buildTinyDAG()
+		case <-time.After(2 * time.Second):
+			return nil, errors.New("b's build never started: a worker waited on a's")
+		}
+	}
+	buildB := func() (*dag.DAG, error) {
+		close(bStarted)
+		return buildTinyDAG()
+	}
+	cfg := testCfg(t)
+	sw, err := svc.Submit([]sweep.Job{
+		sweep.NewJob("a", "p", "pdf", cfg, buildA),
+		sweep.NewJob("a", "p", "ws", cfg, buildA),
+		sweep.NewJob("b", "p", "pdf", cfg, buildB),
+	})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	results, term := collect(t, sw)
+	if term.Type != EventDone || len(results) != 3 {
+		t.Fatalf("terminal %s after %d rows, want done after 3", term.Type, len(results))
+	}
+	for _, ev := range results {
+		if ev.Err != "" {
+			t.Errorf("row %d failed: %s", ev.Index, ev.Err)
+		}
+	}
+}
+
 // TestConcurrentGridSubmissions is the ISSUE's satellite shape: two
 // goroutines submit overlapping wire grids concurrently; every duplicated
 // key must simulate exactly once (served by single-flight or by the result
