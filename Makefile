@@ -4,7 +4,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: all build test race-sweep race-pool fuzz-decoder fuzz-cache fuzz-wire fuzz-lease doc-check vet fmt-check lint bench bench-gate bench-quick bench-module ci clean
+.PHONY: all build test race-sweep race-pool fuzz-decoder fuzz-cache fuzz-wire fuzz-lease fuzz-arena doc-check vet fmt-check lint bench bench-gate bench-quick bench-module ci clean
 
 all: build
 
@@ -19,11 +19,12 @@ test:
 # registry's counters, the sweep service's single-flight dedup, the
 # cross-process cache leases (heartbeat goroutines vs takeover), the
 # fault-injection shims they are tested through, the graph kernels (whose
-# DAG builders sweeps run concurrently), and the simulator and profiler
-# (concurrent runs share one DAG) — run under the race detector (CI runs
-# this step too).
+# DAG builders sweeps run concurrently), the simulator and profiler
+# (concurrent runs share one DAG), and the trace store and DAG recording
+# (one store is shared by every worker of a sweep engine) — run under the
+# race detector (CI runs this step too).
 race-sweep:
-	$(GO) test -race ./internal/sweep/... ./internal/sched/... ./internal/obs/... ./internal/sweepsvc/... ./internal/faultinject/... ./internal/graph/... ./internal/cmpsim/... ./internal/profile/...
+	$(GO) test -race ./internal/sweep/... ./internal/sched/... ./internal/obs/... ./internal/sweepsvc/... ./internal/faultinject/... ./internal/graph/... ./internal/cmpsim/... ./internal/profile/... ./internal/refs/... ./internal/dag/...
 
 # The worker pool's timing-dependent contracts, repeated under the race
 # detector: dispatch around in-flight template builds (engine and service),
@@ -61,6 +62,13 @@ fuzz-wire:
 fuzz-lease:
 	$(GO) test -run '^$$' -fuzz 'FuzzLeaseTakeover$$' -fuzztime 30s ./internal/sweep
 
+# 30-second hunt on the recorded-stream codec: arbitrary streams must intern,
+# decode back exactly however they are read, and intern to one recording
+# per content (the committed corpus under internal/refs/testdata/fuzz
+# replays in plain `go test`).  CI runs this step too.
+fuzz-arena:
+	$(GO) test -run '^$$' -fuzz 'FuzzRecordedRoundTrip$$' -fuzztime 30s ./internal/refs
+
 # The docs gate: the public facade, the scheduler package, the observability
 # package, the sweep service and the fault-injection harness must carry a
 # package comment and a doc comment on every exported identifier (the rest
@@ -82,14 +90,14 @@ lint: fmt-check vet doc-check
 
 # The simulator benchmark suite -> BENCH_simulator.json: ns/op, B/op,
 # allocs/op and the shape metrics (L2-MPKI etc.) for every Simulate*
-# benchmark and the build-side BuildBFSDAG and Profiler* benchmarks, in
+# benchmark and the build-side Build*DAG and Profiler* benchmarks, in
 # benchstat-comparable form (each entry keeps its raw line).  Record the
 # committed baseline with GOMAXPROCS=1, so its names carry no -N suffix and
 # benchgate matches them on any runner.
 # Compare two commits with
 #   jq -r '.benchmarks[].raw' old.json > old.txt   (and likewise new)
 #   benchstat old.txt new.txt
-BENCH ?= BenchmarkSimulate|BenchmarkBuildBFSDAG|BenchmarkProfiler
+BENCH ?= BenchmarkSimulate|BenchmarkBuildBFSDAG|BenchmarkBuildPageRankDAG|BenchmarkProfiler
 BENCHTIME ?= 1s
 BENCH_NOTES ?=
 bench:

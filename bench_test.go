@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cmpsched/internal/experiments"
+	"cmpsched/internal/graph"
 	"cmpsched/internal/profile"
 	"cmpsched/internal/sched"
 	"cmpsched/internal/sweep"
@@ -405,6 +406,22 @@ func BenchmarkSimulateEndToEndConnectivityCompressed(b *testing.B) {
 func BenchmarkBuildBFSDAG(b *testing.B) {
 	exactAllocs(b, func() error {
 		_, _, err := NewBFS(BFSConfig{Shape: benchShape("uniform")}).Build()
+		return err
+	})
+}
+
+// BenchmarkBuildPageRankDAG builds the full PageRank DAG on an RMAT 2^12
+// graph: the kernel with the heaviest per-edge trace traffic and real
+// intra-build stream sharing (parity addressing makes iterations i and i+2
+// byte-identical, so its allocations pin interning by content).
+func BenchmarkBuildPageRankDAG(b *testing.B) {
+	g, err := graph.New(graph.Config{Family: graph.FamilyRMAT, Vertices: 1 << 12, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	exactAllocs(b, func() error {
+		_, _, err := graph.PageRank(g, 4, graph.Costs{})
 		return err
 	})
 }

@@ -23,12 +23,12 @@
 // whose comparisons are single integer compares and whose pushes and pops
 // never allocate; a same-core lookahead keeps executing a core's references
 // inline while their completion times precede every other core's pending
-// event (so L1-hit bursts never touch the heap); and each core reads its
-// task's recorded reference arena (dag.Task.Refs) through an integer
-// cursor.  All are pure reorderings of identical work: event processing
-// order, and therefore every cycle count and cache statistic, is
-// bit-identical to the straightforward heap-per-event engine (pinned by
-// TestGoldenEngineEquivalence).
+// event (so L1-hit bursts never touch the heap); and each core decodes its
+// task's bit-packed recording (dag.Task.Refs) through its own cursor, a
+// block of references at a time.  All are pure reorderings of identical
+// work: event processing order, and therefore every cycle count and cache
+// statistic, is bit-identical to the straightforward heap-per-event engine
+// (pinned by TestGoldenEngineEquivalence).
 //
 // A run only reads its DAG, so any number of runs may simulate one DAG at
 // the same time.
@@ -318,19 +318,31 @@ func (q *eventQueue) pop() uint64 {
 	return top
 }
 
-// coreState tracks what a core is doing.  The task pointer, its arena and
-// the core's L2 slice are cached at assignment so the per-reference loop
-// never re-resolves them; the position in the arena is the core's own, so
-// the shared arena is only ever read.
+// coreState tracks what a core is doing.  The task pointer, a decode cursor
+// over its recording and the core's L2 slice are set at assignment so the
+// per-reference loop never re-resolves them; the cursor is the core's own,
+// so the shared recording is only ever read.
 type coreState struct {
 	busy      bool
 	finishing bool // refs exhausted, waiting for trailing instructions
 	task      *dag.Task
-	arena     []refs.Ref // the task's recorded references
-	pos       int        // next reference in arena: the count issued so far
-	start     int64      // cycle the current task started
+	cursor    refs.Reader // decodes the task's references not yet in blk
+	next, end int         // the decoded block's unissued references: blk[next:end]
+	start     int64       // cycle the current task started
 	l2Misses  int64
 	slice     int // the L2 slice serving the core
+}
+
+// blockRefs is the number of references a core decodes at a time.
+const blockRefs = 32
+
+// core is a core's state and its decode block.  The per-reference loop
+// reads the block and refills it with one tight decode loop when it runs
+// out.  Assigning and completing a task reset the state alone: a block is
+// only read below end, which the next decode sets.
+type core struct {
+	coreState
+	blk [blockRefs]refs.Ref
 }
 
 // RunWithOptions simulates d on cfg under scheduler s.
@@ -408,7 +420,7 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 		indeg[t.ID] = len(t.Preds)
 	}
 
-	cores := make([]coreState, p)
+	cores := make([]core, p)
 	busyCycles := make([]int64, p)
 	var taskStats []TaskStat
 	if opts.RecordTaskStats {
@@ -446,7 +458,7 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 			}
 			tr.Run(int32(id), int32(c))
 			t := d.Task(id)
-			cores[c] = coreState{busy: true, task: t, arena: t.Refs.Arena(), start: now, slice: hier.SliceOf(c)}
+			cores[c].coreState = coreState{busy: true, task: t, cursor: t.Refs.Reader(), start: now, slice: hier.SliceOf(c)}
 			events.push(eventKey(now, c))
 		}
 		if prefer >= 0 && prefer < p {
@@ -517,9 +529,13 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 			}
 
 			if !st.finishing {
-				if st.pos < len(st.arena) {
-					ref := st.arena[st.pos]
-					st.pos++
+				if st.next == st.end && st.cursor.Len() > 0 {
+					st.end = st.cursor.Read(st.blk[:])
+					st.next = 0
+				}
+				if st.next < st.end {
+					ref := st.blk[st.next]
+					st.next++
 					issue := now + int64(ref.Instrs)
 					acc := hier.Access(c, ref.Addr, ref.Write)
 					var done int64
@@ -566,7 +582,7 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 					Start:    st.start,
 					End:      now,
 					L2Misses: st.l2Misses,
-					Refs:     int64(st.pos),
+					Refs:     task.Refs.Len(),
 				}
 			}
 			completed++
@@ -581,7 +597,7 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 					ready = append(ready, succ)
 				}
 			}
-			*st = coreState{}
+			st.coreState = coreState{}
 			if len(ready) > 0 {
 				s.MakeReady(c, ready)
 			}

@@ -45,9 +45,9 @@ type Task struct {
 	// computations.
 	Instrs int64
 	// Refs is the task's reference stream, recorded once by AddTask: an
-	// immutable arena, shared with every identical stream in the DAG's
-	// trace store, that consumers read by index.  It is nil only in a DAG
-	// that fails Validate.
+	// immutable bit-packed arena, shared with every identical stream in the
+	// DAG's trace store, that consumers decode front to back through a
+	// refs.Reader.  It is nil only in a DAG that fails Validate.
 	Refs *refs.Recorded
 
 	// Preds and Succs are the dependence edges. A task is ready when all

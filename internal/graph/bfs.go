@@ -40,9 +40,9 @@ func BFS(g Graph, source int64, costs Costs) (*dag.DAG, *taskgroup.Tree, error) 
 
 	prevBarrier := initTask.ID
 	d.RecordMetric("bfs.levels", int64(len(levels)))
-	// One trace serves every explore task: the interning store copies each
-	// finalised stream into its arena, so the accumulation buffer is reused
-	// across chunks.
+	// One trace serves every explore task: the interning store encodes each
+	// finalised stream into its own arena, so the accumulation buffer is
+	// reused across chunks.
 	tr := newTrace(c)
 	var adj []int32
 	for level, frontier := range levels {

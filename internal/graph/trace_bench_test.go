@@ -58,20 +58,3 @@ func BenchmarkTraceGenInterned(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkBuildPageRankTrace builds the full PageRank DAG — the kernel with
-// the heaviest per-edge trace traffic and real intra-build stream sharing
-// (parity addressing makes iterations i and i+2 byte-identical).
-func BenchmarkBuildPageRankTrace(b *testing.B) {
-	g, err := New(Config{Family: FamilyRMAT, Vertices: 1 << 12, Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := PageRank(g, 4, Costs{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

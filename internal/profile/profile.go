@@ -26,6 +26,7 @@ import (
 	"sort"
 
 	"cmpsched/internal/dag"
+	"cmpsched/internal/refs"
 	"cmpsched/internal/taskgroup"
 )
 
@@ -262,23 +263,26 @@ func (l *LruTree) ProfileDAG(d *dag.DAG) (*Profile, error) {
 	scratch := make(map[uint64]int64)
 
 	var now int32
+	var blk [64]refs.Ref
 	for _, task := range d.Tasks() {
 		clear(scratch)
-		arena := task.Refs.Arena()
-		for _, r := range arena {
-			now++
-			line := r.Addr / uint64(l.cfg.LineBytes)
-			if st, seen := lines[line]; seen {
-				dist := bit.rangeSum(int(st.lastTime)+1, int(now)-1)
-				bucket := bucketFor(dist)
-				delta := int32(task.ID) - st.lastTask
-				scratch[uint64(bucket)<<32|uint64(uint32(delta))]++
-				bit.add(int(st.lastTime), -1)
+		rd := task.Refs.Reader()
+		pr.refs[task.ID] = int64(rd.Len())
+		for k := rd.Read(blk[:]); k > 0; k = rd.Read(blk[:]) {
+			for _, r := range blk[:k] {
+				now++
+				line := r.Addr / uint64(l.cfg.LineBytes)
+				if st, seen := lines[line]; seen {
+					dist := bit.rangeSum(int(st.lastTime)+1, int(now)-1)
+					bucket := bucketFor(dist)
+					delta := int32(task.ID) - st.lastTask
+					scratch[uint64(bucket)<<32|uint64(uint32(delta))]++
+					bit.add(int(st.lastTime), -1)
+				}
+				bit.add(int(now), 1)
+				lines[line] = lineState{lastTime: now, lastTask: int32(task.ID)}
 			}
-			bit.add(int(now), 1)
-			lines[line] = lineState{lastTime: now, lastTask: int32(task.ID)}
 		}
-		pr.refs[task.ID] = int64(len(arena))
 		if len(scratch) > 0 {
 			entries := make([]histEntry, 0, len(scratch))
 			for k, v := range scratch {

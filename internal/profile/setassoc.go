@@ -5,6 +5,7 @@ import (
 
 	"cmpsched/internal/cache"
 	"cmpsched/internal/dag"
+	"cmpsched/internal/refs"
 	"cmpsched/internal/taskgroup"
 )
 
@@ -56,17 +57,21 @@ func (s *SetAssoc) Group(d *dag.DAG, first, last dag.TaskID) (GroupStats, error)
 		caches[i] = c
 	}
 	distinct := make(map[uint64]struct{})
+	var blk [64]refs.Ref
 	for id := first; id <= last && int(id) < d.NumTasks(); id++ {
 		task := d.Task(id)
 		if task == nil {
 			continue
 		}
-		for _, r := range task.Refs.Arena() {
-			g.Refs++
-			distinct[r.Addr/uint64(s.cfg.LineBytes)] = struct{}{}
-			for i, c := range caches {
-				if res := c.Access(r.Addr, r.Write); res.Hit {
-					g.Hits[i]++
+		rd := task.Refs.Reader()
+		for k := rd.Read(blk[:]); k > 0; k = rd.Read(blk[:]) {
+			for _, r := range blk[:k] {
+				g.Refs++
+				distinct[r.Addr/uint64(s.cfg.LineBytes)] = struct{}{}
+				for i, c := range caches {
+					if res := c.Access(r.Addr, r.Write); res.Hit {
+						g.Hits[i]++
+					}
 				}
 			}
 		}

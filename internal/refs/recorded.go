@@ -1,31 +1,28 @@
 package refs
 
 import (
-	"fmt"
+	"bytes"
+	"encoding/binary"
 	"math/bits"
 	"slices"
 	"sync"
-	"unsafe"
 
 	"cmpsched/internal/prng"
 )
 
-// Recorded is a materialized reference stream: an immutable arena of Refs,
-// the instructions retired after the last one, and the stream's lookup key
-// in a TraceStore.  It is the form every DAG task's stream takes once
-// recorded (dag.AddTask), and a TraceStore shares one Recorded among all
-// identical streams.  Nothing writes a Recorded after construction, so any
-// number of goroutines may read one concurrently.
+// Recorded is a materialized reference stream: the canonical bit-packed
+// encoding of its references (see codec.go), the instructions retired after
+// the last one, and the stream's lookup key in a TraceStore.  It is the form
+// every DAG task's stream takes once recorded (dag.AddTask), and a
+// TraceStore shares one Recorded among all identical streams.  Readers
+// decode it front to back through a Reader.  Nothing writes a Recorded after
+// construction, so any number of goroutines may read one concurrently.
 type Recorded struct {
-	refs   []Ref
+	enc    []byte
 	tail   int64
-	instrs int64  // sum of refs[i].Instrs plus tail
-	key    uint64 // lookupKey(refs, tail)
+	instrs int64  // sum of the references' Instrs plus tail
+	key    uint64 // lookupKey of the references and tail
 }
-
-// refBytes is the in-memory footprint of one arena entry, used for the
-// store's arena-bytes accounting.
-const refBytes = int64(unsafe.Sizeof(Ref{}))
 
 // fingerprintSeed seeds the stream fingerprint so it is not the identity on
 // trivial streams; the value is arbitrary but fixed (changing it would move
@@ -102,12 +99,11 @@ func refWord(r *Ref) uint64 {
 	return r.Addr ^ bits.RotateLeft64(w, 32)
 }
 
-// Arena returns the stream's references.  The slice is shared by every
-// reader of the recording and must not be modified.
-func (r *Recorded) Arena() []Ref { return r.refs }
-
 // Len returns the number of references in the stream.
-func (r *Recorded) Len() int64 { return int64(len(r.refs)) }
+func (r *Recorded) Len() int64 {
+	n, _ := binary.Uvarint(r.enc)
+	return int64(n)
+}
 
 // Instrs returns the total number of instructions the stream retires,
 // including those after the final reference.
@@ -117,12 +113,40 @@ func (r *Recorded) Instrs() int64 { return r.instrs }
 func (r *Recorded) Tail() int64 { return r.tail }
 
 // Fingerprint returns the stream's canonical content fingerprint,
-// FingerprintRefs of its references and tail, computed on each call.
-func (r *Recorded) Fingerprint() uint64 { return FingerprintRefs(r.refs, r.tail) }
+// FingerprintRefs of its decoded references and tail, computed on each call.
+func (r *Recorded) Fingerprint() uint64 {
+	rs, tail := r.Emit(nil)
+	return FingerprintRefs(rs, tail)
+}
 
 // Emit implements Gen, so recordings compose like any other stream (the
-// coarsening pass concatenates its members' recordings).
-func (r *Recorded) Emit(dst []Ref) ([]Ref, int64) { return append(dst, r.refs...), r.tail }
+// coarsening pass concatenates its members' recordings): it decodes the
+// references onto dst.
+func (r *Recorded) Emit(dst []Ref) ([]Ref, int64) {
+	rd := r.Reader()
+	n := len(dst)
+	dst = slices.Grow(dst, rd.Len())[:n+rd.Len()]
+	rd.Read(dst[n:])
+	return dst, r.tail
+}
+
+// equal reports whether the recording holds exactly the references rs,
+// decoding it a block at a time.
+func (r *Recorded) equal(rs []Ref) bool {
+	rd := r.Reader()
+	if rd.Len() != len(rs) {
+		return false
+	}
+	var blk [64]Ref
+	for len(rs) > 0 {
+		k := rd.Read(blk[:])
+		if !slices.Equal(blk[:k], rs[:k]) {
+			return false
+		}
+		rs = rs[k:]
+	}
+	return true
+}
 
 // TraceStoreStats summarises a store's interning activity.
 type TraceStoreStats struct {
@@ -131,7 +155,7 @@ type TraceStoreStats struct {
 	// Unique is the number of distinct streams recorded (each owning one
 	// arena).  Interned - Unique is the number of arena copies avoided.
 	Unique int64
-	// ArenaBytes is the memory held by the unique arenas.
+	// ArenaBytes is the size of the unique arenas' encodings.
 	ArenaBytes int64
 }
 
@@ -153,58 +177,51 @@ func NewTraceStore() *TraceStore {
 
 // Intern returns the store's recording of the stream rs followed by tail
 // trailing instructions: the existing one when the store holds identical
-// content, otherwise a new one whose arena is a copy of rs (the store keeps
-// no reference to rs, so callers may reuse it).  A reference whose count
-// NarrowInstrs marked as out of range fails with ErrInstrsRange.
+// content, otherwise a new one holding rs's encoding (the store keeps no
+// reference to rs, so callers may reuse it).  A candidate is compared by
+// decoding it, and only content new to the store is encoded.  A reference
+// whose count NarrowInstrs marked as out of range fails with
+// ErrInstrsRange.
 func (s *TraceStore) Intern(rs []Ref, tail int64) (*Recorded, error) {
 	key := lookupKey(rs, tail)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if r := s.lookup(key, rs, tail); r != nil {
-		return r, nil
-	}
-	var sum int64
-	for i := range rs {
-		if rs[i].Instrs == instrsOverflow {
-			return nil, fmt.Errorf("%w (reference %d)", ErrInstrsRange, i)
+	s.stats.Interned++
+	for _, r := range s.byKey[key] {
+		if r.tail == tail && r.equal(rs) {
+			return r, nil
 		}
-		sum += int64(rs[i].Instrs)
 	}
-	r := &Recorded{refs: slices.Clone(rs), tail: tail, instrs: sum + tail, key: key}
+	enc, instrs, err := encode(rs)
+	if err != nil {
+		return nil, err
+	}
+	r := &Recorded{enc: enc, tail: tail, instrs: instrs + tail, key: key}
 	s.add(r)
 	return r, nil
 }
 
 // Adopt returns the store's recording of r's stream: the existing one when
 // the store holds identical content, otherwise r itself, taken without a
-// copy.
+// copy.  The encoding is canonical, so content is compared as bytes.
 func (s *TraceStore) Adopt(r *Recorded) *Recorded {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t := s.lookup(r.key, r.refs, r.tail); t != nil {
-		return t
+	s.stats.Interned++
+	for _, t := range s.byKey[r.key] {
+		if t.tail == r.tail && bytes.Equal(t.enc, r.enc) {
+			return t
+		}
 	}
 	s.add(r)
 	return r
-}
-
-// lookup counts one request and returns the store's recording of the given
-// content, or nil when the content is new to the store.
-func (s *TraceStore) lookup(key uint64, rs []Ref, tail int64) *Recorded {
-	s.stats.Interned++
-	for _, r := range s.byKey[key] {
-		if r.tail == tail && sameRefs(r.refs, rs) {
-			return r
-		}
-	}
-	return nil
 }
 
 // add makes r the store's recording of its content.
 func (s *TraceStore) add(r *Recorded) {
 	s.byKey[r.key] = append(s.byKey[r.key], r)
 	s.stats.Unique++
-	s.stats.ArenaBytes += int64(len(r.refs)) * refBytes
+	s.stats.ArenaBytes += int64(len(r.enc))
 }
 
 // Stats returns a snapshot of the store's interning counters.
@@ -212,24 +229,4 @@ func (s *TraceStore) Stats() TraceStoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-// sameRefs reports element-wise equality, with an identity fast path for
-// re-interned arenas.
-func sameRefs(a, b []Ref) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) == 0 {
-		return true
-	}
-	if &a[0] == &b[0] {
-		return true
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

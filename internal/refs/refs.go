@@ -4,10 +4,12 @@
 // retires instructions between them.  Workload builders describe that stream
 // with the generators here — scans, strided and random walks, explicit lists
 // and combinators over them — and dag.AddTask emits it once into a Recorded
-// arena, the only form the stream takes from then on.  The CMP simulator
-// (package cmpsim) and the working-set profiler (package profile) read the
-// arenas by index; nothing writes one after it is recorded, so any number of
-// goroutines may read it at once.
+// arena, the only form the stream takes from then on.  An arena is
+// bit-packed, about 5 bytes a reference where a Ref takes 16 (see codec.go),
+// and every reader — the CMP simulator (package cmpsim), the working-set
+// profilers (package profile) and the space-bounded scheduler — decodes it
+// front to back through its own Reader.  Nothing writes an arena after it is
+// recorded, so any number of goroutines may read it at once.
 //
 // References are expressed at whatever granularity the producer chooses; the
 // workload generators in this repository emit one reference per cache line
@@ -22,7 +24,8 @@ import (
 	"cmpsched/internal/prng"
 )
 
-// Ref is a single memory reference.  Its fields pack into 16 bytes.
+// Ref is a single memory reference, as generators emit it and readers
+// decode it.  Its fields pack into 16 bytes.
 type Ref struct {
 	// Addr is the byte address of the reference. Consumers map it to a
 	// cache line by masking with their line size.

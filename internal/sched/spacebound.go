@@ -109,17 +109,17 @@ func (s *SpaceBounded) sizeTasks(d *dag.DAG) {
 	for i, t := range d.Tasks() {
 		distinct, ok := counted[t.Refs]
 		if !ok {
-			distinct = lines.count(t.Refs.Arena(), uint64(lineBytes))
+			distinct = lines.count(t.Refs, uint64(lineBytes))
 			counted[t.Refs] = distinct
 		}
 		s.ws[i] = distinct * lineBytes
 	}
 }
 
-// lineSet counts the distinct cache lines of reference arenas.  It is an
+// lineSet counts the distinct cache lines of recorded streams.  It is an
 // open-addressing hash set, kept at most half full, whose slots carry the
 // generation that filled them: a new count starts by bumping the
-// generation, so it costs nothing however large an earlier arena was.
+// generation, so it costs nothing however large an earlier stream was.
 type lineSet struct {
 	slots []lineSlot // length a power of two
 	// gen numbers the counts; one set serves one DAG, whose fewer than
@@ -135,12 +135,16 @@ type lineSlot struct {
 }
 
 // count returns the number of distinct lines of lineBytes bytes that the
-// arena's references touch.
-func (ls *lineSet) count(arena []refs.Ref, lineBytes uint64) int64 {
+// recording's references touch.
+func (ls *lineSet) count(rec *refs.Recorded, lineBytes uint64) int64 {
 	ls.gen++
 	ls.n = 0
-	for i := range arena {
-		ls.add(arena[i].Addr / lineBytes)
+	var blk [64]refs.Ref
+	rd := rec.Reader()
+	for k := rd.Read(blk[:]); k > 0; k = rd.Read(blk[:]) {
+		for i := range blk[:k] {
+			ls.add(blk[i].Addr / lineBytes)
+		}
 	}
 	return int64(ls.n)
 }

@@ -110,22 +110,29 @@ func TestSpaceBoundedWorkingSetsMatchProfiler(t *testing.T) {
 }
 
 // TestLineSetCountsAcrossGenerations checks the distinct-line counter
-// directly: a large arena grows the table, and later small arenas must not
-// see its lines.
+// directly: a large recording grows the table, and later small recordings
+// must not see its lines.
 func TestLineSetCountsAcrossGenerations(t *testing.T) {
-	arena := func(addrs ...uint64) []refs.Ref {
+	record := func(rs []refs.Ref) *refs.Recorded {
+		r, err := refs.NewTraceStore().Intern(rs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	arena := func(addrs ...uint64) *refs.Recorded {
 		out := make([]refs.Ref, len(addrs))
 		for i, a := range addrs {
 			out[i].Addr = a
 		}
-		return out
+		return record(out)
 	}
 	var ls lineSet
 	big := make([]refs.Ref, 5000)
 	for i := range big {
 		big[i].Addr = uint64(i%3000) * 128
 	}
-	if got := ls.count(big, 128); got != 3000 {
+	if got := ls.count(record(big), 128); got != 3000 {
 		t.Fatalf("big arena: %d distinct lines, want 3000", got)
 	}
 	if got := ls.count(arena(0, 127, 128, 0, 255), 128); got != 2 {
@@ -134,7 +141,7 @@ func TestLineSetCountsAcrossGenerations(t *testing.T) {
 	if got := ls.count(arena(0, 95, 96, 191, 192), 96); got != 3 {
 		t.Fatalf("96 B lines: %d distinct lines, want 3", got)
 	}
-	if got := ls.count(nil, 128); got != 0 {
+	if got := ls.count(arena(), 128); got != 0 {
 		t.Fatalf("empty arena: %d distinct lines, want 0", got)
 	}
 }

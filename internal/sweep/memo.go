@@ -42,8 +42,11 @@ type templateEntry struct {
 
 	// Guarded by the engine's mutex.  A template is claimed by the job that
 	// builds it, and built once that build has finished, with or without an
-	// error.
+	// error.  refs counts the queued and running jobs that refer to the
+	// entry: one that no job claimed is forgotten when the last of them
+	// leaves (release), so a warm cache's hits leave no entries behind.
 	claimed, built bool
+	refs           int
 }
 
 // templateKey is the content address of a job's DAG template.
@@ -115,6 +118,15 @@ func (e *Engine) next() *task {
 		}
 	}
 	return nil
+}
+
+// release drops a finished or dropped task's reference to its template
+// entry, and forgets the entry when no job claimed it and no other queued or
+// running job refers to it; the caller holds e.mu.
+func (e *Engine) release(t *task) {
+	if t.ent.refs--; t.ent.refs == 0 && !t.ent.claimed {
+		delete(e.templates, templateKey(t.job.Key))
+	}
 }
 
 // claim reports whether a job that missed the result cache may enter its

@@ -235,6 +235,35 @@ func TestCacheLookupsOfOneTemplateOverlap(t *testing.T) {
 	}
 }
 
+// TestWarmEngineForgetsUnbuiltTemplates pins that a template entry no job
+// claimed does not outlive its jobs: an engine that serves a whole grid
+// from a warm cache builds nothing and ends holding no entries.
+func TestWarmEngineForgetsUnbuiltTemplates(t *testing.T) {
+	jobs, err := testSpec().Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := NewMemoryCache()
+	if _, err := NewEngine(EngineOptions{Workers: 2, Cache: warm}).Run(jobs); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(EngineOptions{Workers: 2, Cache: warm})
+	results, err := e.Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if !r.Cached {
+			t.Fatalf("job %d was not served from the warm cache", i)
+		}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if n := len(e.templates); n != 0 {
+		t.Fatalf("engine holds %d template entries after a warm run, want 0", n)
+	}
+}
+
 // TestHeldJobKeepsItsLease: a job that misses a leased cache while another
 // job builds its template goes back to the queue still holding its flight
 // lease, skips its lookup when picked again, and releases the lease once,

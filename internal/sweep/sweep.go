@@ -200,7 +200,8 @@ type Engine struct {
 
 	// mu guards the queue, the live worker count and the templates, which
 	// memoise one recorded DAG per (workload, params) together with its
-	// dispatch state.
+	// dispatch state.  A template no job claimed is kept only while queued
+	// or running jobs refer to it.
 	mu        sync.Mutex
 	queue     []*task
 	running   int
@@ -415,6 +416,7 @@ func (e *Engine) enqueue(ts ...*task) {
 			t.ent = &templateEntry{}
 			e.templates[key] = t.ent
 		}
+		t.ent.refs++
 	}
 	e.queue = append(e.queue, ts...)
 	e.spawnLocked()
@@ -442,22 +444,33 @@ func (e *Engine) work() {
 			return
 		}
 		e.mu.Unlock()
-		if t.held || t.start() {
-			r, err := e.runJob(t)
-			if err == errBuildInFlight {
-				// The build's end starts a worker for it (markBuilt); this
-				// one looks for other work meanwhile.
-				t.held = true
-				e.mu.Lock()
-				e.queue = slices.Insert(e.queue, 0, t)
-				continue
-			}
+		var (
+			r   Result
+			err error
+		)
+		run := t.held || t.start()
+		if run {
+			r, err = e.runJob(t)
+		}
+		e.mu.Lock()
+		if err == errBuildInFlight {
+			// The build's end starts a worker for it (markBuilt); this one
+			// looks for other work meanwhile.
+			t.held = true
+			e.queue = slices.Insert(e.queue, 0, t)
+			continue
+		}
+		// The job leaves the pool before done reports it, so a finished
+		// run leaves no entry behind that only its jobs referred to.
+		e.release(t)
+		if run {
+			e.mu.Unlock()
 			if err == nil {
 				e.em.publish(r)
 			}
 			t.done(r, err)
+			e.mu.Lock()
 		}
-		e.mu.Lock()
 	}
 }
 
