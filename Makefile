@@ -20,9 +20,9 @@ test:
 # cross-process cache leases (heartbeat goroutines vs takeover), the
 # fault-injection shims they are tested through, the graph kernels (whose
 # DAG builders sweeps run concurrently), the simulator and profiler
-# (concurrent runs share one DAG), and the trace store and DAG recording
-# (one store is shared by every worker of a sweep engine) — run under the
-# race detector (CI runs this step too).
+# (concurrent runs share one DAG), and the recorded streams and DAGs (every
+# job of a sweep template reads one DAG's recordings) — run under the race
+# detector (CI runs this step too).
 race-sweep:
 	$(GO) test -race ./internal/sweep/... ./internal/sched/... ./internal/obs/... ./internal/sweepsvc/... ./internal/faultinject/... ./internal/graph/... ./internal/cmpsim/... ./internal/profile/... ./internal/refs/... ./internal/dag/...
 
@@ -62,10 +62,11 @@ fuzz-wire:
 fuzz-lease:
 	$(GO) test -run '^$$' -fuzz 'FuzzLeaseTakeover$$' -fuzztime 30s ./internal/sweep
 
-# 30-second hunt on the recorded-stream codec: arbitrary streams must intern,
-# decode back exactly however they are read, and intern to one recording
-# per content (the committed corpus under internal/refs/testdata/fuzz
-# replays in plain `go test`).  CI runs this step too.
+# 30-second hunt on the recorded-stream codec: arbitrary streams must record,
+# decode back exactly however they are read, and resolve to one recording
+# per content in a trace store (the committed corpus under
+# internal/refs/testdata/fuzz replays in plain `go test`).  CI runs this step
+# too.
 fuzz-arena:
 	$(GO) test -run '^$$' -fuzz 'FuzzRecordedRoundTrip$$' -fuzztime 30s ./internal/refs
 

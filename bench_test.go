@@ -413,7 +413,8 @@ func BenchmarkBuildBFSDAG(b *testing.B) {
 // BenchmarkBuildPageRankDAG builds the full PageRank DAG on an RMAT 2^12
 // graph: the kernel with the heaviest per-edge trace traffic and real
 // intra-build stream sharing (parity addressing makes iterations i and i+2
-// byte-identical, so its allocations pin interning by content).
+// byte-identical, and iteration i+2's tasks take iteration i's recordings,
+// so its allocations pin that sharing).
 func BenchmarkBuildPageRankDAG(b *testing.B) {
 	g, err := graph.New(graph.Config{Family: graph.FamilyRMAT, Vertices: 1 << 12, Seed: 7})
 	if err != nil {

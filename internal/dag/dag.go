@@ -18,7 +18,6 @@ package dag
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"cmpsched/internal/refs"
 )
@@ -45,9 +44,9 @@ type Task struct {
 	// computations.
 	Instrs int64
 	// Refs is the task's reference stream, recorded once by AddTask: an
-	// immutable bit-packed arena, shared with every identical stream in the
-	// DAG's trace store, that consumers decode front to back through a
-	// refs.Reader.  It is nil only in a DAG that fails Validate.
+	// immutable bit-packed arena, shared only by tasks given the same one,
+	// that consumers decode front to back through a refs.Reader.  It is nil
+	// only in a DAG that fails Validate.
 	Refs *refs.Recorded
 
 	// Preds and Succs are the dependence edges. A task is ready when all
@@ -77,10 +76,7 @@ type DAG struct {
 	tasks []*Task
 	// metrics holds workload-recorded scalar annotations (see RecordMetric).
 	metrics map[string]int64
-	// store interns the streams AddTask records, so identical streams share
-	// one arena; scratch is the buffer generators are emitted into first.
-	// Record moves a built DAG to a shared store.
-	store   *refs.TraceStore
+	// scratch is the buffer AddTask emits generators into.
 	scratch []refs.Ref
 	// err is the first stream AddTask could not record; Validate reports
 	// it.
@@ -103,22 +99,18 @@ func (d *DAG) RecordMetric(name string, v int64) {
 // recorded).  The map is the DAG's own; callers must not mutate it.
 func (d *DAG) Metrics() map[string]int64 { return d.metrics }
 
-// TraceStats returns the interning counters of the DAG's trace store.
-func (d *DAG) TraceStats() refs.TraceStoreStats { return d.store.Stats() }
-
 // New returns an empty DAG with the given name.
-func New(name string) *DAG {
-	return &DAG{Name: name, store: refs.NewTraceStore()}
-}
+func New(name string) *DAG { return &DAG{Name: name} }
 
 // AddTask appends a task issuing the references gen describes (nil: none,
 // and no instructions).  Tasks must be created in sequential (1DF)
 // execution order: the n-th task created receives Seq = n.
 //
-// The stream is emitted here, once, and recorded into the DAG's trace
-// store.  A stream the store rejects (a per-reference instruction count a
-// Ref cannot hold, refs.ErrInstrsRange) leaves the task without one, and
-// Validate reports the error naming the task.
+// The stream is emitted here, once, and recorded; a *refs.Recorded is taken
+// as is, so tasks with one stream may share one recording.  A stream
+// that cannot be recorded (a per-reference instruction count a Ref cannot
+// hold, refs.ErrInstrsRange) leaves the task without one, and Validate
+// reports the error naming the task.
 func (d *DAG) AddTask(name string, gen refs.Gen) *Task {
 	t := &Task{
 		ID:    TaskID(len(d.tasks)),
@@ -138,21 +130,21 @@ func (d *DAG) AddTask(name string, gen refs.Gen) *Task {
 	return t
 }
 
-// record materialises gen into the DAG's store: a recording is adopted as
-// is, a Points list is interned straight from its slice, and any other
-// generator is emitted into the scratch buffer first.
+// record materialises gen: a recording is taken as is, a Points list is
+// encoded straight from its slice, and any other generator is emitted into
+// the scratch buffer first.
 func (d *DAG) record(gen refs.Gen) (*refs.Recorded, error) {
 	switch g := gen.(type) {
 	case nil:
-		return d.store.Intern(nil, 0)
+		return refs.NewRecorded(nil, 0)
 	case *refs.Recorded:
-		return d.store.Adopt(g), nil
+		return g, nil
 	case *refs.Points:
-		return d.store.Intern(g.Refs, g.Tail)
+		return refs.NewRecorded(g.Refs, g.Tail)
 	}
 	var tail int64
 	d.scratch, tail = gen.Emit(d.scratch[:0])
-	return d.store.Intern(d.scratch, tail)
+	return refs.NewRecorded(d.scratch, tail)
 }
 
 // AddComputeTask appends a task that retires instrs instructions and
@@ -348,17 +340,6 @@ func contains(ids []TaskID, id TaskID) bool {
 	return false
 }
 
-// SequentialOrder returns task IDs sorted by Seq (equivalently, creation
-// order).  It exists mostly for symmetry and for callers holding a filtered
-// task set.
-func (d *DAG) SequentialOrder() []TaskID {
-	ids := make([]TaskID, len(d.tasks))
-	for i := range ids {
-		ids[i] = TaskID(i)
-	}
-	return ids
-}
-
 // TopologicalCheck verifies by Kahn's algorithm that the DAG is acyclic and
 // returns the number of tasks visited. It is a heavier-weight check than
 // Validate used by property tests.
@@ -389,46 +370,6 @@ func (d *DAG) TopologicalCheck() (int, error) {
 		return visited, ErrCycle
 	}
 	return visited, nil
-}
-
-// CriticalPath returns the IDs of tasks along one heaviest dependence path,
-// in execution order.
-func (d *DAG) CriticalPath() []TaskID {
-	if len(d.tasks) == 0 {
-		return nil
-	}
-	finish := make([]int64, len(d.tasks))
-	prev := make([]TaskID, len(d.tasks))
-	for i := range prev {
-		prev[i] = None
-	}
-	var last TaskID
-	var depth int64 = -1
-	for _, t := range d.tasks {
-		var start int64
-		best := None
-		for _, p := range t.Preds {
-			if finish[p] > start {
-				start = finish[p]
-				best = p
-			}
-		}
-		prev[t.ID] = best
-		finish[t.ID] = start + t.Instrs
-		if finish[t.ID] > depth {
-			depth = finish[t.ID]
-			last = t.ID
-		}
-	}
-	var path []TaskID
-	for id := last; id != None; id = prev[id] {
-		path = append(path, id)
-	}
-	// Reverse into execution order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
 }
 
 // Stats summarises the DAG for reporting.
@@ -470,28 +411,4 @@ func (d *DAG) ComputeStats() Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("tasks=%d edges=%d instrs=%d refs=%d depth=%d roots=%d sinks=%d maxOut=%d maxIn=%d",
 		s.Tasks, s.Edges, s.TotalInstrs, s.TotalRefs, s.Depth, s.Roots, s.Sinks, s.MaxOutDeg, s.MaxInDeg)
-}
-
-// TasksByLevel groups task IDs by their Level field, returning levels in
-// ascending order. Used by per-level miss analyses (Figure 1).
-func (d *DAG) TasksByLevel() map[int][]TaskID {
-	out := make(map[int][]TaskID)
-	for _, t := range d.tasks {
-		out[t.Level] = append(out[t.Level], t.ID)
-	}
-	return out
-}
-
-// Levels returns the distinct Level values present, ascending.
-func (d *DAG) Levels() []int {
-	seen := make(map[int]bool)
-	for _, t := range d.tasks {
-		seen[t.Level] = true
-	}
-	levels := make([]int, 0, len(seen))
-	for l := range seen {
-		levels = append(levels, l)
-	}
-	sort.Ints(levels)
-	return levels
 }

@@ -92,19 +92,12 @@ func TestDepthAndWork(t *testing.T) {
 	if got := d.Depth(); got != 45 {
 		t.Fatalf("Depth = %d, want 45", got)
 	}
-	path := d.CriticalPath()
-	if len(path) != 3 || path[0] != 0 || path[1] != 2 || path[2] != 3 {
-		t.Fatalf("CriticalPath = %v, want [0 2 3]", path)
-	}
 }
 
 func TestDepthEmptyAndSingle(t *testing.T) {
 	d := New("empty")
 	if d.Depth() != 0 {
 		t.Fatalf("empty DAG depth = %d", d.Depth())
-	}
-	if d.CriticalPath() != nil {
-		t.Fatalf("empty DAG critical path should be nil")
 	}
 	d.AddComputeTask("only", 42)
 	if d.Depth() != 42 {
@@ -190,24 +183,6 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-func TestLevels(t *testing.T) {
-	d := New("levels")
-	a := d.AddComputeTask("a", 1)
-	b := d.AddComputeTask("b", 1)
-	c := d.AddComputeTask("c", 1)
-	a.Level = 2
-	b.Level = 0
-	c.Level = 2
-	levels := d.Levels()
-	if len(levels) != 2 || levels[0] != 0 || levels[1] != 2 {
-		t.Fatalf("Levels = %v", levels)
-	}
-	byLevel := d.TasksByLevel()
-	if len(byLevel[2]) != 2 || len(byLevel[0]) != 1 {
-		t.Fatalf("TasksByLevel = %v", byLevel)
-	}
-}
-
 func TestTaskLookup(t *testing.T) {
 	d, ts := buildDiamond(t)
 	if d.Task(ts[1].ID) != ts[1] {
@@ -215,9 +190,6 @@ func TestTaskLookup(t *testing.T) {
 	}
 	if d.Task(None) != nil || d.Task(100) != nil {
 		t.Fatalf("invalid lookups should return nil")
-	}
-	if len(d.SequentialOrder()) != 4 {
-		t.Fatalf("SequentialOrder length wrong")
 	}
 }
 

@@ -2,20 +2,19 @@ package dag
 
 import "cmpsched/internal/refs"
 
-// Snapshot is a DAG whose task streams are recorded into a shared trace
+// Snapshot is a DAG whose task streams are adopted into a shared trace
 // store, ready to hand to any number of simulations.
 type Snapshot struct{ d *DAG }
 
-// Record interns every task stream of d into store and rebinds each task to
+// Record adopts every task stream of d into store and rebinds each task to
 // the store's recording of its stream (the same content, so d simulates
 // exactly as before): DAGs recorded into one store share every identical
-// arena.  d moves to store for any later AddTask.  Record is the last step
-// of a build: it must not run while d is simulated.
+// arena, and the store's Stats count what they share.  Record is the last
+// step of a build: it must not run while d is simulated.
 func Record(d *DAG, store *refs.TraceStore) *Snapshot {
 	for _, t := range d.tasks {
 		t.Refs = store.Adopt(t.Refs)
 	}
-	d.store, d.scratch = store, nil
 	return &Snapshot{d: d}
 }
 

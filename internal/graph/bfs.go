@@ -40,7 +40,7 @@ func BFS(g Graph, source int64, costs Costs) (*dag.DAG, *taskgroup.Tree, error) 
 
 	prevBarrier := initTask.ID
 	d.RecordMetric("bfs.levels", int64(len(levels)))
-	// One trace serves every explore task: the interning store encodes each
+	// One trace serves every explore task: dag.AddTask encodes each
 	// finalised stream into its own arena, so the accumulation buffer is
 	// reused across chunks.
 	tr := newTrace(c)
@@ -146,14 +146,8 @@ func checkSource(g Graph, source int64) error {
 	return nil
 }
 
-// finish validates the DAG, records the build's trace-interning statistics
-// as DAG metrics (published under the "dag." prefix when a run is observed),
-// and finalises the group tree.
+// finish validates the DAG and finalises the group tree.
 func finish(d *dag.DAG, tree *taskgroup.Tree, kernel string) (*dag.DAG, *taskgroup.Tree, error) {
-	st := d.TraceStats()
-	d.RecordMetric("trace.interned", st.Interned)
-	d.RecordMetric("trace.unique", st.Unique)
-	d.RecordMetric("trace.arena_bytes", st.ArenaBytes)
 	if err := d.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("graph: %s: %w", kernel, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cmpsched/internal/dag"
+	"cmpsched/internal/refs"
 	"cmpsched/internal/taskgroup"
 )
 
@@ -193,6 +194,49 @@ func TestPageRankStructure(t *testing.T) {
 	}
 	if got := len(tree8.Root.Children); got != 8 {
 		t.Fatalf("default iterations = %d, want 8", got)
+	}
+}
+
+// TestPageRankSharesRecordingsTwoIterationsApart pins that PageRank records
+// each chunk's stream once per parity: from the third iteration on, every
+// chunk task carries the very recording of its chunk two iterations back,
+// and the first two iterations' recordings are all distinct.
+func TestPageRankSharesRecordingsTwoIterationsApart(t *testing.T) {
+	g := testGraph(t, FamilyRMAT)
+	const iters = 5
+	d, tree, err := PageRank(g, iters, tinyCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// chunkRecordings returns iteration i's chunk recordings, in chunk
+	// order (the group's last task is its barrier).
+	chunkRecordings := func(i int) []*refs.Recorded {
+		grp := tree.Root.Children[i]
+		var out []*refs.Recorded
+		for id := grp.First; id < grp.Last; id++ {
+			out = append(out, d.Task(id).Refs)
+		}
+		return out
+	}
+	seen := make(map[*refs.Recorded]bool)
+	for i := 0; i < 2; i++ {
+		for _, r := range chunkRecordings(i) {
+			if seen[r] {
+				t.Fatalf("iteration %d reuses a recording of the first two iterations", i)
+			}
+			seen[r] = true
+		}
+	}
+	for i := 2; i < iters; i++ {
+		back, got := chunkRecordings(i-2), chunkRecordings(i)
+		if len(got) != len(back) || len(got) < 2 {
+			t.Fatalf("iteration %d has %d chunk tasks, iteration %d has %d", i, len(got), i-2, len(back))
+		}
+		for ci := range got {
+			if got[ci] != back[ci] {
+				t.Fatalf("iteration %d chunk %d does not carry iteration %d's recording", i, ci, i-2)
+			}
+		}
 	}
 }
 

@@ -167,7 +167,7 @@ func (t *trace) span(addr uint64, bytes int64, write bool, instrsPerLine int64) 
 // gen finalises the trace into the task's stream, charging tail
 // instructions (plus any pending ones) after the final reference.  The
 // stream reads the trace's buffer, so it must reach dag.AddTask, which
-// records a copy, before the next reset.
+// records an encoded copy, before the next reset.
 func (t *trace) gen(tail int64) *refs.Points {
 	return refs.NewPoints(t.refs, tail+t.pending)
 }

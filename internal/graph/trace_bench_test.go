@@ -9,7 +9,7 @@ import (
 // Generator-side micro-benchmarks for the trace accumulator: touch is the
 // per-edge cost of every kernel's host walk, span the per-region cost of the
 // init/reduce tasks.  Both sit on the hoisted line-shift arithmetic (one
-// shift per touch instead of two divisions), and gen on the interning store,
+// shift per touch instead of two divisions), and gen on the recording codec,
 // so these pin the DAG-build side of the trace-memoization work; the
 // simulate-side win is tracked by the facade's BenchmarkSimulate* suite.
 
@@ -38,13 +38,11 @@ func BenchmarkTraceSpan(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceGenInterned measures the full accumulate-and-intern cycle
-// with every stream identical — the steady state of a kernel emitting
-// repeated chunk shapes, where interning is a fingerprint plus one arena
-// lookup.
-func BenchmarkTraceGenInterned(b *testing.B) {
+// BenchmarkTraceGenRecorded measures the full accumulate-and-record cycle
+// of one 256-line task stream: the trace walk, then encoding the stream
+// into its arena as dag.AddTask does.
+func BenchmarkTraceGenRecorded(b *testing.B) {
 	tr := newTrace(Costs{}.withDefaults())
-	store := refs.NewTraceStore()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -53,7 +51,7 @@ func BenchmarkTraceGenInterned(b *testing.B) {
 			tr.touch(uint64(j)*128, false, 4)
 		}
 		p := tr.gen(100)
-		if r, err := store.Intern(p.Refs, p.Tail); err != nil || r.Len() == 0 {
+		if r, err := refs.NewRecorded(p.Refs, p.Tail); err != nil || r.Len() == 0 {
 			b.Fatalf("recording %v, error %v", r, err)
 		}
 	}

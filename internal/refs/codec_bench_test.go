@@ -19,7 +19,7 @@ func benchStream() []Ref {
 // of 32 references; ns/op divided by the stream length is the decode cost
 // per reference.
 func BenchmarkReaderRead(b *testing.B) {
-	r, err := NewTraceStore().Intern(benchStream(), 0)
+	r, err := NewRecorded(benchStream(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,8 +34,8 @@ func BenchmarkReaderRead(b *testing.B) {
 	b.ReportMetric(float64(len(r.enc))/float64(r.Len()), "B/ref")
 }
 
-// BenchmarkEncode packs the same stream: the cost Intern pays for content
-// new to the store.
+// BenchmarkEncode packs the same stream: the cost NewRecorded pays for each
+// stream a DAG records.
 func BenchmarkEncode(b *testing.B) {
 	rs := benchStream()
 	b.ReportAllocs()

@@ -13,7 +13,7 @@ const fuzzRefBytes = 13
 // fuzzStream turns fuzz bytes into a stream: the first 8 bytes (fewer, zero
 // extended, in a short input) are the tail, and every following 13 bytes are
 // one reference, all little-endian.  A count above MaxInstrs is clamped to
-// it, so every input is a stream TraceStore accepts; a trailing partial
+// it, so every input is a stream NewRecorded accepts; a trailing partial
 // reference is ignored.
 func fuzzStream(data []byte) ([]Ref, int64) {
 	var head [8]byte
@@ -32,9 +32,9 @@ func fuzzStream(data []byte) ([]Ref, int64) {
 }
 
 // FuzzRecordedRoundTrip pins the recording codec on arbitrary streams: a
-// recording decodes to exactly the references and tail it was interned
-// from, whichever way it is read, and equal content interns to one
-// recording, also across stores.  The committed corpus under
+// recording decodes to exactly the references and tail it was recorded
+// from, whichever way it is read, and a store resolves two recordings of
+// equal content to one.  The committed corpus under
 // testdata/fuzz/FuzzRecordedRoundTrip holds the codec's edge cases: an empty
 // stream, addresses 0 and MaxUint64, descending addresses, a 64-bit delta
 // next to a MaxInstrs count (the widest field) and all-equal addresses (a
@@ -42,8 +42,7 @@ func fuzzStream(data []byte) ([]Ref, int64) {
 func FuzzRecordedRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rs, tail := fuzzStream(data)
-		s := NewTraceStore()
-		r, err := s.Intern(rs, tail)
+		r, err := NewRecorded(rs, tail)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,15 +61,16 @@ func FuzzRecordedRoundTrip(f *testing.F) {
 		if r.Fingerprint() != FingerprintRefs(rs, tail) {
 			t.Fatalf("Fingerprint differs from FingerprintRefs of the input")
 		}
-		if again, err := s.Intern(slices.Clone(rs), tail); err != nil || again != r {
-			t.Fatalf("re-interning returned %p (error %v), want %p", again, err, r)
-		}
-		twin, err := NewTraceStore().Intern(rs, tail)
+		twin, err := NewRecorded(slices.Clone(rs), tail)
 		if err != nil {
 			t.Fatal(err)
 		}
+		s := NewTraceStore()
+		if got := s.Adopt(r); got != r {
+			t.Fatalf("Adopt of new content returned %p, want %p", got, r)
+		}
 		if got := s.Adopt(twin); got != r {
-			t.Fatalf("Adopt of an equal recording from another store returned %p, want %p", got, r)
+			t.Fatalf("Adopt of an equal recording returned %p, want %p", got, r)
 		}
 	})
 }
@@ -99,7 +99,7 @@ func TestEncodingFieldWidths(t *testing.T) {
 		{"widest field", []Ref{{Addr: 0, Instrs: MaxInstrs}, {Addr: 1<<63 | 1, Instrs: MaxInstrs}}, 0, 64, 32},
 	}
 	for _, c := range cases {
-		r, err := NewTraceStore().Intern(c.rs, 0)
+		r, err := NewRecorded(c.rs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,7 @@ package refs
 import (
 	"bytes"
 	"encoding/binary"
-	"math/bits"
+	"hash/maphash"
 	"slices"
 	"sync"
 
@@ -11,17 +11,27 @@ import (
 )
 
 // Recorded is a materialized reference stream: the canonical bit-packed
-// encoding of its references (see codec.go), the instructions retired after
-// the last one, and the stream's lookup key in a TraceStore.  It is the form
-// every DAG task's stream takes once recorded (dag.AddTask), and a
-// TraceStore shares one Recorded among all identical streams.  Readers
-// decode it front to back through a Reader.  Nothing writes a Recorded after
-// construction, so any number of goroutines may read one concurrently.
+// encoding of its references (see codec.go) and the instructions retired
+// after the last one.  It is the form every DAG task's stream takes once
+// recorded (dag.AddTask).  Readers decode it front to back through a Reader.
+// Nothing writes a Recorded after construction, so any number of goroutines
+// may read one concurrently, and any number of tasks may share one.
 type Recorded struct {
 	enc    []byte
 	tail   int64
-	instrs int64  // sum of the references' Instrs plus tail
-	key    uint64 // lookupKey of the references and tail
+	instrs int64 // sum of the references' Instrs plus tail
+}
+
+// NewRecorded returns the recording of the stream rs followed by tail
+// trailing instructions.  It holds rs's encoding and keeps no reference to
+// rs, so callers may reuse it.  A reference whose count NarrowInstrs marked
+// as out of range fails with ErrInstrsRange.
+func NewRecorded(rs []Ref, tail int64) (*Recorded, error) {
+	enc, instrs, err := encode(rs)
+	if err != nil {
+		return nil, err
+	}
+	return &Recorded{enc: enc, tail: tail, instrs: instrs + tail}, nil
 }
 
 // fingerprintSeed seeds the stream fingerprint so it is not the identity on
@@ -33,8 +43,7 @@ const fingerprintSeed = 0x9E3779B97F4A7C15
 // stream: a splitmix64-mixed hash over every reference (address, write bit,
 // instruction count) and the trailing instruction count.  Two identical
 // streams always fingerprint identically; the converse holds only
-// probabilistically.  The value is stable, so tests pin streams by it; the
-// TraceStore buckets streams by the cheaper lookupKey instead.
+// probabilistically.  The value is stable, so tests pin streams by it.
 func FingerprintRefs(rs []Ref, tail int64) uint64 {
 	h := prng.Mix64(fingerprintSeed ^ uint64(len(rs)))
 	for i := range rs {
@@ -47,56 +56,6 @@ func FingerprintRefs(rs []Ref, tail int64) uint64 {
 		h = prng.Mix64(h ^ uint64(r.Instrs)<<1 ^ w)
 	}
 	return prng.Mix64(h ^ uint64(tail))
-}
-
-// The xxHash64 primes, the multipliers of lookupKey's lane rounds.
-const (
-	lanePrime1 = 0x9E3779B185EBCA87
-	lanePrime2 = 0xC2B2AE3D27D4EB4F
-)
-
-// lookupKey is the TraceStore's 64-bit bucket key of a stream.  Interning
-// hashes every reference of every task a build emits, so the key must be
-// cheaper than FingerprintRefs' chain of two dependent splitmix64 rounds per
-// reference: four lanes take every fourth reference each, so their multiply
-// chains overlap, and a reference costs one xxHash64 round.  A round is a
-// bijection of its lane for a fixed word and of its word for a fixed lane,
-// refWord is injective in each field of a reference, and the final mix is a
-// bijection of each lane and of the tail, so two streams of one length that
-// differ in one field of one reference, or in the tail alone, never share a
-// key.  Content equality is still verified on every match.
-func lookupKey(rs []Ref, tail int64) uint64 {
-	var l [4]uint64
-	n := len(rs) &^ 3
-	for i := 0; i < n; i += 4 {
-		l[0] = laneRound(l[0], refWord(&rs[i]))
-		l[1] = laneRound(l[1], refWord(&rs[i+1]))
-		l[2] = laneRound(l[2], refWord(&rs[i+2]))
-		l[3] = laneRound(l[3], refWord(&rs[i+3]))
-	}
-	for i := n; i < len(rs); i++ {
-		l[i-n] = laneRound(l[i-n], refWord(&rs[i]))
-	}
-	h := prng.Mix64(uint64(len(rs)))
-	for _, v := range l {
-		h = prng.Mix64(h ^ v)
-	}
-	return prng.Mix64(h ^ uint64(tail))
-}
-
-// laneRound folds one word into a lane (xxHash64's round).
-func laneRound(lane, w uint64) uint64 {
-	return bits.RotateLeft64(lane+w*lanePrime2, 31) * lanePrime1
-}
-
-// refWord packs a reference into one word: the address, xored with the
-// instruction count and write bit rotated into the address's high half.
-func refWord(r *Ref) uint64 {
-	w := uint64(r.Instrs) << 1
-	if r.Write {
-		w |= 1
-	}
-	return r.Addr ^ bits.RotateLeft64(w, 32)
 }
 
 // Len returns the number of references in the stream.
@@ -130,41 +89,24 @@ func (r *Recorded) Emit(dst []Ref) ([]Ref, int64) {
 	return dst, r.tail
 }
 
-// equal reports whether the recording holds exactly the references rs,
-// decoding it a block at a time.
-func (r *Recorded) equal(rs []Ref) bool {
-	rd := r.Reader()
-	if rd.Len() != len(rs) {
-		return false
-	}
-	var blk [64]Ref
-	for len(rs) > 0 {
-		k := rd.Read(blk[:])
-		if !slices.Equal(blk[:k], rs[:k]) {
-			return false
-		}
-		rs = rs[k:]
-	}
-	return true
-}
-
-// TraceStoreStats summarises a store's interning activity.
+// TraceStoreStats summarises a store's adoptions.
 type TraceStoreStats struct {
-	// Interned is the total number of Intern and Adopt requests served.
+	// Interned is the total number of Adopt requests served.
 	Interned int64
-	// Unique is the number of distinct streams recorded (each owning one
-	// arena).  Interned - Unique is the number of arena copies avoided.
+	// Unique is the number of distinct streams held (each owning one
+	// arena).  Interned - Unique is the number of arenas shared.
 	Unique int64
 	// ArenaBytes is the size of the unique arenas' encodings.
 	ArenaBytes int64
 }
 
-// TraceStore interns reference streams by content: streams with identical
-// references and tails share one Recorded.  Lookup is by a 64-bit hash of
-// the content (lookupKey) with full content verification on a match, so key
-// collisions cost a comparison but can never alias two different streams.
+// TraceStore shares recordings by content: recordings of identical streams
+// adopted into one store resolve to one Recorded.  The encoding is
+// canonical, so a recording is bucketed by a hash of its bytes and compared
+// as bytes, and a hash collision can never alias two different streams.
 // A store is safe for concurrent use.
 type TraceStore struct {
+	seed  maphash.Seed
 	mu    sync.Mutex
 	byKey map[uint64][]*Recorded
 	stats TraceStoreStats
@@ -172,59 +114,29 @@ type TraceStore struct {
 
 // NewTraceStore returns an empty store.
 func NewTraceStore() *TraceStore {
-	return &TraceStore{byKey: make(map[uint64][]*Recorded)}
-}
-
-// Intern returns the store's recording of the stream rs followed by tail
-// trailing instructions: the existing one when the store holds identical
-// content, otherwise a new one holding rs's encoding (the store keeps no
-// reference to rs, so callers may reuse it).  A candidate is compared by
-// decoding it, and only content new to the store is encoded.  A reference
-// whose count NarrowInstrs marked as out of range fails with
-// ErrInstrsRange.
-func (s *TraceStore) Intern(rs []Ref, tail int64) (*Recorded, error) {
-	key := lookupKey(rs, tail)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Interned++
-	for _, r := range s.byKey[key] {
-		if r.tail == tail && r.equal(rs) {
-			return r, nil
-		}
-	}
-	enc, instrs, err := encode(rs)
-	if err != nil {
-		return nil, err
-	}
-	r := &Recorded{enc: enc, tail: tail, instrs: instrs + tail, key: key}
-	s.add(r)
-	return r, nil
+	return &TraceStore{seed: maphash.MakeSeed(), byKey: make(map[uint64][]*Recorded)}
 }
 
 // Adopt returns the store's recording of r's stream: the existing one when
 // the store holds identical content, otherwise r itself, taken without a
-// copy.  The encoding is canonical, so content is compared as bytes.
+// copy.
 func (s *TraceStore) Adopt(r *Recorded) *Recorded {
+	key := maphash.Bytes(s.seed, r.enc)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Interned++
-	for _, t := range s.byKey[r.key] {
+	for _, t := range s.byKey[key] {
 		if t.tail == r.tail && bytes.Equal(t.enc, r.enc) {
 			return t
 		}
 	}
-	s.add(r)
+	s.byKey[key] = append(s.byKey[key], r)
+	s.stats.Unique++
+	s.stats.ArenaBytes += int64(len(r.enc))
 	return r
 }
 
-// add makes r the store's recording of its content.
-func (s *TraceStore) add(r *Recorded) {
-	s.byKey[r.key] = append(s.byKey[r.key], r)
-	s.stats.Unique++
-	s.stats.ArenaBytes += int64(len(r.enc))
-}
-
-// Stats returns a snapshot of the store's interning counters.
+// Stats returns a snapshot of the store's counters.
 func (s *TraceStore) Stats() TraceStoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -19,11 +19,11 @@ func drain(r *Recorded, block int) []Ref {
 	return out
 }
 
-// intern emits g and interns the stream into s.
-func intern(t *testing.T, s *TraceStore, g Gen) *Recorded {
+// record emits g and records the stream.
+func record(t *testing.T, g Gen) *Recorded {
 	t.Helper()
 	rs, tail := g.Emit(nil)
-	r, err := s.Intern(rs, tail)
+	r, err := NewRecorded(rs, tail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func intern(t *testing.T, s *TraceStore, g Gen) *Recorded {
 func TestRecordedMatchesSource(t *testing.T) {
 	for name, g := range fixtures(t) {
 		rs, tail := g.Emit(nil)
-		r := intern(t, NewTraceStore(), g)
+		r := record(t, g)
 		if r.Len() != int64(len(rs)) || r.Tail() != tail || r.Instrs() != streamInstrs(rs, tail) {
 			t.Fatalf("%s: recorded (len %d, tail %d, instrs %d), want (%d, %d, %d)",
 				name, r.Len(), r.Tail(), r.Instrs(), len(rs), tail, streamInstrs(rs, tail))
@@ -57,7 +57,7 @@ func TestRecordedMatchesSource(t *testing.T) {
 // computed once, when it is recorded, from a copy of the list.
 func TestPointsInstrsCached(t *testing.T) {
 	rs := []Ref{{Addr: 0, Instrs: 2}, {Addr: 64, Instrs: 3}, {Addr: 128, Instrs: 4}}
-	r := intern(t, NewTraceStore(), NewPoints(rs, 5))
+	r := record(t, NewPoints(rs, 5))
 	if got := r.Instrs(); got != 14 {
 		t.Fatalf("Instrs = %d, want 14", got)
 	}
@@ -67,17 +67,17 @@ func TestPointsInstrsCached(t *testing.T) {
 	}
 }
 
-// TestInternSharesArenas pins the content-addressing: identical streams share
-// one recording, distinct streams do not, and the stats ledger counts both
-// accurately.
+// TestInternSharesArenas pins the store's content-addressing: recordings of
+// identical streams resolve to one, distinct streams do not, and the stats
+// ledger counts both accurately.
 func TestInternSharesArenas(t *testing.T) {
 	s := NewTraceStore()
-	a := intern(t, s, NewScan(1<<20, 640, 64, 2))
-	b := intern(t, s, NewScan(1<<20, 640, 64, 2))
+	a := s.Adopt(record(t, NewScan(1<<20, 640, 64, 2)))
+	b := s.Adopt(record(t, NewScan(1<<20, 640, 64, 2)))
 	if a != b {
 		t.Fatalf("identical streams got distinct recordings")
 	}
-	c := intern(t, s, &Strided{Base: 1 << 21, StrideBytes: 128, Count: 10, InstrsPerRef: 1})
+	c := s.Adopt(record(t, &Strided{Base: 1 << 21, StrideBytes: 128, Count: 10, InstrsPerRef: 1}))
 	if c == a || &c.enc[0] == &a.enc[0] {
 		t.Fatalf("distinct streams share an arena")
 	}
@@ -94,8 +94,8 @@ func TestInternSharesArenas(t *testing.T) {
 // taken as the very recording offered, and identical content resolves to the
 // store's existing recording.
 func TestAdoptTakesRecordingsWithoutCopy(t *testing.T) {
-	first := intern(t, NewTraceStore(), NewScan(1<<20, 640, 64, 2))
-	twin := intern(t, NewTraceStore(), NewScan(1<<20, 640, 64, 2))
+	first := record(t, NewScan(1<<20, 640, 64, 2))
+	twin := record(t, NewScan(1<<20, 640, 64, 2))
 	s := NewTraceStore()
 	if got := s.Adopt(first); got != first {
 		t.Fatalf("new content was not adopted as is")
@@ -113,8 +113,8 @@ func TestAdoptTakesRecordingsWithoutCopy(t *testing.T) {
 func TestInternTailDistinguishes(t *testing.T) {
 	s := NewTraceStore()
 	rs := []Ref{{Addr: 64, Instrs: 1}, {Addr: 128, Write: true, Instrs: 2}}
-	a := intern(t, s, NewPoints(rs, 5))
-	b := intern(t, s, NewPoints(rs, 6))
+	a := s.Adopt(record(t, NewPoints(rs, 5)))
+	b := s.Adopt(record(t, NewPoints(rs, 6)))
 	if a == b || a.Instrs() == b.Instrs() {
 		t.Fatalf("different tails share a recording")
 	}
@@ -123,11 +123,11 @@ func TestInternTailDistinguishes(t *testing.T) {
 	}
 }
 
-// TestInternRefsDoesNotRetainInput pins that Intern copies: mutating the
-// caller's slice afterwards must not corrupt the arena.
+// TestInternRefsDoesNotRetainInput pins that NewRecorded copies: mutating
+// the caller's slice afterwards must not corrupt the arena.
 func TestInternRefsDoesNotRetainInput(t *testing.T) {
 	rs := []Ref{{Addr: 64, Instrs: 1}, {Addr: 128, Instrs: 2}}
-	a, err := NewTraceStore().Intern(rs, 0)
+	a, err := NewRecorded(rs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +139,9 @@ func TestInternRefsDoesNotRetainInput(t *testing.T) {
 
 // TestFingerprintQuickCheck generates random short streams and checks the
 // content-addressing law both ways on every pair: equal streams fingerprint
-// equally (by construction), and — with the store's verification — streams
-// share a recording exactly when they are equal.  Near-identical streams
+// equally (by construction), and — with the store's byte comparison —
+// streams adopted into one store share a recording exactly when they are
+// equal.  Near-identical streams
 // (prefixes, one flipped write bit, shifted instruction counts) are included
 // deliberately.
 func TestFingerprintQuickCheck(t *testing.T) {
@@ -163,11 +164,11 @@ func TestFingerprintQuickCheck(t *testing.T) {
 	s := NewTraceStore()
 	interned := make([]*Recorded, len(streams))
 	for i := range streams {
-		r, err := s.Intern(streams[i], tails[i])
+		r, err := NewRecorded(streams[i], tails[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		interned[i] = r
+		interned[i] = s.Adopt(r)
 	}
 	for i := range streams {
 		for j := range streams {
@@ -180,65 +181,6 @@ func TestFingerprintQuickCheck(t *testing.T) {
 				t.Fatalf("streams %d and %d: shared recording %t, identical %t", i, j, shared, same)
 			}
 		}
-	}
-}
-
-// TestLookupKeySeparatesOneFieldChanges pins the store's bucket key: a
-// stream that differs from another only in one reference's address,
-// instruction count or write bit, at any position (so in each of the four
-// lanes and in the remainder loop), only in its tail, or only in its length
-// gets a different key; and an equal stream interned separately still
-// shares the first one's arena.
-func TestLookupKeySeparatesOneFieldChanges(t *testing.T) {
-	base := make([]Ref, 11)
-	for i := range base {
-		base[i] = Ref{Addr: uint64(i) * 64, Instrs: uint32(i % 3), Write: i%2 == 0}
-	}
-	const tail = 7
-	want := lookupKey(base, tail)
-	mutations := map[string]func(*Ref){
-		"addr+64":     func(r *Ref) { r.Addr += 64 },
-		"addr-bit63":  func(r *Ref) { r.Addr ^= 1 << 63 },
-		"instrs+1":    func(r *Ref) { r.Instrs++ },
-		"instrs-max":  func(r *Ref) { r.Instrs = MaxInstrs },
-		"write-flip":  func(r *Ref) { r.Write = !r.Write },
-		"instrs+addr": func(r *Ref) { r.Instrs, r.Addr = r.Instrs+1, r.Addr+64 },
-	}
-	for i := range base {
-		for name, mutate := range mutations {
-			rs := slices.Clone(base)
-			mutate(&rs[i])
-			if lookupKey(rs, tail) == want {
-				t.Errorf("reference %d, %s: key unchanged", i, name)
-			}
-		}
-	}
-	if lookupKey(base, tail+1) == want {
-		t.Errorf("tail+1: key unchanged")
-	}
-	for n := range len(base) {
-		if lookupKey(base[:n], tail) == want {
-			t.Errorf("prefix of length %d: key unchanged", n)
-		}
-	}
-	if lookupKey(append(slices.Clone(base), Ref{}), tail) == want {
-		t.Errorf("one more zero reference: key unchanged")
-	}
-
-	s := NewTraceStore()
-	a, err := s.Intern(base, tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.Intern(slices.Clone(base), tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b || &a.enc[0] != &b.enc[0] {
-		t.Fatalf("equal streams got distinct recordings")
-	}
-	if st := s.Stats(); st.Interned != 2 || st.Unique != 1 {
-		t.Fatalf("stats = %+v, want Interned 2, Unique 1", st)
 	}
 }
 
@@ -255,8 +197,13 @@ func TestTraceStoreConcurrentIntern(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				// 10 distinct contents, interned over and over.
 				rs, tail := NewScan(1<<20, int64(64*(1+i%10)), 64, 1).Emit(nil)
-				if r, err := s.Intern(rs, tail); err != nil || r.Len() == 0 {
-					t.Errorf("worker %d: recording %v, error %v", w, r, err)
+				r, err := NewRecorded(rs, tail)
+				if err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+				if got := s.Adopt(r); got.Len() != r.Len() {
+					t.Errorf("worker %d: adopted %d references, want %d", w, got.Len(), r.Len())
 					return
 				}
 			}

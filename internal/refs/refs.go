@@ -43,7 +43,7 @@ type Ref struct {
 const MaxInstrs = math.MaxUint32 - 1
 
 // instrsOverflow is the Instrs value NarrowInstrs gives a count that does
-// not fit: a marker rather than a count, which TraceStore.Intern rejects.
+// not fit: a marker rather than a count, which NewRecorded rejects.
 const instrsOverflow = math.MaxUint32
 
 // ErrInstrsRange reports a stream with a per-reference instruction count
@@ -51,8 +51,8 @@ const instrsOverflow = math.MaxUint32
 var ErrInstrsRange = errors.New("refs: per-reference instruction count outside [0, MaxInstrs]")
 
 // NarrowInstrs narrows a per-reference instruction count to Ref.Instrs.  A
-// count outside [0, MaxInstrs] becomes a marker that TraceStore.Intern
-// rejects with ErrInstrsRange, so a stream that does not fit fails when it
+// count outside [0, MaxInstrs] becomes a marker that NewRecorded rejects
+// with ErrInstrsRange, so a stream that does not fit fails when it
 // is recorded instead of wrapping.
 func NarrowInstrs(n int64) uint32 {
 	if n < 0 || n > MaxInstrs {

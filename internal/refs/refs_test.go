@@ -26,7 +26,7 @@ func fixtures(t *testing.T) map[string]Gen {
 	for i := 0; i < 200; i++ {
 		rs = append(rs, Ref{Addr: uint64(i * 64), Write: i%3 == 0, Instrs: uint32(i % 7)})
 	}
-	recorded, err := NewTraceStore().Intern(rs, 9)
+	recorded, err := NewRecorded(rs, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,8 @@ func TestNarrowInstrsRejectsCountsThatDoNotFit(t *testing.T) {
 	}
 	for _, n := range []int64{-1, MaxInstrs + 1, 1 << 40} {
 		rs, tail := (&Strided{StrideBytes: 64, Count: 3, InstrsPerRef: n}).Emit(nil)
-		if _, err := NewTraceStore().Intern(rs, tail); !errors.Is(err, ErrInstrsRange) {
-			t.Errorf("InstrsPerRef %d: Intern error = %v, want ErrInstrsRange", n, err)
+		if _, err := NewRecorded(rs, tail); !errors.Is(err, ErrInstrsRange) {
+			t.Errorf("InstrsPerRef %d: NewRecorded error = %v, want ErrInstrsRange", n, err)
 		}
 	}
 }

@@ -90,9 +90,9 @@ func resetHeaps(h []minheap.Heap[seqItem], n int) []minheap.Heap[seqItem] {
 	return make([]minheap.Heap[seqItem], n)
 }
 
-// sizeTasks sets s.ws to every task's working set in bytes.  Tasks whose
-// streams are identical share one interned recording, so each recording's
-// lines are counted once.
+// sizeTasks sets s.ws to every task's working set in bytes.  Tasks that
+// share one recording (PageRank's chunk tasks two iterations apart) have
+// its lines counted once.
 func (s *SpaceBounded) sizeTasks(d *dag.DAG) {
 	n := d.NumTasks()
 	if cap(s.ws) >= n {

@@ -39,25 +39,29 @@ func oracleWorkloads() map[string]workload.Workload {
 	}
 }
 
-// sharedRecordingDAG builds a fork of tasks several of which issue the same
-// stream, so the DAG's trace store interns them into one recording.
+// sharedRecordingDAG builds a fork of tasks several of which carry one
+// recording, as PageRank's chunk tasks two iterations apart do.
 func sharedRecordingDAG(t *testing.T) *dag.DAG {
 	t.Helper()
 	d := dag.New("shared-recording")
 	root := d.AddComputeTask("root", 1)
+	rs, tail := refs.NewScan(0x1000, 8<<10, 40, 1).Emit(nil)
+	same, err := refs.NewRecorded(rs, tail)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var kids []dag.TaskID
 	for i := 0; i < 4; i++ {
-		kids = append(kids, d.AddTask("same", refs.NewScan(0x1000, 8<<10, 40, 1)).ID)
+		kids = append(kids, d.AddTask("same", same).ID)
 	}
 	kids = append(kids, d.AddTask("other", &refs.Random{Base: 0x1000, Bytes: 16 << 10, LineBytes: 32, Count: 300, Seed: 7, InstrsPerRef: 2}).ID)
 	d.Fork(root.ID, kids...)
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	first := d.Task(kids[0]).Refs
-	for _, id := range kids[1:4] {
-		if d.Task(id).Refs != first {
-			t.Fatalf("task %d does not share the interned recording", id)
+	for _, id := range kids[:4] {
+		if d.Task(id).Refs != same {
+			t.Fatalf("task %d does not carry the shared recording", id)
 		}
 	}
 	return d
@@ -114,7 +118,7 @@ func TestSpaceBoundedWorkingSetsMatchProfiler(t *testing.T) {
 // must not see its lines.
 func TestLineSetCountsAcrossGenerations(t *testing.T) {
 	record := func(rs []refs.Ref) *refs.Recorded {
-		r, err := refs.NewTraceStore().Intern(rs, 0)
+		r, err := refs.NewRecorded(rs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,17 +5,8 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
-
-// Ratio returns a/b, or 0 when b is zero.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
 
 // Speedup returns base/measured (how many times faster measured is than
 // base), or 0 when measured is zero.
@@ -24,14 +15,6 @@ func Speedup(base, measured int64) float64 {
 		return 0
 	}
 	return float64(base) / float64(measured)
-}
-
-// PercentChange returns (to-from)/from*100, or 0 when from is zero.
-func PercentChange(from, to float64) float64 {
-	if from == 0 {
-		return 0
-	}
-	return (to - from) / from * 100
 }
 
 // Min returns the minimum of a non-empty slice (0 for an empty one).
@@ -77,22 +60,6 @@ func Normalize(xs []float64) []float64 {
 	return out
 }
 
-// GeoMean returns the geometric mean of positive values (0 if any value is
-// non-positive or the slice is empty).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sumLog := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		sumLog += math.Log(x)
-	}
-	return math.Exp(sumLog / float64(len(xs)))
-}
-
 // Table accumulates rows of strings and renders them with aligned columns,
 // which is how cmd/experiments prints the regenerated tables and figure
 // series.
@@ -117,23 +84,6 @@ func (t *Table) AddRow(cells ...string) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// AddRowf formats each cell with fmt.Sprint.
-func (t *Table) AddRowf(cells ...interface{}) {
-	out := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			out[i] = fmt.Sprintf("%.3f", v)
-		default:
-			out[i] = fmt.Sprint(c)
-		}
-	}
-	t.AddRow(out...)
-}
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table.
 func (t *Table) String() string {

@@ -1,20 +1,13 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
 
 func TestRatioSpeedupPercent(t *testing.T) {
-	if Ratio(6, 3) != 2 || Ratio(1, 0) != 0 {
-		t.Fatalf("Ratio wrong")
-	}
 	if Speedup(100, 50) != 2 || Speedup(100, 0) != 0 {
 		t.Fatalf("Speedup wrong")
-	}
-	if PercentChange(10, 15) != 50 || PercentChange(0, 5) != 0 {
-		t.Fatalf("PercentChange wrong")
 	}
 }
 
@@ -35,25 +28,12 @@ func TestMinMaxNormalize(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{1, 4})
-	if math.Abs(got-2) > 1e-9 {
-		t.Fatalf("GeoMean = %f", got)
-	}
-	if GeoMean(nil) != 0 || GeoMean([]float64{1, -1}) != 0 {
-		t.Fatalf("GeoMean edge cases wrong")
-	}
-}
-
 func TestTable(t *testing.T) {
 	tab := NewTable("name", "value")
 	tab.AddRow("alpha", "1")
-	tab.AddRowf("beta", 2.5)
+	tab.AddRow("beta", "2.500")
 	tab.AddRow("gamma") // missing cell
 	tab.AddRow("delta", "4", "extra dropped")
-	if tab.NumRows() != 4 {
-		t.Fatalf("NumRows = %d", tab.NumRows())
-	}
 	out := tab.String()
 	if !strings.Contains(out, "alpha") || !strings.Contains(out, "2.500") {
 		t.Fatalf("table output missing cells:\n%s", out)

@@ -93,8 +93,8 @@ func (c *MemoryCache) Len() int {
 // recomputation, never to failed jobs.
 //
 // Opening a cache garbage-collects the debris a crashed writer can leave
-// behind: orphaned put-*.tmp files older than TempMaxAge and .lease files
-// (see lease.go) older than LeaseMaxAge, so a killed process never
+// behind: orphaned put-*.tmp files older than tempMaxAge and .lease files
+// (see lease.go) older than leaseMaxAge, so a killed process never
 // permanently poisons a cache directory.
 type DiskCache struct {
 	counters
@@ -117,31 +117,19 @@ type DiskCacheOptions struct {
 	// Logf, when non-nil, receives corrupt-entry and garbage-collection
 	// reports; nil keeps them silent.
 	Logf func(format string, args ...any)
-	// TempMaxAge is the age beyond which an orphaned put-*.tmp file is
-	// collected on open.  Zero means one hour: long enough that no live
-	// writer's temp file is ever collected, short enough that crash debris
-	// does not accumulate.
-	TempMaxAge time.Duration
-	// LeaseMaxAge is the age beyond which a .lease file is collected on
-	// open.  Zero means one minute — far beyond any live holder's heartbeat
-	// interval (see LeaseOptions), so only leases whose owner died without
-	// takeover are swept.
-	LeaseMaxAge time.Duration
 }
 
-// withDefaults fills the zero fields.
-func (o DiskCacheOptions) withDefaults() DiskCacheOptions {
-	if o.FS == nil {
-		o.FS = faultinject.OS()
-	}
-	if o.TempMaxAge <= 0 {
-		o.TempMaxAge = time.Hour
-	}
-	if o.LeaseMaxAge <= 0 {
-		o.LeaseMaxAge = time.Minute
-	}
-	return o
-}
+const (
+	// tempMaxAge is the age beyond which an orphaned put-*.tmp file is
+	// collected on open: long enough that no live writer's temp file is
+	// ever collected, short enough that crash debris does not accumulate.
+	tempMaxAge = time.Hour
+	// leaseMaxAge is the age beyond which a .lease file is collected on
+	// open: far beyond any live holder's heartbeat interval (see
+	// LeaseOptions), so only leases whose owner died without takeover are
+	// swept.
+	leaseMaxAge = time.Minute
+)
 
 // NewDiskCache creates the directory if needed and returns a cache over it
 // with default options.
@@ -151,12 +139,14 @@ func NewDiskCache(dir string) (*DiskCache, error) {
 
 // NewDiskCacheWith is NewDiskCache with explicit options.
 func NewDiskCacheWith(dir string, opts DiskCacheOptions) (*DiskCache, error) {
-	opts = opts.withDefaults()
+	if opts.FS == nil {
+		opts.FS = faultinject.OS()
+	}
 	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: cache dir: %w", err)
 	}
 	c := &DiskCache{dir: dir, mem: NewMemoryCache(), fs: opts.FS, logf: opts.Logf}
-	c.gc(opts.TempMaxAge, opts.LeaseMaxAge)
+	c.gc()
 	return c, nil
 }
 
@@ -165,7 +155,7 @@ func NewDiskCacheWith(dir string, opts DiskCacheOptions) (*DiskCache, error) {
 // enough ago that no live instance can still be heartbeating them.  GC
 // failures are logged and ignored — a cache that cannot clean up still
 // works, the debris just waits for the next open.
-func (c *DiskCache) gc(tempMaxAge, leaseMaxAge time.Duration) {
+func (c *DiskCache) gc() {
 	ents, err := c.fs.ReadDir(c.dir)
 	if err != nil {
 		if c.logf != nil {

@@ -227,13 +227,21 @@ func TestLeaseCrashMidFlightRecovered(t *testing.T) {
 		t.Fatalf("entry missing after recovery: %+v ok=%v", e, ok)
 	}
 
-	// The crash left a put-*.tmp orphan; a reopened cache with an aggressive
-	// GC horizon must sweep it (and any leftover lease debris).
-	time.Sleep(20 * time.Millisecond)
-	dc3, err := NewDiskCacheWith(dir, DiskCacheOptions{
-		TempMaxAge:  time.Nanosecond,
-		LeaseMaxAge: time.Nanosecond,
-	})
+	// The crash left a put-*.tmp orphan; once it (and any leftover lease
+	// debris) is older than the GC horizons, a reopened cache must sweep it.
+	debris, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-2 * tempMaxAge)
+	for _, ent := range debris {
+		if name := ent.Name(); strings.HasSuffix(name, ".tmp") || strings.HasSuffix(name, leaseSuffix) {
+			if err := os.Chtimes(filepath.Join(dir, name), old, old); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dc3, err := NewDiskCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

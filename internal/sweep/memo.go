@@ -10,13 +10,18 @@ import (
 
 // A sweep's job list is typically a grid: the same (workload, parameters)
 // pair appears once per scheduler and once per machine configuration, and
-// building the DAG — emitting every task's reference stream — dominated the
-// cost of the uncached jobs.  The engine therefore memoises DAGs as
-// templates: the first job to need a pair builds it once and records it into
-// the engine's shared content-addressed trace store (dag.Record), and every
+// building the DAG — emitting and recording every task's reference stream —
+// dominated the cost of the uncached jobs.  The engine therefore memoises
+// DAGs as templates: the first job to need a pair builds it once, and every
 // job — the first included — simulates that one DAG.  A DAG never changes
 // after its build and a simulation only reads it, so results are
 // byte-identical to per-job rebuilding at any worker count.
+//
+// A template is the only scope in which the engine shares recorded streams,
+// and it lives only while a queued or running job refers to it (release):
+// its DAG is freed when the last of its jobs leaves, so the templates held
+// are bounded by the jobs in the pool.  A later job of the same pair builds
+// the DAG again.
 //
 // Memoisation is keyed by the job Key's Workload and Params fields — exactly
 // the inputs BuildFunc is required to be a pure function of.  The machine
@@ -43,8 +48,7 @@ type templateEntry struct {
 	// Guarded by the engine's mutex.  A template is claimed by the job that
 	// builds it, and built once that build has finished, with or without an
 	// error.  refs counts the queued and running jobs that refer to the
-	// entry: one that no job claimed is forgotten when the last of them
-	// leaves (release), so a warm cache's hits leave no entries behind.
+	// entry, which is forgotten when the last of them leaves (release).
 	claimed, built bool
 	refs           int
 }
@@ -54,7 +58,7 @@ func templateKey(k Key) string {
 	return k.Workload + "\x00" + k.Params
 }
 
-// template returns the job's DAG, building and recording it on first need.
+// template returns the job's DAG, building it on first need.
 // A build error is memoised too, so every job sharing the template reports
 // the same deterministic error.  So is a panic in the build: sync.Once
 // counts a panicking call as done, and without the recover every later job
@@ -78,7 +82,6 @@ func (e *Engine) template(ent *templateEntry, build BuildFunc) (*dag.DAG, error)
 		// of worker count and completion order; the counter is atomic, so
 		// concurrent first-builders of different keys never race.
 		e.em.dagBuilds.Add(1)
-		dag.Record(d, e.traces)
 		ent.d = d
 	})
 	if ent.err != nil {
@@ -93,18 +96,12 @@ func (e *Engine) template(ent *templateEntry, build BuildFunc) (*dag.DAG, error)
 }
 
 // markBuilt records that ent's build has finished, with or without an
-// error, so the jobs held back for it may start.  It also publishes the
-// trace store's interning totals, which only a build changes; under e.mu the
-// last publication reads the totals after the last recording.
+// error, so the jobs held back for it may start.
 func (e *Engine) markBuilt(ent *templateEntry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ent.built = true
 	e.spawnLocked()
-	st := e.traces.Stats()
-	e.em.traceUnique.Set(st.Unique)
-	e.em.traceInterned.Set(st.Interned)
-	e.em.traceArena.Set(st.ArenaBytes)
 }
 
 // next removes and returns the first queued task whose template no job is
@@ -121,10 +118,10 @@ func (e *Engine) next() *task {
 }
 
 // release drops a finished or dropped task's reference to its template
-// entry, and forgets the entry when no job claimed it and no other queued or
+// entry, and forgets the entry, built or not, when no other queued or
 // running job refers to it; the caller holds e.mu.
 func (e *Engine) release(t *task) {
-	if t.ent.refs--; t.ent.refs == 0 && !t.ent.claimed {
+	if t.ent.refs--; t.ent.refs == 0 {
 		delete(e.templates, templateKey(t.job.Key))
 	}
 }

@@ -16,7 +16,7 @@
 //
 // Jobs that share a (workload, parameters) pair — the common shape: one job
 // per scheduler and machine configuration over the same build — share one
-// memoised DAG recorded into a content-addressed trace store; see memo.go.
+// memoised DAG while any of them is queued or running; see memo.go.
 // Sharing is driven entirely by job keys, so it needs no opt-in and cannot
 // change results: the shared DAG simulates bit-identically to a fresh
 // build.  The engine's one worker pool hands a free worker the first queued
@@ -41,7 +41,6 @@ import (
 	"cmpsched/internal/config"
 	"cmpsched/internal/dag"
 	"cmpsched/internal/obs"
-	"cmpsched/internal/refs"
 	"cmpsched/internal/sched"
 )
 
@@ -87,18 +86,18 @@ func (k Key) String() string {
 
 // BuildFunc constructs the DAG for a job.  It may be called from any worker,
 // so it must be safe to call concurrently with other jobs' builds, and it
-// must return a DAG of its own: the engine records the DAG into its trace
-// store (dag.Record).
+// must return a DAG of its own: the engine shares it, read-only, among the
+// jobs of its template.
 //
 // Builds must be pure functions of the job key's Workload and Params
 // fields: the engine builds each (Workload, Params) pair once and hands that
 // one DAG to every job of the pair, whatever its machine configuration (see
 // memo.go).  Two jobs with equal pairs MUST build equivalent DAGs, and at
-// most one of their Build functions will actually run per sweep engine.  A
-// build that reads the machine configuration (cache-sized inputs, say) must
-// fold what it reads into Params; NewJob callers fingerprinting their
-// default-filled workload config structs into Params satisfy this by
-// construction.
+// most one of their Build functions runs while jobs of the pair are queued
+// or running on an engine.  A build that reads the machine configuration
+// (cache-sized inputs, say) must fold what it reads into Params; NewJob
+// callers fingerprinting their default-filled workload config structs into
+// Params satisfy this by construction.
 type BuildFunc func() (*dag.DAG, error)
 
 // DeriveFunc computes named scalar metrics from a finished run while the
@@ -194,14 +193,11 @@ type Engine struct {
 	cache      Cache
 	jobTimeout time.Duration
 	em         engineMetrics
-	// traces holds the recorded streams of every template, one store shared
-	// by the whole engine.  See memo.go.
-	traces *refs.TraceStore
 
 	// mu guards the queue, the live worker count and the templates, which
 	// memoise one recorded DAG per (workload, params) together with its
-	// dispatch state.  A template no job claimed is kept only while queued
-	// or running jobs refer to it.
+	// dispatch state.  A template is kept only while queued or running jobs
+	// refer to it.
 	mu        sync.Mutex
 	queue     []*task
 	running   int
@@ -267,27 +263,21 @@ type engineMetrics struct {
 	// incremented once-per-key-event under the snapshot lock's ordering, so
 	// their totals are worker-count independent like everything else here.
 	dagBuilds, dagShared *obs.Counter
-	// Trace-interning totals of the engine's shared store, set when a
-	// stream finishes.
-	traceUnique, traceInterned, traceArena *obs.Gauge
 }
 
 func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	return engineMetrics{
-		jobs:          reg.Counter("sweep.jobs"),
-		cached:        reg.Counter("sweep.jobs_cached"),
-		simCycles:     reg.Counter("sweep.sim_cycles"),
-		simTasks:      reg.Counter("sweep.sim_tasks"),
-		l1Hits:        reg.Counter("sweep.cache.l1_hits"),
-		l1Misses:      reg.Counter("sweep.cache.l1_misses"),
-		l2Hits:        reg.Counter("sweep.cache.l2_hits"),
-		l2Misses:      reg.Counter("sweep.cache.l2_misses"),
-		memFetches:    reg.Counter("sweep.mem_fetches"),
-		dagBuilds:     reg.Counter("sweep.dag_builds"),
-		dagShared:     reg.Counter("sweep.dag_rebuilds_avoided"),
-		traceUnique:   reg.Gauge("sweep.trace.unique"),
-		traceInterned: reg.Gauge("sweep.trace.interned"),
-		traceArena:    reg.Gauge("sweep.trace.arena_bytes"),
+		jobs:       reg.Counter("sweep.jobs"),
+		cached:     reg.Counter("sweep.jobs_cached"),
+		simCycles:  reg.Counter("sweep.sim_cycles"),
+		simTasks:   reg.Counter("sweep.sim_tasks"),
+		l1Hits:     reg.Counter("sweep.cache.l1_hits"),
+		l1Misses:   reg.Counter("sweep.cache.l1_misses"),
+		l2Hits:     reg.Counter("sweep.cache.l2_hits"),
+		l2Misses:   reg.Counter("sweep.cache.l2_misses"),
+		memFetches: reg.Counter("sweep.mem_fetches"),
+		dagBuilds:  reg.Counter("sweep.dag_builds"),
+		dagShared:  reg.Counter("sweep.dag_rebuilds_avoided"),
 	}
 }
 
@@ -321,7 +311,6 @@ func NewEngine(opts EngineOptions) *Engine {
 		jobTimeout: opts.JobTimeout,
 		em:         newEngineMetrics(opts.Metrics),
 		templates:  make(map[string]*templateEntry),
-		traces:     refs.NewTraceStore(),
 	}
 }
 
@@ -461,7 +450,7 @@ func (e *Engine) work() {
 			continue
 		}
 		// The job leaves the pool before done reports it, so a finished
-		// run leaves no entry behind that only its jobs referred to.
+		// run leaves no template behind that only its jobs referred to.
 		e.release(t)
 		if run {
 			e.mu.Unlock()

@@ -213,6 +213,46 @@ func TestHTTPSaturation429(t *testing.T) {
 	}
 }
 
+// TestHTTPQueueBoundIs400 pins the transport mapping of a submission no
+// queue state can admit: on an idle service, more new jobs than the queue
+// bound get 400 with no Retry-After, so a client does not wait to retry it.
+func TestHTTPQueueBoundIs400(t *testing.T) {
+	mk := newJobMaker()
+	svc := NewService(Options{Workers: 1, MaxQueue: 2, RetryAfter: 3 * time.Second})
+	defer svc.Drain(context.Background())
+	h := NewHandler(svc)
+	h.Expand = func(r *Request) ([]sweep.Job, error) {
+		var jobs []sweep.Job
+		for _, name := range r.Workloads {
+			jobs = append(jobs, mk.job(t, name, nil, nil))
+		}
+		return jobs, nil
+	}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	resp, err := srv.Client().Post(srv.URL+"/sweeps", "application/json", strings.NewReader(`{"workloads":["mergesort","hashjoin","lu"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 (%s)", resp.StatusCode, msg)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "" {
+		t.Errorf("Retry-After = %q on a submission no retry admits", got)
+	}
+	if want := "3 new jobs exceed the queue bound of 2"; !strings.Contains(string(msg), want) {
+		t.Errorf("body = %q, want it to contain %q", msg, want)
+	}
+	for _, name := range []string{"mergesort", "hashjoin", "lu"} {
+		if mk.buildCount(name) != 0 {
+			t.Errorf("rejected job %s ran", name)
+		}
+	}
+}
+
 // TestHTTPStatusAndCancel covers GET and DELETE on /sweeps/{id}.
 func TestHTTPStatusAndCancel(t *testing.T) {
 	mk := newJobMaker()

@@ -44,7 +44,8 @@ type Options struct {
 	Workers int
 	// MaxQueue bounds the number of admitted-but-unstarted jobs across all
 	// sweeps.  A submission whose new (non-deduplicated) jobs would exceed
-	// the bound is rejected with a SaturatedError.  Zero means 1024.
+	// the bound is rejected: with a LimitError when they alone exceed it,
+	// otherwise with a SaturatedError.  Zero means 1024.
 	MaxQueue int
 	// MaxSweeps bounds the number of concurrently active sweeps.  Zero
 	// means 64.
@@ -348,8 +349,9 @@ func (s *Service) checkJobCount(n int) error {
 // Sweep's event stream is already primed with its EventAccepted.
 //
 // Submit rejects with ErrDraining after Drain begins, a LimitError over the
-// per-sweep job limit, and a SaturatedError when the sweep or queue bound is
-// hit.  Rejections are atomic: no partial jobs are admitted.
+// per-sweep job limit or when its new jobs alone exceed the queue bound, and
+// a SaturatedError when the sweep or queue bound is hit.  Rejections are
+// atomic: no partial jobs are admitted.
 func (s *Service) Submit(jobs []sweep.Job) (*Sweep, error) {
 	if len(jobs) == 0 {
 		return nil, &LimitError{Reason: "empty job list"}
@@ -380,6 +382,11 @@ func (s *Service) Submit(jobs []sweep.Job) (*Sweep, error) {
 			seen[h] = true
 			fresh++
 		}
+	}
+	if fresh > s.opts.MaxQueue {
+		// No amount of waiting admits it: an empty queue is too small.
+		s.sm.sweepsRejected.Add(1)
+		return nil, &LimitError{Reason: fmt.Sprintf("%d new jobs exceed the queue bound of %d", fresh, s.opts.MaxQueue)}
 	}
 	if s.pending+fresh > s.opts.MaxQueue {
 		s.sm.sweepsRejected.Add(1)

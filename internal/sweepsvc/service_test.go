@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -370,6 +371,38 @@ func TestAdmissionSaturation(t *testing.T) {
 	// With the queue drained, admission recovers.
 	if _, err := svc.Submit([]sweep.Job{mk.job(t, "d0", nil, nil)}); err != nil {
 		t.Fatalf("post-drain submission: %v", err)
+	}
+}
+
+// TestQueueBoundLimit pins that a submission whose new jobs alone exceed
+// the queue bound is a LimitError, which no retry can cure, not a
+// SaturatedError: an idle service rejects it and runs none of its jobs,
+// and still admits a submission that fits the empty queue.
+func TestQueueBoundLimit(t *testing.T) {
+	mk := newJobMaker()
+	svc := NewService(Options{Workers: 1, MaxQueue: 2})
+	defer svc.Drain(context.Background())
+
+	jobs := []sweep.Job{mk.job(t, "q0", nil, nil), mk.job(t, "q1", nil, nil), mk.job(t, "q2", nil, nil)}
+	_, err := svc.Submit(jobs)
+	var lim *LimitError
+	if !errors.As(err, &lim) {
+		t.Fatalf("err = %v, want LimitError", err)
+	}
+	if want := "3 new jobs exceed the queue bound of 2"; !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %q, want it to contain %q", err, want)
+	}
+	for _, name := range []string{"q0", "q1", "q2"} {
+		if mk.buildCount(name) != 0 {
+			t.Errorf("rejected job %s ran", name)
+		}
+	}
+	sw, err := svc.Submit(jobs[:2])
+	if err != nil {
+		t.Fatalf("a submission that fits the empty queue: %v", err)
+	}
+	if _, term := collect(t, sw); term.Type != EventDone {
+		t.Errorf("terminal = %s, want done", term.Type)
 	}
 }
 

@@ -236,16 +236,3 @@ func (t *Tree) checkConsecutive(d *dag.DAG) error {
 	})
 	return err
 }
-
-// GroupsBySite returns the nodes grouped by spawn site, preserving creation
-// order within each site. Used when building the parallelization table.
-func (t *Tree) GroupsBySite() map[string][]*Node {
-	out := make(map[string][]*Node)
-	t.Walk(func(n *Node) bool {
-		if n.Site != "" {
-			out[n.Site] = append(out[n.Site], n)
-		}
-		return true
-	})
-	return out
-}

@@ -85,17 +85,6 @@ func TestWalkPreOrderAndPrune(t *testing.T) {
 	}
 }
 
-func TestGroupsBySite(t *testing.T) {
-	_, tr := buildSample(t)
-	bySite := tr.GroupsBySite()
-	if len(bySite["site:a"]) != 2 || len(bySite["site:b"]) != 2 {
-		t.Fatalf("GroupsBySite = %v", bySite)
-	}
-	if len(bySite[""]) != 0 {
-		t.Fatalf("empty site should not be indexed")
-	}
-}
-
 func TestFinalizeRejectsOverlappingSiblings(t *testing.T) {
 	d := dag.New("bad")
 	for i := 0; i < 4; i++ {
