@@ -4,7 +4,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: all build test race-sweep race-pool fuzz-decoder fuzz-cache fuzz-wire fuzz-lease fuzz-arena doc-check vet fmt-check lint bench bench-gate bench-quick bench-module ci clean
+.PHONY: all build test race-sweep race-pool fuzz-decoder fuzz-cache fuzz-wire fuzz-arena doc-check vet fmt-check lint bench bench-gate bench-quick bench-module ci clean
 
 all: build
 
@@ -16,13 +16,13 @@ test:
 
 # The concurrent pieces — the sweep engine's worker pool, the scheduler
 # registry (Register/New may race against running sweeps), the metrics
-# registry's counters, the sweep service's single-flight dedup, the
-# cross-process cache leases (heartbeat goroutines vs takeover), the
-# fault-injection shims they are tested through, the graph kernels (whose
-# DAG builders sweeps run concurrently), the simulator and profiler
-# (concurrent runs share one DAG), and the recorded streams and DAGs (every
-# job of a sweep template reads one DAG's recordings) — run under the race
-# detector (CI runs this step too).
+# registry's counters, the sweep service's single-flight dedup and its
+# memory soak, the cross-process cache leases (two engines contending for
+# one directory's locks), the fault-injection shims they are tested
+# through, the graph kernels (whose DAG builders sweeps run concurrently),
+# the simulator and profiler (concurrent runs share one DAG), and the
+# recorded streams and DAGs (every job of a sweep template reads one DAG's
+# recordings) — run under the race detector (CI runs this step too).
 race-sweep:
 	$(GO) test -race ./internal/sweep/... ./internal/sched/... ./internal/obs/... ./internal/sweepsvc/... ./internal/faultinject/... ./internal/graph/... ./internal/cmpsim/... ./internal/profile/... ./internal/refs/... ./internal/dag/...
 
@@ -54,13 +54,6 @@ fuzz-cache:
 # step too.
 fuzz-wire:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRequest$$' -fuzztime 30s ./internal/sweepsvc
-
-# 30-second hunt on the lease protocol's record parser: arbitrary bytes as a
-# stale lease body must be taken over, fenced with a new token and released
-# (the committed corpus under internal/sweep/testdata/fuzz replays in plain
-# `go test`).  CI runs this step too.
-fuzz-lease:
-	$(GO) test -run '^$$' -fuzz 'FuzzLeaseTakeover$$' -fuzztime 30s ./internal/sweep
 
 # 30-second hunt on the recorded-stream codec: arbitrary streams must record,
 # decode back exactly however they are read, and resolve to one recording

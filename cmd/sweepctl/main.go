@@ -23,17 +23,20 @@
 // exponential backoff and deterministic jitter, resubmitting only the points
 // whose rows have not been received; an endpoint that exhausts its -retries
 // budget is declared dead and its remaining points are re-sharded across the
-// surviving endpoints. Only job-level simulation errors are terminal — the
-// job would fail identically anywhere — and only when every endpoint is dead
-// with points still outstanding does sweepctl give up. None of this changes
-// the output: rows land by global point index, so the merged CSV/JSON is
-// byte-identical to a fault-free single-server run.
+// surviving endpoints. Job-level simulation errors are terminal for their
+// job, and any other 4xx for the sweep: a deterministic job, or a request a
+// server refuses as invalid or over its limits, would fail identically
+// anywhere. Otherwise sweepctl gives up only when every endpoint is dead
+// with points still outstanding. None of this changes the output: rows land
+// by global point index, so the merged CSV/JSON is byte-identical to a
+// fault-free single-server run.
 package main
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -152,7 +155,8 @@ type client struct {
 // live endpoints, stream each shard (with per-endpoint retries), then
 // re-shard whatever a dead endpoint left behind across the survivors.  Each
 // round either finishes the sweep or loses at least one endpoint, so the
-// loop is bounded by the endpoint count.
+// loop is bounded by the endpoint count.  A shard the server refuses ends
+// the sweep once its round's other shards end.
 func (c *client) run(points []sweep.Point, results []sweep.Result) ([]string, error) {
 	c.resolved = make([]bool, len(points))
 	alive := append([]string(nil), c.endpoints...)
@@ -174,6 +178,7 @@ func (c *client) run(points []sweep.Point, results []sweep.Result) ([]string, er
 			shards[i%len(alive)] = append(shards[i%len(alive)], gi)
 		}
 		survived := make([]bool, len(alive))
+		refused := make([]error, len(alive))
 		var wg sync.WaitGroup
 		for s := range alive {
 			if len(shards[s]) == 0 {
@@ -183,10 +188,13 @@ func (c *client) run(points []sweep.Point, results []sweep.Result) ([]string, er
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				survived[s] = c.sweepShard(alive[s], round, points, shards[s], results)
+				survived[s], refused[s] = c.sweepShard(alive[s], round, points, shards[s], results)
 			}(s)
 		}
 		wg.Wait()
+		if err := errors.Join(refused...); err != nil {
+			return c.failures, err
+		}
 
 		var nextAlive []string
 		for s, ep := range alive {
@@ -206,13 +214,14 @@ func (c *client) run(points []sweep.Point, results []sweep.Result) ([]string, er
 }
 
 // sweepShard streams one endpoint's shard, resubmitting only the unreceived
-// points after every failure, until the shard completes or the endpoint
-// exhausts its retry budget.  It reports whether the endpoint survived.
+// points after every failure, until the shard completes, the server refuses
+// it (returned as refused, with no retry), or the endpoint exhausts its
+// retry budget.  It reports whether the endpoint survived.
 //
 // The backoff jitter is drawn from a splitmix64 stream seeded by (endpoint,
 // round), so a replayed run backs off identically — failures under the
 // fault-injection harness reproduce from their seeds alone.
-func (c *client) sweepShard(endpoint string, round int, points []sweep.Point, idxs []int, results []sweep.Result) bool {
+func (c *client) sweepShard(endpoint string, round int, points []sweep.Point, idxs []int, results []sweep.Result) (survived bool, refused error) {
 	rng := prng.SplitMix64{State: prng.Mix64(hash64(endpoint) ^ uint64(round)<<32)}
 	pending := append([]int(nil), idxs...)
 	for strikes := 0; ; {
@@ -221,6 +230,9 @@ func (c *client) sweepShard(endpoint string, round int, points []sweep.Point, id
 			req.Points = append(req.Points, points[gi])
 		}
 		retryAfter, err := c.streamOnce(endpoint, req, pending, results)
+		if errors.Is(err, errRefused) {
+			return true, fmt.Errorf("%s: %w", endpoint, err)
+		}
 
 		var left []int
 		for _, gi := range pending {
@@ -230,7 +242,7 @@ func (c *client) sweepShard(endpoint string, round int, points []sweep.Point, id
 		}
 		pending = left
 		if len(pending) == 0 {
-			return true
+			return true, nil
 		}
 		if err == nil {
 			// A cleanly terminated stream that still left rows unaccounted
@@ -243,7 +255,7 @@ func (c *client) sweepShard(endpoint string, round int, points []sweep.Point, id
 		if strikes > c.retries {
 			fmt.Fprintf(os.Stderr, "sweepctl: %s: dead after %d attempts (%v); abandoning the endpoint\n",
 				endpoint, strikes, err)
-			return false
+			return false, nil
 		}
 		var sleep time.Duration
 		if retryAfter > 0 {
@@ -262,10 +274,15 @@ func (c *client) sweepShard(endpoint string, round int, points []sweep.Point, id
 	}
 }
 
+// errRefused marks a 4xx answer other than 429: the server refuses the
+// request itself (an invalid point, a limit, an oversized body), so a retry
+// or another endpoint would refuse it alike.
+var errRefused = errors.New("refused by the server")
+
 // streamOnce submits one shard and decodes its NDJSON event stream. Rows and
 // terminal job failures resolve their global point index; a non-nil error
-// means the attempt should be retried (with retryAfter as the server-imposed
-// pause when it sent one).
+// other than errRefused means the attempt should be retried (with
+// retryAfter as the server-imposed pause when it sent one).
 func (c *client) streamOnce(endpoint string, req *sweepsvc.Request, pending []int, results []sweep.Result) (retryAfter time.Duration, err error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -278,12 +295,16 @@ func (c *client) streamOnce(endpoint string, req *sweepsvc.Request, pending []in
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		if resp.StatusCode == http.StatusTooManyRequests {
+		reason := fmt.Sprintf("(%s): %s", resp.Status, strings.TrimSpace(string(msg)))
+		switch {
+		case resp.StatusCode == http.StatusTooManyRequests:
 			if ra := parseRetryAfter(resp.Header.Get("Retry-After")); ra > 0 {
 				return ra, fmt.Errorf("server saturated (429, retry after %v)", ra)
 			}
+		case resp.StatusCode >= 400 && resp.StatusCode < 500:
+			return 0, fmt.Errorf("%w %s", errRefused, reason)
 		}
-		return 0, fmt.Errorf("server rejected the sweep (%s): %s", resp.Status, strings.TrimSpace(string(msg)))
+		return 0, fmt.Errorf("server rejected the sweep %s", reason)
 	}
 
 	sc := bufio.NewScanner(resp.Body)

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -221,6 +222,43 @@ func TestClientJobErrorIsTerminal(t *testing.T) {
 		if r.Sim == nil {
 			t.Fatalf("point %d missing its row", i)
 		}
+	}
+}
+
+// TestClientRefusalIsTerminal: a 4xx other than 429 (here sweepd's 400 for
+// a submission over its queue bound) fails the sweep at once with the
+// server's message: one request per shard, no backoff, no re-shard onto
+// the other endpoint, which would refuse it alike.
+func TestClientRefusalIsTerminal(t *testing.T) {
+	const msg = "sweepsvc: 2 new jobs exceed the queue bound of 1"
+	var requests [2]atomic.Int64
+	endpoints := make([]string, len(requests))
+	for i := range requests {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			requests[i].Add(1)
+			http.Error(w, msg, http.StatusBadRequest)
+		}))
+		t.Cleanup(srv.Close)
+		endpoints[i] = srv.URL
+	}
+
+	points := testPoints(t, 4)
+	cl := newTestClient(endpoints...)
+	cl.retries = 1
+	cl.backoff = time.Second
+	start := time.Now()
+	_, err := cl.run(points, make([]sweep.Result, len(points)))
+	elapsed := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), msg) {
+		t.Fatalf("run error = %v, want the server's message %q", err, msg)
+	}
+	for i := range requests {
+		if got := requests[i].Load(); got != 1 {
+			t.Errorf("endpoint %d got %d requests, want 1", i, got)
+		}
+	}
+	if elapsed > cl.backoff/2 {
+		t.Errorf("run took %v, want well under the first backoff (%v)", elapsed, cl.backoff)
 	}
 }
 

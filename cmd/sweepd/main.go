@@ -17,7 +17,7 @@
 // A fleet of sweepd instances may share one -cache-dir: the cache is wrapped
 // in crash-safe per-key leases (sweep.LeasedCache), so overlapping grids
 // submitted to different instances simulate each distinct key once
-// fleet-wide, and a killed instance's leases are taken over by survivors.
+// fleet-wide, and a killed instance's leases pass to survivors at once.
 // -fault-inject arms the deterministic HTTP fault harness
 // (internal/faultinject) on the data path only — /healthz and /metrics stay
 // clean — for rehearsing client retry/failover without real failures.
@@ -57,7 +57,6 @@ func main() {
 		maxJobs      = flag.Int("max-jobs", 0, "max jobs in one submission (0 = default)")
 		retryAfter   = flag.Duration("retry-after", 0, "Retry-After hint on saturated rejections (0 = default)")
 		cacheDir     = flag.String("cache-dir", "", "directory for the persistent result cache (empty = in-memory only)")
-		leaseTTL     = flag.Duration("lease-ttl", 10*time.Second, "staleness bound on shared-cache flight leases: a crashed instance's lease is taken over after this long without a heartbeat")
 		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "per-job simulation wall-clock bound; an exceeding job fails as one row instead of wedging a worker (0 = unbounded)")
 		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "limit on reading a request's headers and body (result streams are unbounded)")
 		faultSpec    = flag.String("fault-inject", "", "arm the deterministic HTTP fault harness on the data path, e.g. seed=7,429=0.2,503=0.1,drop=0.1,latency=10ms (dev/chaos use)")
@@ -87,14 +86,10 @@ func main() {
 		}
 		// Leases make the cache directory safely shareable with other
 		// sweepd instances: each distinct key simulates once fleet-wide,
-		// crashed holders are fenced and taken over.  cmd/sweep takes no
+		// and a crashed holder's leases die with it.  cmd/sweep takes no
 		// leases, so a CLI run on the same directory may repeat a
 		// simulation the fleet is running.
-		cache = sweep.NewLeasedCache(dc, sweep.LeaseOptions{
-			TTL:     *leaseTTL,
-			Metrics: reg,
-			Logf:    log.Printf,
-		})
+		cache = sweep.NewLeasedCache(dc, sweep.LeaseOptions{Metrics: reg, Logf: log.Printf})
 	}
 	svc := sweepsvc.NewService(sweepsvc.Options{
 		Workers:         *workers,

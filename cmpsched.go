@@ -190,10 +190,9 @@ type (
 	// SweepWorkloadFactory builds workloads for sweep specifications; see
 	// ExperimentOptions.WorkloadFactory for the paper-sized inputs.
 	SweepWorkloadFactory = sweep.WorkloadFactory
-	// SweepLeaseOptions tune the crash-safe flight leases that make a disk
-	// cache directory shareable between processes (the TTL before a dead
-	// holder's lease is taken over, a quarter of which is the heartbeat
-	// interval; see NewSweepSharedDiskCache).
+	// SweepLeaseOptions name the metrics registry and logger of the
+	// crash-safe flight leases that make a disk cache directory shareable
+	// between processes (see NewSweepSharedDiskCache).
 	SweepLeaseOptions = sweep.LeaseOptions
 
 	// SweepService shares one sweep engine, and its one worker pool,
@@ -468,10 +467,12 @@ func NewSweepDiskCache(dir string) (SweepCache, error) { return sweep.NewDiskCac
 
 // NewSweepSharedDiskCache returns a disk-backed sweep cache that is safe to
 // share between concurrent processes (a sweepd fleet, or programs that open
-// the directory through this constructor): per-key crash-safe flight leases
-// make each distinct simulation run at most once across every such process
-// on the directory, with stale leases from crashed holders fenced and taken
-// over after opts.TTL.
+// the directory through this constructor): per-key flight leases, each an
+// exclusive flock(2) on a lease file, make each distinct simulation run at
+// most once across every such process on the directory.  A lease dies with
+// its holder's process, so a crashed holder's keys pass to the others at
+// once.  Where the platform has no flock(2) the cache simulates
+// uncoordinated.
 func NewSweepSharedDiskCache(dir string, opts SweepLeaseOptions) (SweepCache, error) {
 	dc, err := sweep.NewDiskCache(dir)
 	if err != nil {

@@ -25,7 +25,6 @@ import (
 
 	"cmpsched/internal/config"
 	"cmpsched/internal/dag"
-	"cmpsched/internal/imath"
 	"cmpsched/internal/sweep"
 	"cmpsched/internal/workload"
 )
@@ -100,7 +99,7 @@ func (o Options) scaled45nm(cores int) (config.CMP, error) {
 func (o Options) mergesortConfig() workload.MergesortConfig {
 	return workload.MergesortConfig{
 		Elements:            (1 << 20) / o.quickDiv(),
-		TaskWorkingSetBytes: imath.Max(2<<10, (16<<10)/o.quickDiv()),
+		TaskWorkingSetBytes: max(2<<10, (16<<10)/o.quickDiv()),
 	}
 }
 
@@ -134,7 +133,7 @@ func (o Options) graphShape(kernel, family string) workload.GraphShape {
 	}
 	shape := workload.GraphShape{
 		Family:         family,
-		Vertices:       imath.Max(1<<11, verts/o.quickDiv()),
+		Vertices:       max(1<<11, verts/o.quickDiv()),
 		Representation: o.GraphRepr,
 	}
 	if o.Quick {

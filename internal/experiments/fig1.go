@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"cmpsched/internal/dag"
-	"cmpsched/internal/imath"
 	"cmpsched/internal/stats"
 	"cmpsched/internal/sweep"
 	"cmpsched/internal/workload"
@@ -49,7 +48,7 @@ func Figure1(opts Options) (*Figure1Result, error) {
 	elements := cfg.L2.SizeBytes / elemBytes // input array of CP bytes
 	msCfg := opts.mergesortConfig()
 	msCfg.Elements = elements
-	msCfg.TaskWorkingSetBytes = imath.Max(2<<10, cfg.L2.SizeBytes/64)
+	msCfg.TaskWorkingSetBytes = max(2<<10, cfg.L2.SizeBytes/64)
 
 	res := &Figure1Result{
 		Cores:      cfg.Cores,

@@ -7,7 +7,6 @@ import (
 	"cmpsched/internal/coarsen"
 	"cmpsched/internal/config"
 	"cmpsched/internal/dag"
-	"cmpsched/internal/imath"
 	"cmpsched/internal/profile"
 	"cmpsched/internal/stats"
 	"cmpsched/internal/sweep"
@@ -62,7 +61,7 @@ func Figure8(opts Options) (*Figure8Result, error) {
 	// The finest-grain program: very small tasks, profiled once; the
 	// coarsening analysis is then repeated per CMP configuration (§6.2).
 	fineCfg := opts.mergesortConfig()
-	fineCfg.TaskWorkingSetBytes = imath.Max(2<<10, fineCfg.TaskWorkingSetBytes/8)
+	fineCfg.TaskWorkingSetBytes = max(2<<10, fineCfg.TaskWorkingSetBytes/8)
 	fineDAG, fineTree, err := workload.NewMergesort(fineCfg).Build()
 	if err != nil {
 		return nil, err

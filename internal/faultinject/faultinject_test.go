@@ -36,23 +36,48 @@ func TestOSPassthrough(t *testing.T) {
 	if err != nil || string(data) != "hello" {
 		t.Fatalf("ReadFile = %q, %v", data, err)
 	}
-	if _, err := fsys.Stat(dst); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-time.Hour)
-	if err := fsys.Chtimes(dst, old, old); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := fsys.Stat(dst)
-	if d := time.Since(st.ModTime()); d < 59*time.Minute {
-		t.Fatalf("Chtimes did not move mtime (age %v)", d)
-	}
 	ents, err := fsys.ReadDir(dir)
 	if err != nil || len(ents) != 2 {
 		t.Fatalf("ReadDir = %d entries, %v", len(ents), err)
 	}
 	if err := fsys.Remove(dst); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLockExcludesUntilClosed: while one open file holds a path's lock,
+// Lock fails with ErrLocked, through a Faulty too, where it counts as a
+// create; once the holder removes and closes its file the next Lock takes a
+// fresh file at the path.
+func TestLockExcludesUntilClosed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "k.lease")
+	held, err := OS().Lock(path)
+	if errors.Is(err, errors.ErrUnsupported) {
+		t.Skip("no flock(2) on this platform")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := NewFaulty(OS(), 1)
+	if _, err := faulty.Lock(path); !errors.Is(err, ErrLocked) {
+		t.Fatalf("Lock of a held file = %v, want ErrLocked", err)
+	}
+	if got := faulty.Counts()[OpCreate]; got != 1 {
+		t.Fatalf("Faulty.Lock counted %d creates, want 1", got)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := held.Close(); err != nil {
+		t.Fatal(err)
+	}
+	next, err := faulty.Lock(path)
+	if err != nil {
+		t.Fatalf("Lock after the holder closed: %v", err)
+	}
+	defer next.Close()
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("Lock did not create the file: %v", err)
 	}
 }
 
@@ -137,10 +162,10 @@ func TestPartialWrite(t *testing.T) {
 func TestSeededRateIsDeterministic(t *testing.T) {
 	run := func(seed uint64) []bool {
 		f := NewFaulty(OS(), seed)
-		f.SetRate(OpStat, 0.5)
+		f.SetRate(OpRead, 0.5)
 		out := make([]bool, 64)
 		for i := range out {
-			_, err := f.Stat("/nonexistent-path-for-schedule")
+			_, err := f.ReadFile("/nonexistent-path-for-schedule")
 			out[i] = errors.Is(err, ErrInjected)
 		}
 		return out

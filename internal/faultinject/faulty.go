@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io/fs"
 	"sync"
-	"time"
 
 	"cmpsched/internal/prng"
 )
@@ -14,25 +13,20 @@ import (
 type Op string
 
 // The fault-schedulable operation classes.  OpWrite covers File.Write on
-// files returned by CreateTemp/OpenFile/WriteFile; the others map one to one
-// onto FS methods.
+// files returned by CreateTemp; the others map onto FS methods.
 const (
 	// OpRead is ReadFile.
 	OpRead Op = "read"
-	// OpWrite is File.Write (and the write inside WriteFile).
+	// OpWrite is File.Write.
 	OpWrite Op = "write"
-	// OpCreate is CreateTemp and OpenFile.
+	// OpCreate is MkdirAll, CreateTemp and Lock.
 	OpCreate Op = "create"
 	// OpRename is Rename — the commit point of the atomic-write protocol.
 	OpRename Op = "rename"
 	// OpRemove is Remove.
 	OpRemove Op = "remove"
-	// OpStat is Stat.
-	OpStat Op = "stat"
 	// OpReadDir is ReadDir.
 	OpReadDir Op = "readdir"
-	// OpChtimes is Chtimes — the lease heartbeat.
-	OpChtimes Op = "chtimes"
 )
 
 // ErrInjected is the injected I/O failure (the harness's EIO).
@@ -205,18 +199,6 @@ func (f *Faulty) ReadFile(name string) ([]byte, error) {
 	return f.inner.ReadFile(name)
 }
 
-// WriteFile implements FS.  An injected write fault leaves a half-written
-// file behind, like a torn write on a real disk.
-func (f *Faulty) WriteFile(name string, data []byte, perm fs.FileMode) error {
-	if err := f.check(OpWrite); err != nil {
-		if !errors.Is(err, ErrCrashed) {
-			_ = f.inner.WriteFile(name, data[:len(data)/2], perm)
-		}
-		return err
-	}
-	return f.inner.WriteFile(name, data, perm)
-}
-
 // CreateTemp implements FS.
 func (f *Faulty) CreateTemp(dir, pattern string) (File, error) {
 	if err := f.check(OpCreate); err != nil {
@@ -229,16 +211,14 @@ func (f *Faulty) CreateTemp(dir, pattern string) (File, error) {
 	return &faultyFile{f: f, inner: file}, nil
 }
 
-// OpenFile implements FS.
-func (f *Faulty) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
+// Lock implements FS; it counts as OpCreate.  The locked file comes back
+// unwrapped: nothing writes it, and closing it drops the lock, as the
+// kernel does when a crashed process dies.
+func (f *Faulty) Lock(name string) (File, error) {
 	if err := f.check(OpCreate); err != nil {
 		return nil, err
 	}
-	file, err := f.inner.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return &faultyFile{f: f, inner: file}, nil
+	return f.inner.Lock(name)
 }
 
 // Rename implements FS.
@@ -257,28 +237,12 @@ func (f *Faulty) Remove(name string) error {
 	return f.inner.Remove(name)
 }
 
-// Stat implements FS.
-func (f *Faulty) Stat(name string) (fs.FileInfo, error) {
-	if err := f.check(OpStat); err != nil {
-		return nil, err
-	}
-	return f.inner.Stat(name)
-}
-
 // ReadDir implements FS.
 func (f *Faulty) ReadDir(name string) ([]fs.DirEntry, error) {
 	if err := f.check(OpReadDir); err != nil {
 		return nil, err
 	}
 	return f.inner.ReadDir(name)
-}
-
-// Chtimes implements FS.
-func (f *Faulty) Chtimes(name string, atime, mtime time.Time) error {
-	if err := f.check(OpChtimes); err != nil {
-		return err
-	}
-	return f.inner.Chtimes(name, atime, mtime)
 }
 
 // faultyFile routes writes through the parent's schedule.

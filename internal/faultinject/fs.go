@@ -18,10 +18,10 @@
 package faultinject
 
 import (
+	"errors"
 	"io"
 	"io/fs"
 	"os"
-	"time"
 )
 
 // File is the writable-file surface the cache's atomic-write protocol needs:
@@ -34,31 +34,30 @@ type File interface {
 	Name() string
 }
 
+// ErrLocked reports that Lock found the file locked by another open file.
+var ErrLocked = errors.New("faultinject: file is locked")
+
 // FS is the filesystem surface of the disk cache and its lease layer.  All
-// methods have the semantics of the identically named os functions.
+// methods but Lock have the semantics of the identically named os functions.
 type FS interface {
 	// MkdirAll creates a directory and any missing parents.
 	MkdirAll(path string, perm fs.FileMode) error
 	// ReadFile reads a whole file.
 	ReadFile(name string) ([]byte, error)
-	// WriteFile writes data to a file, creating or truncating it.
-	WriteFile(name string, data []byte, perm fs.FileMode) error
 	// CreateTemp creates a new temporary file in dir (os.CreateTemp).
 	CreateTemp(dir, pattern string) (File, error)
-	// OpenFile opens a file with the given flags (os.OpenFile); with
-	// os.O_CREATE|os.O_EXCL it is the atomic claim primitive leases use.
-	OpenFile(name string, flag int, perm fs.FileMode) (File, error)
+	// Lock opens or creates name and takes an exclusive flock(2) on it
+	// without blocking: ErrLocked when another open file holds the lock,
+	// errors.ErrUnsupported where the platform has no flock.  The returned
+	// file is the one name names at the time of the lock; closing it, or
+	// the death of the process, drops the lock.
+	Lock(name string) (File, error)
 	// Rename atomically replaces newpath with oldpath.
 	Rename(oldpath, newpath string) error
 	// Remove deletes a file.
 	Remove(name string) error
-	// Stat describes a file (leases read freshness off ModTime).
-	Stat(name string) (fs.FileInfo, error)
 	// ReadDir lists a directory (the cache's open-time garbage collection).
 	ReadDir(name string) ([]fs.DirEntry, error)
-	// Chtimes sets a file's access and modification times (the lease
-	// heartbeat).
-	Chtimes(name string, atime, mtime time.Time) error
 }
 
 // osFS is the passthrough FS over the real filesystem.
@@ -70,18 +69,8 @@ func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(p
 // ReadFile implements FS.
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 
-// WriteFile implements FS.
-func (osFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
-	return os.WriteFile(name, data, perm)
-}
-
 // CreateTemp implements FS.
 func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
-
-// OpenFile implements FS.
-func (osFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
-	return os.OpenFile(name, flag, perm)
-}
 
 // Rename implements FS.
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
@@ -89,16 +78,8 @@ func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, ne
 // Remove implements FS.
 func (osFS) Remove(name string) error { return os.Remove(name) }
 
-// Stat implements FS.
-func (osFS) Stat(name string) (fs.FileInfo, error) { return os.Stat(name) }
-
 // ReadDir implements FS.
 func (osFS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
-
-// Chtimes implements FS.
-func (osFS) Chtimes(name string, atime, mtime time.Time) error {
-	return os.Chtimes(name, atime, mtime)
-}
 
 // OS returns the passthrough FS over the real filesystem.
 func OS() FS { return osFS{} }

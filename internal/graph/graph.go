@@ -92,7 +92,7 @@ func (g *CSR) Adj(v int64) []int32 { return g.Edges[g.Offsets[v]:g.Offsets[v+1]]
 func (g *CSR) MaxDegree() int64 {
 	var m int64
 	for v := int64(0); v < g.N; v++ {
-		m = imath.Max(m, g.Degree(v))
+		m = max(m, g.Degree(v))
 	}
 	return m
 }

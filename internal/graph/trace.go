@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"cmpsched/internal/imath"
 	"cmpsched/internal/refs"
 )
 
@@ -221,7 +220,7 @@ func (c Costs) withDefaults() Costs {
 // every chunk holds at least one index.  It returns half-open [start, end)
 // ranges.
 func chunk(n int64, budget int64, work func(i int64) int64) [][2]int64 {
-	budget = imath.Max(1, budget)
+	budget = max(1, budget)
 	var out [][2]int64
 	start := int64(0)
 	acc := int64(0)

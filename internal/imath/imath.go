@@ -24,19 +24,3 @@ func Log2Ceil(n int64) int64 {
 	}
 	return l
 }
-
-// Max returns the larger of a and b.
-func Max(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Min returns the smaller of a and b.
-func Min(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}

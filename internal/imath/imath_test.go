@@ -24,12 +24,3 @@ func TestLog2Ceil(t *testing.T) {
 		}
 	}
 }
-
-func TestMinMax(t *testing.T) {
-	if Max(3, 5) != 5 || Max(5, 3) != 5 || Max(-1, -2) != -1 {
-		t.Errorf("Max wrong")
-	}
-	if Min(3, 5) != 3 || Min(5, 3) != 3 || Min(-1, -2) != -2 {
-		t.Errorf("Min wrong")
-	}
-}

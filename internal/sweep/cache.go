@@ -93,9 +93,11 @@ func (c *MemoryCache) Len() int {
 // recomputation, never to failed jobs.
 //
 // Opening a cache garbage-collects the debris a crashed writer can leave
-// behind: orphaned put-*.tmp files older than tempMaxAge and .lease files
-// (see lease.go) older than leaseMaxAge, so a killed process never
-// permanently poisons a cache directory.
+// behind: orphaned put-*.tmp files older than tempMaxAge, so a killed
+// process never permanently poisons a cache directory.  A crashed lease
+// holder's .lease file is left alone: it holds no lock, and the next claim
+// of its key, if the key is still missing, reuses and removes it (see
+// lease.go).
 type DiskCache struct {
 	counters
 	dir string
@@ -104,7 +106,7 @@ type DiskCache struct {
 
 	logf func(format string, args ...any)
 
-	gcTemps, gcLeases int
+	gcTemps int
 }
 
 // DiskCacheOptions tune a DiskCache; the zero value is the default
@@ -119,17 +121,10 @@ type DiskCacheOptions struct {
 	Logf func(format string, args ...any)
 }
 
-const (
-	// tempMaxAge is the age beyond which an orphaned put-*.tmp file is
-	// collected on open: long enough that no live writer's temp file is
-	// ever collected, short enough that crash debris does not accumulate.
-	tempMaxAge = time.Hour
-	// leaseMaxAge is the age beyond which a .lease file is collected on
-	// open: far beyond any live holder's heartbeat interval (see
-	// LeaseOptions), so only leases whose owner died without takeover are
-	// swept.
-	leaseMaxAge = time.Minute
-)
+// tempMaxAge is the age beyond which an orphaned put-*.tmp file is
+// collected on open: long enough that no live writer's temp file is ever
+// collected, short enough that crash debris does not accumulate.
+const tempMaxAge = time.Hour
 
 // NewDiskCache creates the directory if needed and returns a cache over it
 // with default options.
@@ -151,10 +146,9 @@ func NewDiskCacheWith(dir string, opts DiskCacheOptions) (*DiskCache, error) {
 }
 
 // gc sweeps crash debris out of the cache directory: orphaned temp files
-// from writers that died mid-Put, and lease files whose owner died long
-// enough ago that no live instance can still be heartbeating them.  GC
-// failures are logged and ignored — a cache that cannot clean up still
-// works, the debris just waits for the next open.
+// from writers that died mid-Put.  GC failures are logged and ignored — a
+// cache that cannot clean up still works, the debris just waits for the
+// next open.
 func (c *DiskCache) gc() {
 	ents, err := c.fs.ReadDir(c.dir)
 	if err != nil {
@@ -166,20 +160,14 @@ func (c *DiskCache) gc() {
 	now := time.Now()
 	for _, ent := range ents {
 		name := ent.Name()
-		var maxAge time.Duration
-		switch {
-		case strings.HasPrefix(name, "put-") && strings.HasSuffix(name, ".tmp"):
-			maxAge = tempMaxAge
-		case strings.HasSuffix(name, leaseSuffix):
-			maxAge = leaseMaxAge
-		default:
+		if !strings.HasPrefix(name, "put-") || !strings.HasSuffix(name, ".tmp") {
 			continue
 		}
 		info, err := ent.Info()
 		if err != nil {
 			continue
 		}
-		if age := now.Sub(info.ModTime()); age > maxAge {
+		if age := now.Sub(info.ModTime()); age > tempMaxAge {
 			path := filepath.Join(c.dir, name)
 			if err := c.fs.Remove(path); err != nil {
 				if c.logf != nil {
@@ -187,11 +175,7 @@ func (c *DiskCache) gc() {
 				}
 				continue
 			}
-			if strings.HasSuffix(name, leaseSuffix) {
-				c.gcLeases++
-			} else {
-				c.gcTemps++
-			}
+			c.gcTemps++
 			if c.logf != nil {
 				c.logf("sweep: cache: gc: removed %s (age %s)", path, age.Round(time.Second))
 			}
@@ -199,9 +183,9 @@ func (c *DiskCache) gc() {
 	}
 }
 
-// GCStats reports how many orphaned temp files and expired lease files the
-// open-time garbage collection removed.
-func (c *DiskCache) GCStats() (temps, leases int) { return c.gcTemps, c.gcLeases }
+// GCStats reports how many orphaned temp files the open-time garbage
+// collection removed.
+func (c *DiskCache) GCStats() (temps int) { return c.gcTemps }
 
 // Dir returns the backing directory.
 func (c *DiskCache) Dir() string { return c.dir }

@@ -1,11 +1,12 @@
 package sweep
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -18,13 +19,9 @@ import (
 	"cmpsched/internal/obs"
 )
 
-// fastLeaseOptions keeps the protocol's waits in test territory.
-func fastLeaseOptions(owner string) LeaseOptions {
-	return LeaseOptions{
-		Owner:   owner,
-		TTL:     200 * time.Millisecond,
-		Metrics: obs.NewRegistry(),
-	}
+// testLeaseOptions gives each leased cache its own counters.
+func testLeaseOptions() LeaseOptions {
+	return LeaseOptions{Metrics: obs.NewRegistry()}
 }
 
 func testKey(n int) Key {
@@ -39,14 +36,14 @@ func testEntry(k Key) Entry {
 // second Acquire waits and adopts the entry the winner puts.
 func TestLeaseSingleFlight(t *testing.T) {
 	dir := t.TempDir()
-	open := func(owner string) *LeasedCache {
+	open := func() *LeasedCache {
 		dc, err := NewDiskCache(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewLeasedCache(dc, fastLeaseOptions(owner))
+		return NewLeasedCache(dc, testLeaseOptions())
 	}
-	a, b := open("a"), open("b")
+	a, b := open(), open()
 	k := testKey(1)
 
 	_, ok, lease, err := a.Acquire(context.Background(), k)
@@ -90,82 +87,39 @@ func TestLeaseSingleFlight(t *testing.T) {
 	}
 }
 
-// TestLeaseStaleTakeover: a lease whose holder died (no heartbeat for longer
-// than the TTL) is fenced and reclaimed with an incremented token.
+// TestLeaseStaleTakeover: a lease file left behind by a dead holder holds
+// no lock, so the next claim of its key takes it at once, without waiting,
+// and removes it on release.
 func TestLeaseStaleTakeover(t *testing.T) {
 	dir := t.TempDir()
 	dc, err := NewDiskCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewLeasedCache(dc, fastLeaseOptions("survivor"))
+	c := NewLeasedCache(dc, testLeaseOptions())
 	k := testKey(2)
-
-	// Plant a dead holder's lease: token 7, mtime far past the TTL.
 	path := c.leasePath(k)
-	body, _ := json.Marshal(leaseRecord{Owner: "deceased", Token: 7})
-	if err := os.WriteFile(path, body, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(path, old, old); err != nil {
+	if err := os.WriteFile(path, []byte("left by a dead holder"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	_, ok, lease, err := c.Acquire(context.Background(), k)
 	if err != nil || ok || lease == nil {
-		t.Fatalf("takeover acquire: ok=%v lease=%v err=%v", ok, lease, err)
+		t.Fatalf("acquire over a leftover lease file: ok=%v lease=%v err=%v", ok, lease, err)
 	}
-	if lease.token != 8 {
-		t.Fatalf("fencing token = %d, want 8 (old token + 1)", lease.token)
-	}
-	if got := c.lm.takeovers.Value(); got != 1 {
-		t.Fatalf("takeovers counter = %d, want 1", got)
+	if got := c.lm.contested.Value(); got != 0 {
+		t.Fatalf("contested counter = %d, want 0 (an unlocked file is free)", got)
 	}
 	lease.Release()
-}
-
-// TestLeaseReleaseFencing: a holder that lost its lease to a takeover must
-// not delete the successor's lease file.
-func TestLeaseReleaseFencing(t *testing.T) {
-	dir := t.TempDir()
-	dc, err := NewDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewLeasedCache(dc, fastLeaseOptions("zombie"))
-	k := testKey(3)
-
-	_, _, lease, err := c.Acquire(context.Background(), k)
-	if err != nil || lease == nil {
-		t.Fatalf("acquire: lease=%v err=%v", lease, err)
-	}
-
-	// A successor fences the lease while the holder stalls.
-	path := c.leasePath(k)
-	body, _ := json.Marshal(leaseRecord{Owner: "successor", Token: lease.token + 1})
-	if err := os.WriteFile(path, body, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	lease.Release()
-	if got := c.lm.fenced.Value(); got != 1 {
-		t.Fatalf("fenced counter = %d, want 1", got)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("successor's lease was deleted by the fenced holder: %v", err)
-	}
-	var rec leaseRecord
-	if json.Unmarshal(data, &rec) != nil || rec.Owner != "successor" {
-		t.Fatalf("lease content clobbered: %s", data)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("leftover lease file survived release: %v", err)
 	}
 }
 
 // TestLeaseCrashMidFlightRecovered rehearses the headline crash: a holder
 // claims the lease, begins writing its entry, and dies mid-rename (SIGKILL
 // semantics via faultinject).  A second instance must take the flight over
-// and complete it, and a reopened cache must collect the debris.
+// at once and complete it, and a reopened cache must collect the debris.
 func TestLeaseCrashMidFlightRecovered(t *testing.T) {
 	dir := t.TempDir()
 	k := testKey(4)
@@ -178,7 +132,7 @@ func TestLeaseCrashMidFlightRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := NewLeasedCache(dc1, fastLeaseOptions("victim"))
+	c1 := NewLeasedCache(dc1, testLeaseOptions())
 	_, ok, lease1, err := c1.Acquire(context.Background(), k)
 	if err != nil || ok || lease1 == nil {
 		t.Fatalf("victim acquire: ok=%v lease=%v err=%v", ok, lease1, err)
@@ -189,53 +143,42 @@ func TestLeaseCrashMidFlightRecovered(t *testing.T) {
 	if !crashFS.Crashed() {
 		t.Fatal("filesystem not crashed")
 	}
-	// The victim is dead: no Release, no heartbeat (the heartbeat goroutine
-	// will fail its Chtimes through the crashed FS and mark the lease lost).
+	// The victim is dead: no Release, and the kernel closes its files,
+	// which drops the lock and leaves the lease file behind.
+	lease1.f.Close()
 
-	// Instance 2 on the real filesystem: sees the stale lease (after TTL),
-	// fences it, and completes the flight.
+	// Instance 2 on the real filesystem claims the dead holder's lease at
+	// once and completes the flight.
 	dc2, err := NewDiskCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewLeasedCache(dc2, fastLeaseOptions("survivor"))
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, ok, lease2, err := c2.Acquire(context.Background(), k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			t.Fatal("entry cannot exist yet")
-		}
-		if lease2 != nil {
-			if err := c2.Put(testEntry(k)); err != nil {
-				t.Fatal(err)
-			}
-			lease2.Release()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("survivor never took the stale lease over")
-		}
-		time.Sleep(10 * time.Millisecond)
+	c2 := NewLeasedCache(dc2, testLeaseOptions())
+	_, ok, lease2, err := c2.Acquire(context.Background(), k)
+	if err != nil || ok || lease2 == nil {
+		t.Fatalf("survivor acquire: ok=%v lease=%v err=%v, want a held lease", ok, lease2, err)
 	}
-	if got := c2.lm.takeovers.Value(); got != 1 {
-		t.Fatalf("takeovers counter = %d, want 1", got)
+	if got := c2.lm.contested.Value(); got != 0 {
+		t.Fatalf("contested counter = %d, want 0 (the dead holder's lock is gone)", got)
 	}
+	if err := c2.Put(testEntry(k)); err != nil {
+		t.Fatal(err)
+	}
+	lease2.Release()
 	if e, ok := c2.Get(k); !ok || e.Sim.Cycles != 42 {
 		t.Fatalf("entry missing after recovery: %+v ok=%v", e, ok)
 	}
 
-	// The crash left a put-*.tmp orphan; once it (and any leftover lease
-	// debris) is older than the GC horizons, a reopened cache must sweep it.
+	// The crash left a put-*.tmp orphan; once it is older than the GC
+	// horizon, a reopened cache must sweep it.  The survivor's release
+	// removed the lease file.
 	debris, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	old := time.Now().Add(-2 * tempMaxAge)
 	for _, ent := range debris {
-		if name := ent.Name(); strings.HasSuffix(name, ".tmp") || strings.HasSuffix(name, leaseSuffix) {
+		if name := ent.Name(); strings.HasSuffix(name, ".tmp") {
 			if err := os.Chtimes(filepath.Join(dir, name), old, old); err != nil {
 				t.Fatal(err)
 			}
@@ -245,8 +188,7 @@ func TestLeaseCrashMidFlightRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	temps, _ := dc3.GCStats()
-	if temps != 1 {
+	if temps := dc3.GCStats(); temps != 1 {
 		t.Fatalf("gc collected %d temp files, want 1", temps)
 	}
 	ents, err := os.ReadDir(dir)
@@ -260,6 +202,93 @@ func TestLeaseCrashMidFlightRecovered(t *testing.T) {
 	}
 }
 
+// leaseHolderEnv names the cache directory in which a re-executed test
+// binary holds a lease until it is killed (TestLeaseDiesWithItsHolder).
+const leaseHolderEnv = "SWEEP_TEST_LEASE_HOLDER_DIR"
+
+// TestLeaseDiesWithItsHolder: a lease lasts exactly as long as its holder's
+// process.  The test binary re-runs itself as a holder; while the holder
+// lives a waiter must not get the lease, and once it is SIGKILLed, with no
+// Release, a waiter must get the lease within a second.
+func TestLeaseDiesWithItsHolder(t *testing.T) {
+	k := testKey(9)
+	if dir := os.Getenv(leaseHolderEnv); dir != "" {
+		dc, err := NewDiskCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, lease, err := NewLeasedCache(dc, LeaseOptions{}).Acquire(context.Background(), k); lease == nil {
+			t.Fatalf("holder got no lease: %v", err)
+		}
+		fmt.Println("held")
+		time.Sleep(time.Minute) // until killed
+		return
+	}
+	dir := t.TempDir()
+	probe, err := faultinject.OS().Lock(filepath.Join(dir, "probe"))
+	if err != nil {
+		t.Skipf("no file locks: %v", err)
+	}
+	probe.Close()
+
+	holder := exec.Command(os.Args[0], "-test.run=^TestLeaseDiesWithItsHolder$")
+	holder.Env = append(os.Environ(), leaseHolderEnv+"="+dir)
+	holder.Stderr = os.Stderr
+	out, err := holder.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Wait()
+	defer holder.Process.Kill()
+	held := make(chan bool, 1)
+	go func() {
+		sc := bufio.NewScanner(out)
+		for sc.Scan() {
+			if sc.Text() == "held" {
+				held <- true
+				return
+			}
+		}
+		held <- false
+	}()
+	select {
+	case ok := <-held:
+		if !ok {
+			t.Fatal("the holder process exited without its lease")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the holder process never took its lease")
+	}
+
+	dc, err := NewDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewLeasedCache(dc, testLeaseOptions())
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	_, _, lease, err := c.Acquire(ctx, k)
+	cancel()
+	if lease != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("acquire against a live holder: lease=%v err=%v, want the deadline", lease, err)
+	}
+
+	if err := holder.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	_ = holder.Wait() // killed: the exit status is the signal
+	start := time.Now()
+	ctx, cancel = context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	_, _, lease, err = c.Acquire(ctx, k)
+	if lease == nil {
+		t.Fatalf("no lease %v after the holder was killed: %v", time.Since(start), err)
+	}
+	lease.Release()
+}
+
 // TestLeaseAcquireDegradesOnIOErrors: lease-protocol I/O failures must fall
 // back to uncoordinated simulation (nil lease, nil error), never fail the
 // job.
@@ -270,8 +299,8 @@ func TestLeaseAcquireDegradesOnIOErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewLeasedCache(dc, fastLeaseOptions("degraded"))
-	// OpCreate call 1 was the cache's MkdirAll; call 2 is the O_EXCL claim.
+	c := NewLeasedCache(dc, testLeaseOptions())
+	// OpCreate call 1 was the cache's MkdirAll; call 2 is the lock.
 	faulty.FailAt(faultinject.OpCreate, 2, nil)
 
 	_, ok, lease, err := c.Acquire(context.Background(), testKey(5))
@@ -284,21 +313,19 @@ func TestLeaseAcquireDegradesOnIOErrors(t *testing.T) {
 }
 
 // claimRaceFS passes every call through, except that just before the first
-// exclusive create of a lease file it runs race: the window between
-// Acquire's entry check and its claim, in which another instance can land
-// the entry and release its lease.
+// lock of a lease file it runs race: the window between Acquire's entry
+// check and its claim, in which another instance can land the entry and
+// release its lease.
 type claimRaceFS struct {
 	faultinject.FS
 	once sync.Once
 	race func()
 }
 
-// OpenFile implements faultinject.FS.
-func (f *claimRaceFS) OpenFile(name string, flag int, perm fs.FileMode) (faultinject.File, error) {
-	if flag&os.O_EXCL != 0 && strings.HasSuffix(name, leaseSuffix) {
-		f.once.Do(f.race)
-	}
-	return f.FS.OpenFile(name, flag, perm)
+// Lock implements faultinject.FS.
+func (f *claimRaceFS) Lock(name string) (faultinject.File, error) {
+	f.once.Do(f.race)
+	return f.FS.Lock(name)
 }
 
 // TestLeaseClaimRechecksEntry: an entry that another instance puts between
@@ -320,7 +347,7 @@ func TestLeaseClaimRechecksEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewLeasedCache(dc, fastLeaseOptions("late"))
+	c := NewLeasedCache(dc, testLeaseOptions())
 	e, ok, lease, err := c.Acquire(context.Background(), k)
 	if lease != nil {
 		lease.Release()
@@ -350,7 +377,7 @@ func TestLeaseAcquireHonoursContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewLeasedCache(dc, fastLeaseOptions("holder"))
+	c := NewLeasedCache(dc, testLeaseOptions())
 	k := testKey(6)
 	_, _, lease, err := c.Acquire(context.Background(), k)
 	if err != nil || lease == nil {
@@ -358,7 +385,7 @@ func TestLeaseAcquireHonoursContext(t *testing.T) {
 	}
 	defer lease.Release()
 
-	c2 := NewLeasedCache(dc, fastLeaseOptions("waiter"))
+	c2 := NewLeasedCache(dc, testLeaseOptions())
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	_, _, _, err = c2.Acquire(ctx, k)
@@ -400,11 +427,7 @@ func TestTwoEnginesShareOneCacheDir(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lc := NewLeasedCache(dc, LeaseOptions{
-			Owner:   fmt.Sprintf("inst-%d", i),
-			TTL:     2 * time.Second,
-			Metrics: inst.reg,
-		})
+		lc := NewLeasedCache(dc, LeaseOptions{Metrics: inst.reg})
 		eng := NewEngine(EngineOptions{Workers: 2, Cache: lc, Metrics: inst.reg})
 		wg.Add(1)
 		go func(idx int) {

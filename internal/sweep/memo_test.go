@@ -304,7 +304,7 @@ func TestHeldJobKeepsItsLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc := NewLeasedCache(dc, fastLeaseOptions("solo"))
+	lc := NewLeasedCache(dc, testLeaseOptions())
 	jobs := []Job{NewJob("a", "p", "pdf", cfg, nil), NewJob("a", "p", "ws", cfg, nil), NewJob("b", "p", "pdf", cfg, nil)}
 	bStarted := make(chan struct{})
 	leasesDuringBuild := 0

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cmpsched/internal/dag"
-	"cmpsched/internal/imath"
 	"cmpsched/internal/refs"
 	"cmpsched/internal/taskgroup"
 )
@@ -95,13 +94,13 @@ func (ch *Cholesky) Build() (*dag.DAG, *taskgroup.Tree, error) {
 	}
 
 	b := c.BlockElems
-	linesPerBlock := imath.Max(1, blockBytes/c.LineBytes)
+	linesPerBlock := max(1, blockBytes/c.LineBytes)
 	potrfInstrs := (b * b * b / 3) * c.FlopsPerInstr
 	trsmInstrs := (b * b * b) * c.FlopsPerInstr
 	updateInstrs := (2 * b * b * b) * c.FlopsPerInstr
 
 	blockScan := func(i, j int64, write bool, perRef int64) *refs.Scan {
-		return &refs.Scan{Base: blockAddr(i, j), Bytes: blockBytes, LineBytes: c.LineBytes, Write: write, InstrsPerRef: imath.Max(1, perRef)}
+		return &refs.Scan{Base: blockAddr(i, j), Bytes: blockBytes, LineBytes: c.LineBytes, Write: write, InstrsPerRef: max(1, perRef)}
 	}
 
 	for k := int64(0); k < nb; k++ {

@@ -147,7 +147,7 @@ func (h *HashJoin) ProbeBytes() int64 { return h.cfg.PartitionBytes - h.BuildByt
 
 // SubPartitions returns the number of cache-sized sub-partitions.
 func (h *HashJoin) SubPartitions() int64 {
-	return imath.Max(1, imath.CeilDiv(h.BuildBytes(), h.cfg.SubPartitionBytes))
+	return max(1, imath.CeilDiv(h.BuildBytes(), h.cfg.SubPartitionBytes))
 }
 
 // Build implements Workload.
@@ -182,7 +182,7 @@ func (h *HashJoin) Build() (*dag.DAG, *taskgroup.Tree, error) {
 		htBase := baseHash + uint64(sp*htBytes)
 		outBase := baseOutput + uint64(sp*probePer*2)
 
-		buildRecords := imath.Max(1, buildPer/c.RecordBytes)
+		buildRecords := max(1, buildPer/c.RecordBytes)
 		buildGen := refs.NewWithTail(refs.NewInterleave(
 			&refs.Scan{Base: buildBase, Bytes: buildPer, LineBytes: c.LineBytes, InstrsPerRef: c.BuildInstrsPerRecord * c.LineBytes / c.RecordBytes},
 			&refs.Random{Base: htBase, Bytes: htBytes, LineBytes: c.LineBytes, Count: buildRecords, Seed: c.Seed + uint64(sp)*7919, Write: true, InstrsPerRef: c.BuildInstrsPerRecord / 2},
@@ -199,12 +199,12 @@ func (h *HashJoin) Build() (*dag.DAG, *taskgroup.Tree, error) {
 		if c.CoarseGrained {
 			chunk = probePer
 		}
-		nChunks := imath.Max(1, imath.CeilDiv(probePer, chunk))
+		nChunks := max(1, imath.CeilDiv(probePer, chunk))
 		probeIDs := make([]dag.TaskID, 0, nChunks)
 		for pc := int64(0); pc < nChunks; pc++ {
 			lo := pc * chunk
-			sz := imath.Min(chunk, probePer-lo)
-			records := imath.Max(1, sz/c.RecordBytes)
+			sz := min(chunk, probePer-lo)
+			records := max(1, sz/c.RecordBytes)
 			// Each probe record: stream the probe input, hash the key
 			// and follow the bucket chain (two dependent hash-table
 			// reads), fetch the matching build record from the

@@ -91,7 +91,7 @@ func (h *Heat) Build() (*dag.DAG, *taskgroup.Tree, error) {
 
 	rowBytes := c.Cols * c.ElemBytes
 	blocks := imath.CeilDiv(c.Rows, c.RowsPerTask)
-	perLine := imath.Max(1, c.InstrsPerElem*c.LineBytes/c.ElemBytes)
+	perLine := max(1, c.InstrsPerElem*c.LineBytes/c.ElemBytes)
 
 	prevBarrier := d.AddComputeTask("heat-init", c.SpawnInstrs)
 	tree.Own(tree.Root, prevBarrier.ID)
@@ -105,11 +105,11 @@ func (h *Heat) Build() (*dag.DAG, *taskgroup.Tree, error) {
 		ids := make([]dag.TaskID, 0, blocks)
 		for blk := int64(0); blk < blocks; blk++ {
 			firstRow := blk * c.RowsPerTask
-			rows := imath.Min(c.RowsPerTask, c.Rows-firstRow)
+			rows := min(c.RowsPerTask, c.Rows-firstRow)
 			// Read the block plus one halo row on each side; write the
 			// block into the destination buffer.
-			readFirst := imath.Max(0, firstRow-1)
-			readRows := imath.Min(c.Rows, firstRow+rows+1) - readFirst
+			readFirst := max(0, firstRow-1)
+			readRows := min(c.Rows, firstRow+rows+1) - readFirst
 			gen := refs.NewWithTail(refs.NewConcat(
 				&refs.Scan{Base: src + uint64(readFirst*rowBytes), Bytes: readRows * rowBytes, LineBytes: c.LineBytes, InstrsPerRef: perLine},
 				&refs.Scan{Base: dst + uint64(firstRow*rowBytes), Bytes: rows * rowBytes, LineBytes: c.LineBytes, Write: true, InstrsPerRef: perLine / 4},

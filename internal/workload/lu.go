@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cmpsched/internal/dag"
-	"cmpsched/internal/imath"
 	"cmpsched/internal/refs"
 	"cmpsched/internal/taskgroup"
 )
@@ -107,7 +106,7 @@ func (l *LU) Build() (*dag.DAG, *taskgroup.Tree, error) {
 	}
 
 	b := c.BlockElems
-	linesPerBlock := imath.Max(1, blockBytes/c.LineBytes)
+	linesPerBlock := max(1, blockBytes/c.LineBytes)
 	// Per-reference instruction budgets chosen so the per-task totals
 	// approximate the block kernels' flop counts.
 	diagInstrs := (2 * b * b * b / 3) * c.FlopsPerInstr

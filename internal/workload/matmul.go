@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cmpsched/internal/dag"
-	"cmpsched/internal/imath"
 	"cmpsched/internal/refs"
 	"cmpsched/internal/taskgroup"
 )
@@ -76,8 +75,8 @@ func (m *MatMul) Build() (*dag.DAG, *taskgroup.Tree, error) {
 	// row panel of A and the column panel of B and read-writes one block
 	// of C, performing 2*N*B^2 flops.
 	taskInstrs := 2 * c.N * b * b
-	linesTouched := imath.Max(1, (2*panelBytes+2*blockBytes)/c.LineBytes)
-	perRef := imath.Max(1, taskInstrs/linesTouched)
+	linesTouched := max(1, (2*panelBytes+2*blockBytes)/c.LineBytes)
+	perRef := max(1, taskInstrs/linesTouched)
 
 	root := d.AddComputeTask("matmul-start", c.SpawnInstrs)
 	tree.Own(tree.Root, root.ID)

@@ -246,7 +246,7 @@ func (b *msBuilder) leafSort(lo, n int64, depth int, dstA bool) dag.TaskID {
 // MergeTasksPerLevel tasks per DAG level in aggregate.
 func (b *msBuilder) parallelMerge(group *taskgroup.Node, lo, n int64, depth int, dstA bool) []dag.TaskID {
 	nBytes := n * b.cfg.ElemBytes
-	mergesAtLevel := imath.Max(1, b.totalBytes/nBytes)
+	mergesAtLevel := max(1, b.totalBytes/nBytes)
 	k := imath.CeilDiv(n, b.mergeChunkElems())
 	if minK := imath.CeilDiv(b.cfg.MergeTasksPerLevel, mergesAtLevel); k < minK {
 		k = minK
@@ -261,7 +261,7 @@ func (b *msBuilder) parallelMerge(group *taskgroup.Node, lo, n int64, depth int,
 	ids := make([]dag.TaskID, 0, k)
 	chunk := imath.CeilDiv(n, k)
 	for start := int64(0); start < n; start += chunk {
-		cnt := imath.Min(chunk, n-start)
+		cnt := min(chunk, n-start)
 		// A merge task reads roughly cnt elements spread over the two
 		// source halves and writes cnt output elements. We model the
 		// reads as two scans of cnt/2 elements at the matching offsets
@@ -273,8 +273,8 @@ func (b *msBuilder) parallelMerge(group *taskgroup.Node, lo, n int64, depth int,
 		halfBytes := (cnt/2 + 1) * b.cfg.ElemBytes
 		search := &refs.Strided{
 			Base:         srcLoAddr,
-			StrideBytes:  imath.Max(b.cfg.LineBytes, nBytes/16),
-			Count:        imath.Min(8, imath.Max(1, imath.Log2Ceil(n))),
+			StrideBytes:  max(b.cfg.LineBytes, nBytes/16),
+			Count:        min(8, max(1, imath.Log2Ceil(n))),
 			InstrsPerRef: 12,
 		}
 		gen := refs.NewWithTail(refs.NewConcat(

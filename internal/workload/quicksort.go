@@ -146,7 +146,7 @@ func (b *qsBuilder) sort(parent *taskgroup.Node, lo, n int64, depth int) (entry 
 
 	if n <= b.cfg.LeafElems {
 		addr, bytes := b.region(lo, n)
-		passes := imath.Max(1, imath.Log2Ceil(n))
+		passes := max(1, imath.Log2Ceil(n))
 		onePass := refs.NewConcat(
 			&refs.Scan{Base: addr, Bytes: bytes, LineBytes: b.cfg.LineBytes, InstrsPerRef: b.instrsPerLine(b.cfg.SortInstrsPerElem)},
 			&refs.Scan{Base: addr, Bytes: bytes, LineBytes: b.cfg.LineBytes, Write: true, InstrsPerRef: b.instrsPerLine(b.cfg.SortInstrsPerElem) / 2},
