@@ -4,7 +4,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: all build test race-sweep race-pool fuzz-decoder fuzz-cache fuzz-wire fuzz-arena doc-check vet fmt-check lint bench bench-gate bench-quick bench-module ci clean
+.PHONY: all build test race-sweep race-pool fuzz-cache fuzz-wire fuzz-arena doc-check vet fmt-check lint bench bench-gate bench-quick bench-module ci clean
 
 all: build
 
@@ -35,12 +35,6 @@ race-sweep:
 POOL_TESTS = ^(TestDispatchDoesNotParkWorker|TestCacheLookupsOfOneTemplateOverlap|TestHeldJobKeepsItsLease|TestEngineBoundsConcurrentRuns|TestEngineErrorIsDeterministic|TestRunContextCancelled|TestServiceDispatchesAroundBuilds|TestSingleFlightAcrossClients|TestAdmissionSaturation|TestCancelSkipsUnstartedJobs|TestDrainRejectsAndFinishes)$$
 race-pool:
 	$(GO) test -race -count=20 -run '$(POOL_TESTS)' ./internal/sweep ./internal/sweepsvc
-
-# 30-second crash hunt on the varint-delta adjacency decoder (the committed
-# corpus under internal/graph/testdata/fuzz replays in plain `go test`; this
-# target mutates beyond it).  CI runs this step too.
-fuzz-decoder:
-	$(GO) test -run '^$$' -fuzz 'FuzzDecodeAdj$$' -fuzztime 30s ./internal/graph
 
 # 30-second hunt on the disk cache's entry decoder, DiskCache.Get (the
 # committed corpus under internal/sweep/testdata/fuzz replays in plain `go

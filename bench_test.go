@@ -365,18 +365,13 @@ func BenchmarkSimulateMatchingUniformPDF(b *testing.B) {
 	benchmarkSimulateGraph(b, NewMatching(MatchingConfig{Shape: benchShape("uniform")}), sched.NewPDF())
 }
 
-// The flat-vs-compressed pair pins the tentpole property in the benchmark
-// report: the timed loop simulates the same connectivity DAG built over each
-// representation (equal cycles and L2-MPKI by construction, and the timed
-// allocations stay deterministic, which the allocs/op gate requires), while
-// the host-side cost of building that DAG — including the varint decode work
-// for the compressed walk — is reported as the build-ms metric next to it in
+// BenchmarkSimulateEndToEndConnectivity times the simulation of the
+// connectivity DAG on an RMAT graph (its timed allocations stay
+// deterministic, which the allocs/op gate requires) and reports the
+// host-side cost of building that DAG as the build-ms metric next to it in
 // BENCH_simulator.json.
-func benchmarkSimulateConnectivityRepr(b *testing.B, repr string) {
-	b.Helper()
-	shape := benchShape("rmat")
-	shape.Representation = repr
-	w := NewConnectivity(ConnectivityConfig{Shape: shape})
+func BenchmarkSimulateEndToEndConnectivity(b *testing.B) {
+	w := NewConnectivity(ConnectivityConfig{Shape: benchShape("rmat")})
 	buildStart := time.Now()
 	d := graphFixture(b, w.Build)
 	buildMS := float64(time.Since(buildStart).Microseconds()) / 1000
@@ -393,14 +388,6 @@ func benchmarkSimulateConnectivityRepr(b *testing.B, repr string) {
 	}
 	b.ReportMetric(mpki, "L2-MPKI")
 	b.ReportMetric(buildMS, "build-ms")
-}
-
-func BenchmarkSimulateEndToEndConnectivityFlat(b *testing.B) {
-	benchmarkSimulateConnectivityRepr(b, "flat")
-}
-
-func BenchmarkSimulateEndToEndConnectivityCompressed(b *testing.B) {
-	benchmarkSimulateConnectivityRepr(b, "compressed")
 }
 
 func BenchmarkBuildBFSDAG(b *testing.B) {

@@ -59,7 +59,6 @@ func main() {
 		which      = flag.String("experiment", "all", "experiment to run: fig1, fig2, fig3, fig4, fig5, fig6, fig8, grain, profiler, topology, irregular, scheduler or all")
 		quick      = flag.Bool("quick", false, "use reduced inputs (seconds instead of minutes)")
 		scale      = flag.Int64("scale", config.DefaultScale, "capacity scale factor relative to the paper's configurations")
-		graphRepr  = flag.String("graph-repr", "", "host representation for graph kernels: flat or compressed (empty = flat); the simulated trace is identical either way")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -72,7 +71,7 @@ func main() {
 	flushProfiles = flush
 	defer flushProfiles()
 
-	opts := experiments.Options{Scale: *scale, Quick: *quick, GraphRepr: *graphRepr}
+	opts := experiments.Options{Scale: *scale, Quick: *quick}
 	selected := strings.Split(*which, ",")
 	ran := 0
 	for _, r := range runners() {

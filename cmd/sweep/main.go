@@ -9,7 +9,6 @@
 //	sweep -workloads mergesort,hashjoin                 # PDF vs WS, Table 2
 //	sweep -workloads bfs,sssp,pagerank,triangles        # irregular graph kernels
 //	sweep -workloads connectivity,kcore,mis,matching    # GBBS-parity suite
-//	sweep -workloads bfs -graph-repr compressed         # byte-compressed CSR host storage
 //	sweep -tables 45nm -cores 2,8,18,26 -quick          # a Figure 3 slice
 //	sweep -topology shared,private,clustered:4 -quick   # cache-topology axis
 //	sweep -schedulers pdf,ws,ws:nearest,sb -quick       # scheduler-registry axis
@@ -46,7 +45,6 @@ func main() {
 	specFlags := sweep.BindSpecFlags(flag.CommandLine)
 	var (
 		list       = flag.Bool("list", false, "print the available workloads, schedulers, topologies and configuration tables, then exit")
-		graphRepr  = flag.String("graph-repr", "", "host representation for graph kernels: flat or compressed (empty = flat); the simulated trace is identical either way")
 		workers    = flag.Int("workers", 0, "max concurrent simulations (0 = one per host CPU, 1 = serial)")
 		cacheDir   = flag.String("cache-dir", "", "directory for the persistent result cache (empty = in-memory only)")
 		format     = flag.String("format", "table", "output format: table, csv or json")
@@ -81,7 +79,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	spec.Factory = experiments.Options{Scale: spec.Scale, Quick: spec.Quick, GraphRepr: *graphRepr}.WorkloadFactory()
+	spec.Factory = experiments.Options{Scale: spec.Scale, Quick: spec.Quick}.WorkloadFactory()
 	jobs, err := spec.Jobs()
 	if err != nil {
 		fatalf("%v", err)

@@ -22,8 +22,9 @@
 // 5xx, timeout, connection error or mid-stream disconnect retries with
 // exponential backoff and deterministic jitter, resubmitting only the points
 // whose rows have not been received; an endpoint that exhausts its -retries
-// budget is declared dead and its remaining points are re-sharded across the
-// surviving endpoints. Job-level simulation errors are terminal for their
+// budget, or refuses the connection because nothing listens there, is
+// declared dead and its remaining points are re-sharded across the surviving
+// endpoints. Job-level simulation errors are terminal for their
 // job, and any other 4xx for the sweep: a deterministic job, or a request a
 // server refuses as invalid or over its limits, would fail identically
 // anywhere. Otherwise sweepctl gives up only when every endpoint is dead
@@ -45,6 +46,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"cmpsched/internal/prng"
@@ -215,8 +217,9 @@ func (c *client) run(points []sweep.Point, results []sweep.Result) ([]string, er
 
 // sweepShard streams one endpoint's shard, resubmitting only the unreceived
 // points after every failure, until the shard completes, the server refuses
-// it (returned as refused, with no retry), or the endpoint exhausts its
-// retry budget.  It reports whether the endpoint survived.
+// it (returned as refused, with no retry), or the endpoint refuses the
+// connection or exhausts its retry budget.  It reports whether the endpoint
+// survived.
 //
 // The backoff jitter is drawn from a splitmix64 stream seeded by (endpoint,
 // round), so a replayed run backs off identically — failures under the
@@ -232,6 +235,12 @@ func (c *client) sweepShard(endpoint string, round int, points []sweep.Point, id
 		retryAfter, err := c.streamOnce(endpoint, req, pending, results)
 		if errors.Is(err, errRefused) {
 			return true, fmt.Errorf("%s: %w", endpoint, err)
+		}
+		if errors.Is(err, syscall.ECONNREFUSED) {
+			// Nothing listens there: waiting would not bring it back, so
+			// its points re-shard at once.
+			fmt.Fprintf(os.Stderr, "sweepctl: %s: dead (%v); abandoning the endpoint\n", endpoint, err)
+			return false, nil
 		}
 
 		var left []int

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -176,6 +177,48 @@ func TestClientFailsOverToSurvivor(t *testing.T) {
 	}
 	if got := normalize(results); !reflect.DeepEqual(got, want) {
 		t.Fatal("failover run's merged rows differ from the clean run")
+	}
+}
+
+// TestClientRefusedConnectionIsDeadAtOnce: an endpoint where nothing
+// listens refuses the connection, so it is declared dead with no backoff:
+// its points re-shard onto the live endpoint, and a sweep whose only
+// endpoint refuses fails, both well before the first backoff would end.
+func TestClientRefusedConnectionIsDeadAtOnce(t *testing.T) {
+	points := testPoints(t, 8)
+	want := cleanRun(t, points)
+
+	alive := newTestServer(t, faultinject.HTTPFaults{}, "")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := "http://" + ln.Addr().String()
+	ln.Close()
+
+	for _, endpoints := range [][]string{{closed, alive.URL}, {closed}} {
+		results := make([]sweep.Result, len(points))
+		cl := newTestClient(endpoints...)
+		cl.retries = 1
+		cl.backoff = time.Second
+		start := time.Now()
+		failures, err := cl.run(points, results)
+		elapsed := time.Since(start)
+		if len(endpoints) == 1 {
+			if err == nil || !strings.Contains(err.Error(), "dead") {
+				t.Fatalf("want an all-endpoints-dead error, got %v", err)
+			}
+		} else {
+			if err != nil || len(failures) != 0 {
+				t.Fatalf("run: failures=%v err=%v", failures, err)
+			}
+			if got := normalize(results); !reflect.DeepEqual(got, want) {
+				t.Fatal("merged rows differ from the clean run")
+			}
+		}
+		if elapsed > cl.backoff/2 {
+			t.Errorf("%d endpoints: run took %v, want well under the first backoff (%v)", len(endpoints), elapsed, cl.backoff)
+		}
 	}
 }
 

@@ -20,8 +20,8 @@
 //     Quicksort and a Heat stencil (internal/workload), plus the irregular
 //     graph kernels BFS, SSSP, PageRank, triangle counting, LDD
 //     connectivity, k-core peeling, maximal independent set and maximal
-//     matching over generated uniform/grid/RMAT graphs, walkable from a
-//     flat or byte-compressed CSR (internal/graph),
+//     matching over generated uniform/grid/RMAT graphs in CSR form
+//     (internal/graph),
 //   - the LruTree one-pass working-set profiler, the SetAssoc baseline and
 //     the automatic task-coarsening pass (internal/profile,
 //     internal/coarsen),

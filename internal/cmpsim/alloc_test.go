@@ -69,7 +69,7 @@ func TestRunAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// 8 L1s + 1 L2 + hierarchy/arbiter/result plumbing lands around 60;
+	// 8 L1s + 1 L2 + hierarchy/memory/result plumbing lands around 60;
 	// 200 leaves headroom without admitting anything that scales.
 	if allocs > 200 {
 		t.Fatalf("full run allocated %.0f times, want setup-only (<= 200)", allocs)

@@ -78,7 +78,7 @@ type Options struct {
 	// ones.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, receives end-of-run counters and histograms
-	// (cycles, cache stats, arbiter stalls, scheduler metrics, workload
+	// (cycles, cache stats, off-chip queueing, scheduler metrics, workload
 	// annotations).  Publishing happens once after the run completes; a nil
 	// registry costs nothing.
 	Metrics *obs.Registry
@@ -138,9 +138,9 @@ type Result struct {
 	L2Slices []cache.Stats
 	// Mem is the chip-level off-chip memory statistics.
 	Mem memsys.Stats
-	// MemPorts holds the per-slice off-chip port statistics from the
-	// bandwidth arbiter, indexed like L2Slices; QueueCycles attributes
-	// channel contention to the slice that suffered it.
+	// MemPorts holds the per-slice off-chip port statistics, indexed like
+	// L2Slices; QueueCycles attributes channel contention to the slice that
+	// suffered it.
 	MemPorts []memsys.Stats
 	// MemUtilization is the fraction of cycles the off-chip channel was
 	// busy (the paper's "memory bandwidth utilization").
@@ -378,13 +378,9 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 	if err != nil {
 		return nil, err
 	}
-	mem, err := memsys.New(cfg.Memory)
-	if err != nil {
-		return nil, err
-	}
-	// Every L2 slice arbitrates for the same off-chip channel (pins are a
-	// chip-level resource); the arbiter attributes queueing per slice.
-	arb, err := memsys.NewArbiter(mem, hier.NumSlices())
+	// Every L2 slice is a port on the one off-chip channel (pins are a
+	// chip-level resource); the ports attribute queueing per slice.
+	mem, err := memsys.New(cfg.Memory, hier.NumSlices())
 	if err != nil {
 		return nil, err
 	}
@@ -547,9 +543,9 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 					case cache.LevelMemory:
 						st.l2Misses++
 						for i := 1; i < acc.OffChipTransfers; i++ {
-							arb.Writeback(st.slice, issue)
+							mem.Writeback(st.slice, issue)
 						}
-						done = arb.Fetch(st.slice, issue+l1Lat+l2Lat)
+						done = mem.Fetch(st.slice, issue+l1Lat+l2Lat)
 					}
 					busyCycles[c] += done - now
 					k := eventKey(done, c)
@@ -623,7 +619,7 @@ func RunWithOptions(d *dag.DAG, s sched.Scheduler, cfg config.CMP, opts Options)
 		L2:             hier.L2Stats(),
 		L2Slices:       hier.L2SliceStats(),
 		Mem:            mem.Stats(),
-		MemPorts:       arb.PortStats(),
+		MemPorts:       mem.PortStats(),
 		MemUtilization: mem.Utilization(now),
 		CoreBusyCycles: busyCycles,
 		TasksExecuted:  completed,
@@ -650,12 +646,6 @@ func publish(reg *obs.Registry, res *Result, d *dag.DAG) {
 	res.L1.Publish(reg, "cache.l1")
 	res.L2.Publish(reg, "cache.l2")
 	res.Mem.Publish(reg, "mem")
-	// Arbiter stalls: queueing attributed across every off-chip port.
-	var queue int64
-	for _, ps := range res.MemPorts {
-		queue += ps.QueueCycles
-	}
-	reg.Counter("mem.arbiter.queue_cycles").Add(queue)
 	for name, v := range res.SchedMetrics {
 		reg.Counter("sched." + name).Add(v)
 	}

@@ -84,17 +84,6 @@ func goldenWorkloads() []struct {
 			}).Build()
 			return d, err
 		}},
-		// One compressed-representation pin: must fingerprint identically to
-		// a flat build of the same instance (the workload layer only changes
-		// host storage, never the simulated trace), and catches any engine
-		// sensitivity to the representation plumbing.
-		{"bfs-uniform-compressed", func() (*dag.DAG, error) {
-			d, _, err := workload.NewBFS(workload.BFSConfig{
-				Shape: workload.GraphShape{Family: "uniform", Vertices: 1 << 12, EdgesPerTask: 512,
-					Representation: "compressed"},
-			}).Build()
-			return d, err
-		}},
 	}
 }
 

@@ -49,11 +49,6 @@ type Options struct {
 	// with a disk-backed cache, across processes). Repeated runs of the
 	// same figure at the same options are then near-instant.
 	Cache sweep.Cache
-	// GraphRepr selects the host representation the graph kernels walk:
-	// graph.ReprFlat (the default) or graph.ReprCompressed.  The emitted
-	// DAGs are bit-identical either way; the knob trades host memory for
-	// decode time and is what lets 2^22+-vertex RMAT inputs fit.
-	GraphRepr string
 }
 
 // effectiveScale returns the configuration scale factor for the options,
@@ -132,9 +127,8 @@ func (o Options) graphShape(kernel, family string) workload.GraphShape {
 		verts = 1 << 14
 	}
 	shape := workload.GraphShape{
-		Family:         family,
-		Vertices:       max(1<<11, verts/o.quickDiv()),
-		Representation: o.GraphRepr,
+		Family:   family,
+		Vertices: max(1<<11, verts/o.quickDiv()),
 	}
 	if o.Quick {
 		// Keep several tasks per frontier on the shrunken graphs so the
@@ -190,12 +184,6 @@ func GraphKernels() []string {
 // one switch, so a sweep cache key always covers exactly what the build
 // uses (a drift between the two would silently serve wrong cached results).
 func (o Options) workloadSpec(name string, cfg config.CMP) (build sweep.BuildFunc, params string, err error) {
-	dagOf := func(w workload.Workload) sweep.BuildFunc {
-		return func() (*dag.DAG, error) {
-			d, _, err := w.Build()
-			return d, err
-		}
-	}
 	switch name {
 	case "mergesort":
 		c := o.mergesortConfig()
@@ -218,6 +206,15 @@ func (o Options) workloadSpec(name string, cfg config.CMP) (build sweep.BuildFun
 	}
 }
 
+// dagOf adapts a workload to the sweep engine's build function, dropping the
+// group tree the engine does not use.
+func dagOf(w workload.Workload) sweep.BuildFunc {
+	return func() (*dag.DAG, error) {
+		d, _, err := w.Build()
+		return d, err
+	}
+}
+
 // graphSpec returns the build function and canonical fingerprint for a graph
 // kernel on the given generator family ("" means the kernel's default,
 // uniform).  The fingerprint is the default-filled kernel configuration, so
@@ -227,11 +224,7 @@ func (o Options) graphSpec(kernel, family string) (sweep.BuildFunc, string, erro
 	if err != nil {
 		return nil, "", err
 	}
-	build := func() (*dag.DAG, error) {
-		d, _, err := w.Build()
-		return d, err
-	}
-	return build, params, nil
+	return dagOf(w), params, nil
 }
 
 // graphSchedulerJobs returns the (pdf, ws) jobs for one graph kernel on one

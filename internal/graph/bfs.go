@@ -19,19 +19,19 @@ import (
 // frontier slots it reads, the CSR offset and edge lines of its vertices,
 // and the *scattered* distance-vector lines of every neighbour it inspects,
 // writing the slots of newly discovered vertices and the next frontier.
-func BFS(g Graph, source int64, costs Costs) (*dag.DAG, *taskgroup.Tree, error) {
+func BFS(g *CSR, source int64, costs Costs) (*dag.DAG, *taskgroup.Tree, error) {
 	c := costs.withDefaults()
 	if err := checkSource(g, source); err != nil {
 		return nil, nil, fmt.Errorf("graph: bfs: %w", err)
 	}
 	levels, discoverer := bfsLevels(g, source)
 
-	d := dag.New(fmt.Sprintf("bfs-%s", g.GraphName()))
+	d := dag.New(fmt.Sprintf("bfs-%s", g.Name))
 	tree := taskgroup.New("bfs")
 
 	// Initialisation: write the distance vector and the first frontier.
 	init := newTrace(c)
-	init.span(distAddr(0), g.NumVertices()*vertexEntryBytes, true, 1)
+	init.span(distAddr(0), g.N*vertexEntryBytes, true, 1)
 	init.touch(frontAddr(0, 0), true, c.InstrsPerVertex)
 	initTask := d.AddTask("bfs-init", init.gen(c.SpawnInstrs))
 	initTask.Site = "graph/bfs.go:init"
@@ -44,7 +44,6 @@ func BFS(g Graph, source int64, costs Costs) (*dag.DAG, *taskgroup.Tree, error) 
 	// finalised stream into its own arena, so the accumulation buffer is
 	// reused across chunks.
 	tr := newTrace(c)
-	var adj []int32
 	for level, frontier := range levels {
 		d.RecordMetric(fmt.Sprintf("bfs.frontier.level_%02d.vertices", level), int64(len(frontier)))
 		parity := level % 2
@@ -63,11 +62,8 @@ func BFS(g Graph, source int64, costs Costs) (*dag.DAG, *taskgroup.Tree, error) 
 				tr.touch(frontAddr(parity, i), false, c.InstrsPerVertex)
 				tr.touch(offsetAddr(u), false, 0)
 				tr.touch(offsetAddr(u+1), false, 0)
-				adj = g.AdjInto(u, adj)
-				j0 := g.FirstEdge(u)
-				for k, w := range adj {
-					j := j0 + int64(k)
-					v := int64(w)
+				for j := g.Offsets[u]; j < g.Offsets[u+1]; j++ {
+					v := int64(g.Edges[j])
 					tr.touch(edgeAddr(j), false, c.InstrsPerEdge)
 					tr.touch(distAddr(v), false, 0)
 					if discoverer[v] == j {
@@ -108,8 +104,8 @@ func BFS(g Graph, source int64, costs Costs) (*dag.DAG, *taskgroup.Tree, error) 
 // index of the edge that discovered it (-1 for the source and unreached
 // vertices) — the tie-break a deterministic parallel BFS with in-order
 // claiming would produce.
-func bfsLevels(g Graph, source int64) (levels [][]int32, discoverer []int64) {
-	n := g.NumVertices()
+func bfsLevels(g *CSR, source int64) (levels [][]int32, discoverer []int64) {
+	n := g.N
 	discoverer = make([]int64, n)
 	seen := make([]bool, n)
 	for i := range discoverer {
@@ -117,18 +113,15 @@ func bfsLevels(g Graph, source int64) (levels [][]int32, discoverer []int64) {
 	}
 	seen[source] = true
 	frontier := []int32{int32(source)}
-	var adj []int32
 	for len(frontier) > 0 {
 		levels = append(levels, frontier)
 		var next []int32
 		for _, u32 := range frontier {
 			u := int64(u32)
-			adj = g.AdjInto(u, adj)
-			j0 := g.FirstEdge(u)
-			for k, v := range adj {
-				if !seen[v] {
+			for j := g.Offsets[u]; j < g.Offsets[u+1]; j++ {
+				if v := g.Edges[j]; !seen[v] {
 					seen[v] = true
-					discoverer[v] = j0 + int64(k)
+					discoverer[v] = j
 					next = append(next, v)
 				}
 			}
@@ -139,9 +132,9 @@ func bfsLevels(g Graph, source int64) (levels [][]int32, discoverer []int64) {
 }
 
 // checkSource validates a source vertex.
-func checkSource(g Graph, source int64) error {
-	if source < 0 || source >= g.NumVertices() {
-		return fmt.Errorf("source %d out of range [0, %d)", source, g.NumVertices())
+func checkSource(g *CSR, source int64) error {
+	if source < 0 || source >= g.N {
+		return fmt.Errorf("source %d out of range [0, %d)", source, g.N)
 	}
 	return nil
 }

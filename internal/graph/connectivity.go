@@ -10,38 +10,21 @@ import (
 	"cmpsched/internal/taskgroup"
 )
 
-// lddView abstracts one level of the contraction hierarchy for the LDD
-// walker: level 0 walks the input Graph and addresses the real CSR regions;
-// deeper levels walk a host-built contracted CSR whose simulated offset and
-// edge arrays live in the parity-selected contracted regions.
+// lddView is one level of the contraction hierarchy for the LDD walker: the
+// level's CSR and the simulated addresses of its offset and edge arrays.
+// Level 0 walks the input graph in the real CSR regions; deeper levels walk a
+// host-built contracted CSR in the parity-selected contracted regions.
 type lddView struct {
-	n         int64
-	deg       func(v int64) int64
-	firstEdge func(v int64) int64
-	adjInto   func(v int64, buf []int32) []int32
-	offAddr   func(v int64) uint64
-	edgAddr   func(j int64) uint64
-}
-
-func viewOfGraph(g Graph) lddView {
-	return lddView{
-		n:         g.NumVertices(),
-		deg:       g.Degree,
-		firstEdge: g.FirstEdge,
-		adjInto:   g.AdjInto,
-		offAddr:   offsetAddr,
-		edgAddr:   edgeAddr,
-	}
+	g       *CSR
+	offAddr func(v int64) uint64
+	edgAddr func(j int64) uint64
 }
 
 func viewOfContracted(cg *CSR, parity int) lddView {
 	return lddView{
-		n:         cg.N,
-		deg:       cg.Degree,
-		firstEdge: func(v int64) int64 { return cg.Offsets[v] },
-		adjInto:   cg.AdjInto,
-		offAddr:   func(v int64) uint64 { return coffAddr(parity, v) },
-		edgAddr:   func(j int64) uint64 { return cedgeAddr(parity, j) },
+		g:       cg,
+		offAddr: func(v int64) uint64 { return coffAddr(parity, v) },
+		edgAddr: func(j int64) uint64 { return cedgeAddr(parity, j) },
 	}
 }
 
@@ -72,11 +55,11 @@ func geomShift(seed uint64, level int, v int64, cap int64) int64 {
 // The third return value is the per-vertex component labelling (labels are
 // arbitrary but equal exactly for connected vertices), used by tests against
 // a serial union-find reference.
-func Connectivity(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []int64, error) {
+func Connectivity(g *CSR, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []int64, error) {
 	c := costs.withDefaults()
-	n0 := g.NumVertices()
+	n0 := g.N
 
-	d := dag.New(fmt.Sprintf("connectivity-%s", g.GraphName()))
+	d := dag.New(fmt.Sprintf("connectivity-%s", g.Name))
 	tree := taskgroup.New("connectivity")
 
 	// Initialisation: clear the label vector, draw the level-0 shifts.
@@ -90,15 +73,14 @@ func Connectivity(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree,
 	prevBarrier := initTask.ID
 
 	tr := newTrace(c)
-	var adj []int32
 	const maxLevels = 32
-	lvl := viewOfGraph(g)
+	lvl := lddView{g: g, offAddr: offsetAddr, edgAddr: edgeAddr}
 	var maps [][]int64 // per level: vertex -> next-level cluster index
 	totalRounds := 0
 	sequentialTail := false
 
 	for level := 0; ; level++ {
-		labels, rounds, err := lddPass(d, tree, &prevBarrier, tr, &adj, lvl, level, seed, c)
+		labels, rounds, err := lddPass(d, tree, &prevBarrier, tr, lvl, level, seed, c)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -108,7 +90,7 @@ func Connectivity(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree,
 		// the inter-cluster edge set, emitting the contraction tasks.
 		centers := make([]int64, 0)
 		seenCenter := make(map[int64]bool)
-		for v := int64(0); v < lvl.n; v++ {
+		for v := int64(0); v < lvl.g.N; v++ {
 			if !seenCenter[labels[v]] {
 				seenCenter[labels[v]] = true
 				centers = append(centers, labels[v])
@@ -120,17 +102,17 @@ func Connectivity(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree,
 			cidx[ctr] = int64(i)
 		}
 		nc := int64(len(centers))
-		m := make([]int64, lvl.n)
-		for v := int64(0); v < lvl.n; v++ {
+		m := make([]int64, lvl.g.N)
+		for v := int64(0); v < lvl.g.N; v++ {
 			m[v] = cidx[labels[v]]
 		}
 		maps = append(maps, m)
 
-		pairs := contract(d, tree, &prevBarrier, tr, &adj, lvl, level, m, c)
+		pairs := contract(d, tree, &prevBarrier, tr, lvl, level, m, c)
 		if len(pairs) == 0 {
 			break
 		}
-		if nc >= lvl.n || level+1 >= maxLevels {
+		if nc >= lvl.g.N || level+1 >= maxLevels {
 			// No contraction progress (vanishingly unlikely under the
 			// geometric shifts) or the level cap: finish the remaining
 			// merges with a sequential union-find, modelled as one task
@@ -196,8 +178,8 @@ func Connectivity(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree,
 // lddPass runs one low-diameter decomposition over lvl on the host, emitting
 // one DAG level per staggered-BFS round, and returns the cluster labelling
 // (labels[v] = the center vertex whose ball claimed v) plus the round count.
-func lddPass(d *dag.DAG, tree *taskgroup.Tree, prevBarrier *dag.TaskID, tr *trace, adj *[]int32, lvl lddView, level int, seed uint64, c Costs) ([]int64, int, error) {
-	n := lvl.n
+func lddPass(d *dag.DAG, tree *taskgroup.Tree, prevBarrier *dag.TaskID, tr *trace, lvl lddView, level int, seed uint64, c Costs) ([]int64, int, error) {
+	g, n := lvl.g, lvl.g.N
 	shiftCap := 2*imath.Log2Ceil(n) + 8
 	wake := make(map[int64][]int32)
 	for v := int64(0); v < n; v++ {
@@ -239,7 +221,7 @@ func lddPass(d *dag.DAG, tree *taskgroup.Tree, prevBarrier *dag.TaskID, tr *trac
 		var next []int32
 		nextSlot := int64(0)
 		chunks := chunk(int64(len(frontier)), c.EdgesPerTask, func(i int64) int64 {
-			return 1 + lvl.deg(int64(frontier[i]))
+			return 1 + g.Degree(int64(frontier[i]))
 		})
 		chunkIDs := make([]dag.TaskID, 0, len(chunks))
 		for _, cr := range chunks {
@@ -257,10 +239,8 @@ func lddPass(d *dag.DAG, tree *taskgroup.Tree, prevBarrier *dag.TaskID, tr *trac
 				}
 				tr.touch(lvl.offAddr(u), false, 0)
 				tr.touch(lvl.offAddr(u+1), false, 0)
-				*adj = lvl.adjInto(u, *adj)
-				j0 := lvl.firstEdge(u)
-				for k, w32 := range *adj {
-					j := j0 + int64(k)
+				for j := g.Offsets[u]; j < g.Offsets[u+1]; j++ {
+					w32 := g.Edges[j]
 					w := int64(w32)
 					tr.touch(lvl.edgAddr(j), false, c.InstrsPerEdge)
 					tr.touch(labelAddr(w), false, 0)
@@ -302,13 +282,14 @@ func lddPass(d *dag.DAG, tree *taskgroup.Tree, prevBarrier *dag.TaskID, tr *trac
 // stream the level's edges, read both endpoints' cluster labels and write
 // each newly discovered inter-cluster edge into the next level's edge region.
 // It returns the deduplicated inter-cluster endpoint pairs (in cluster ids).
-func contract(d *dag.DAG, tree *taskgroup.Tree, prevBarrier *dag.TaskID, tr *trace, adj *[]int32, lvl lddView, level int, m []int64, c Costs) [][2]int32 {
+func contract(d *dag.DAG, tree *taskgroup.Tree, prevBarrier *dag.TaskID, tr *trace, lvl lddView, level int, m []int64, c Costs) [][2]int32 {
+	g := lvl.g
 	nextParity := (level + 1) % 2
 	group := tree.AddChild(tree.Root, fmt.Sprintf("conn-l%d-contract", level), "graph/connectivity.go:contract", 0, 0)
 	var groupBytes int64
 	seen := make(map[[2]int32]bool)
 	var pairs [][2]int32
-	chunks := chunk(lvl.n, c.EdgesPerTask, func(v int64) int64 { return 1 + lvl.deg(v) })
+	chunks := chunk(g.N, c.EdgesPerTask, func(v int64) int64 { return 1 + g.Degree(v) })
 	chunkIDs := make([]dag.TaskID, 0, len(chunks))
 	for _, cr := range chunks {
 		tr.reset()
@@ -316,11 +297,8 @@ func contract(d *dag.DAG, tree *taskgroup.Tree, prevBarrier *dag.TaskID, tr *tra
 			tr.touch(lvl.offAddr(u), false, c.InstrsPerVertex)
 			tr.touch(lvl.offAddr(u+1), false, 0)
 			tr.touch(labelAddr(u), false, 0)
-			*adj = lvl.adjInto(u, *adj)
-			j0 := lvl.firstEdge(u)
-			for k, w32 := range *adj {
-				j := j0 + int64(k)
-				w := int64(w32)
+			for j := g.Offsets[u]; j < g.Offsets[u+1]; j++ {
+				w := int64(g.Edges[j])
 				tr.touch(lvl.edgAddr(j), false, c.InstrsPerEdge)
 				tr.touch(labelAddr(w), false, 0)
 				cu, cw := m[u], m[w]

@@ -18,11 +18,11 @@ import (
 //
 // The third return value is the coreness of every vertex, used by tests
 // against a serial reference peeler.
-func KCore(g Graph, costs Costs) (*dag.DAG, *taskgroup.Tree, []int64, error) {
+func KCore(g *CSR, costs Costs) (*dag.DAG, *taskgroup.Tree, []int64, error) {
 	c := costs.withDefaults()
-	n := g.NumVertices()
+	n := g.N
 
-	d := dag.New(fmt.Sprintf("kcore-%s", g.GraphName()))
+	d := dag.New(fmt.Sprintf("kcore-%s", g.Name))
 	tree := taskgroup.New("kcore")
 
 	// Initialisation: compute the starting induced degrees, clear states.
@@ -48,7 +48,6 @@ func KCore(g Graph, costs Costs) (*dag.DAG, *taskgroup.Tree, []int64, error) {
 	remaining := n
 
 	tr := newTrace(c)
-	var adj []int32
 	round := 0 // global sub-round counter, drives frontier parity
 	var maxCore int64
 	for k := int64(0); remaining > 0; k++ {
@@ -86,11 +85,8 @@ func KCore(g Graph, costs Costs) (*dag.DAG, *taskgroup.Tree, []int64, error) {
 					tr.touch(degAddr(u), true, 1)   // coreness lands in the degree slot
 					tr.touch(offsetAddr(u), false, 0)
 					tr.touch(offsetAddr(u+1), false, 0)
-					adj = g.AdjInto(u, adj)
-					j0 := g.FirstEdge(u)
-					for kk, w32 := range adj {
-						j := j0 + int64(kk)
-						w := int64(w32)
+					for j := g.Offsets[u]; j < g.Offsets[u+1]; j++ {
+						w := int64(g.Edges[j])
 						tr.touch(edgeAddr(j), false, c.InstrsPerEdge)
 						tr.touch(stateAddr(w), false, 0)
 						if alive[w] {

@@ -317,44 +317,6 @@ func TestMaximalMatchingIsValidAndMaximal(t *testing.T) {
 	}
 }
 
-func TestNewKernelsOnCompressedMatchHostResults(t *testing.T) {
-	// Host-side results must be representation-independent too, not just the
-	// traces (the differential suite covers those).
-	for _, family := range Families() {
-		g := testGraph(t, family)
-		cg, err := Compress(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, lf, err := Connectivity(g, 7, tinyCosts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, lc, err := Connectivity(cg, 7, tinyCosts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range lf {
-			if lf[i] != lc[i] {
-				t.Fatalf("%s: connectivity labels diverge at %d", family, i)
-			}
-		}
-		_, _, kf, err := KCore(g, tinyCosts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, kc, err := KCore(cg, tinyCosts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range kf {
-			if kf[i] != kc[i] {
-				t.Fatalf("%s: core numbers diverge at %d", family, i)
-			}
-		}
-	}
-}
-
 func TestNewKernelMetricsRecorded(t *testing.T) {
 	g := testGraph(t, FamilyUniform)
 	d, _, _, err := Connectivity(g, 7, tinyCosts())

@@ -31,11 +31,11 @@ func edgePrio(u, v int64, seed uint64, n int64) uint64 {
 //
 // The third return value is the matched partner of every vertex (-1 if
 // unmatched), used by tests for the validity and maximality invariants.
-func MaximalMatching(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []int64, error) {
+func MaximalMatching(g *CSR, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []int64, error) {
 	c := costs.withDefaults()
-	n := g.NumVertices()
+	n := g.N
 
-	d := dag.New(fmt.Sprintf("matching-%s", g.GraphName()))
+	d := dag.New(fmt.Sprintf("matching-%s", g.Name))
 	tree := taskgroup.New("matching")
 
 	// Initialisation: clear the match vector, seed the active list.
@@ -61,7 +61,6 @@ func MaximalMatching(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tr
 	}
 
 	tr := newTrace(c)
-	var adj []int32
 	for round := 0; len(active) > 0; round++ {
 		d.RecordMetric("matching.rounds", int64(round)+1)
 		parity := round % 2
@@ -75,9 +74,8 @@ func MaximalMatching(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tr
 		best := make(map[int64]int64, len(active))
 		for _, u32 := range active {
 			u := int64(u32)
-			adj = g.AdjInto(u, adj)
 			bestW, bestP := int64(-1), ^uint64(0)
-			for _, w32 := range adj {
+			for _, w32 := range g.Adj(u) {
 				w := int64(w32)
 				if match[w] != -1 {
 					continue
@@ -104,11 +102,8 @@ func MaximalMatching(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tr
 				tr.touch(frontAddr(parity, i), false, c.InstrsPerVertex)
 				tr.touch(offsetAddr(u), false, 0)
 				tr.touch(offsetAddr(u+1), false, 0)
-				adj = g.AdjInto(u, adj)
-				j0 := g.FirstEdge(u)
-				for k, w32 := range adj {
-					j := j0 + int64(k)
-					w := int64(w32)
+				for j := g.Offsets[u]; j < g.Offsets[u+1]; j++ {
+					w := int64(g.Edges[j])
 					tr.touch(edgeAddr(j), false, c.InstrsPerEdge)
 					tr.touch(matchAddr(w), false, 0)
 					if match[w] == -1 {
@@ -146,8 +141,7 @@ func MaximalMatching(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tr
 				continue
 			}
 			live := false
-			adj = g.AdjInto(u, adj)
-			for _, w32 := range adj {
+			for _, w32 := range g.Adj(u) {
 				if match[w32] == -1 && int64(w32) != u {
 					live = true
 					break

@@ -30,11 +30,11 @@ func misBeats(seed uint64, u, w int64) bool {
 //
 // The third return value reports set membership per vertex, used by tests
 // for the independence and maximality invariants.
-func MIS(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []bool, error) {
+func MIS(g *CSR, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []bool, error) {
 	c := costs.withDefaults()
-	n := g.NumVertices()
+	n := g.N
 
-	d := dag.New(fmt.Sprintf("mis-%s", g.GraphName()))
+	d := dag.New(fmt.Sprintf("mis-%s", g.Name))
 	tree := taskgroup.New("mis")
 
 	// Initialisation: draw the priorities, clear states, seed the list.
@@ -61,7 +61,6 @@ func MIS(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []bool, 
 	}
 
 	tr := newTrace(c)
-	var adj []int32
 	for round := 0; len(active) > 0; round++ {
 		d.RecordMetric("mis.rounds", int64(round)+1)
 		parity := round % 2
@@ -76,8 +75,7 @@ func MIS(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []bool, 
 		for i, u32 := range active {
 			u := int64(u32)
 			win := true
-			adj = g.AdjInto(u, adj)
-			for _, w32 := range adj {
+			for _, w32 := range g.Adj(u) {
 				w := int64(w32)
 				if state[w] == undecided && misBeats(seed, w, u) {
 					win = false
@@ -101,11 +99,8 @@ func MIS(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []bool, 
 				tr.touch(prioAddr(u), false, 0)
 				tr.touch(offsetAddr(u), false, 0)
 				tr.touch(offsetAddr(u+1), false, 0)
-				adj = g.AdjInto(u, adj)
-				j0 := g.FirstEdge(u)
-				for k, w32 := range adj {
-					j := j0 + int64(k)
-					w := int64(w32)
+				for j := g.Offsets[u]; j < g.Offsets[u+1]; j++ {
+					w := int64(g.Edges[j])
 					tr.touch(edgeAddr(j), false, c.InstrsPerEdge)
 					tr.touch(stateAddr(w), false, 0)
 					if state[w] == undecided {
@@ -115,7 +110,7 @@ func MIS(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []bool, 
 				if winner[i] {
 					tr.touch(stateAddr(u), true, 2)
 					// Knock the undecided neighbours out.
-					for _, w32 := range adj {
+					for _, w32 := range g.Adj(u) {
 						if state[int64(w32)] == undecided && int64(w32) != u {
 							tr.touch(stateAddr(int64(w32)), true, 1)
 						}
@@ -144,9 +139,7 @@ func MIS(g Graph, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []bool, 
 			if state[u32] != inSet {
 				continue
 			}
-			u := int64(u32)
-			adj = g.AdjInto(u, adj)
-			for _, w32 := range adj {
+			for _, w32 := range g.Adj(int64(u32)) {
 				if state[w32] == undecided {
 					state[w32] = out
 				}

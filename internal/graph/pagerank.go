@@ -21,26 +21,25 @@ import (
 // next ranks sequentially.  Iterations i and i+2 use the same rank buffers,
 // so from the third iteration on a chunk task takes its chunk's recording
 // from two iterations back instead of walking the graph again.
-func PageRank(g Graph, iterations int64, costs Costs) (*dag.DAG, *taskgroup.Tree, error) {
+func PageRank(g *CSR, iterations int64, costs Costs) (*dag.DAG, *taskgroup.Tree, error) {
 	c := costs.withDefaults()
 	if iterations <= 0 {
 		iterations = 8
 	}
 
-	d := dag.New(fmt.Sprintf("pagerank-%s", g.GraphName()))
+	d := dag.New(fmt.Sprintf("pagerank-%s", g.Name))
 	tree := taskgroup.New("pagerank")
 
 	init := newTrace(c)
-	init.span(rankAddr(0, 0), g.NumVertices()*vertexEntryBytes, true, 1)
+	init.span(rankAddr(0, 0), g.N*vertexEntryBytes, true, 1)
 	initTask := d.AddTask("pagerank-init", init.gen(c.SpawnInstrs))
 	initTask.Site = "graph/pagerank.go:init"
 	initTask.Param = float64(init.bytes())
 	tree.Own(tree.Root, initTask.ID)
 
-	chunks := chunk(g.NumVertices(), c.EdgesPerTask, func(v int64) int64 { return 1 + g.Degree(v) })
+	chunks := chunk(g.N, c.EdgesPerTask, func(v int64) int64 { return 1 + g.Degree(v) })
 	prevBarrier := initTask.ID
-	tr := newTrace(c) // reused across gather tasks
-	var adj []int32
+	tr := newTrace(c)                // reused across gather tasks
 	var recorded [2][]*refs.Recorded // the chunk recordings of iterations 0 and 1
 	for iter := int64(0); iter < iterations; iter++ {
 		parity := int(iter) % 2
@@ -59,11 +58,8 @@ func PageRank(g Graph, iterations int64, costs Costs) (*dag.DAG, *taskgroup.Tree
 				for u := cr[0]; u < cr[1]; u++ {
 					tr.touch(offsetAddr(u), false, c.InstrsPerVertex)
 					tr.touch(offsetAddr(u+1), false, 0)
-					adj = g.AdjInto(u, adj)
-					j0 := g.FirstEdge(u)
-					for k, w := range adj {
-						j := j0 + int64(k)
-						v := int64(w)
+					for j := g.Offsets[u]; j < g.Offsets[u+1]; j++ {
+						v := int64(g.Edges[j])
 						tr.touch(edgeAddr(j), false, c.InstrsPerEdge)
 						// Gather rank(v)/degree(v) from the previous iteration.
 						tr.touch(rankAddr(parity, v), false, 0)
@@ -86,7 +82,7 @@ func PageRank(g Graph, iterations int64, costs Costs) (*dag.DAG, *taskgroup.Tree
 			chunkIDs = append(chunkIDs, t.ID)
 		}
 
-		barrier := d.AddComputeTask(fmt.Sprintf("pagerank-reduce%d", iter), c.SpawnInstrs+g.NumVertices()/8)
+		barrier := d.AddComputeTask(fmt.Sprintf("pagerank-reduce%d", iter), c.SpawnInstrs+g.N/8)
 		barrier.Site = "graph/pagerank.go:reduce"
 		barrier.Level = int(iter)
 		tree.Own(group, barrier.ID)

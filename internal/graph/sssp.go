@@ -30,7 +30,7 @@ func WeightOf(u, v int64, seed uint64, maxWeight int64) int64 {
 // Tasks read the active list, the CSR offsets/edges, the parallel weight
 // array, and the scattered distance slots of their neighbours, writing the
 // slots they improve plus the next active list.
-func BellmanFord(g Graph, source int64, seed uint64, maxWeight, maxRounds int64, costs Costs) (*dag.DAG, *taskgroup.Tree, error) {
+func BellmanFord(g *CSR, source int64, seed uint64, maxWeight, maxRounds int64, costs Costs) (*dag.DAG, *taskgroup.Tree, error) {
 	c := costs.withDefaults()
 	if err := checkSource(g, source); err != nil {
 		return nil, nil, fmt.Errorf("graph: sssp: %w", err)
@@ -40,17 +40,17 @@ func BellmanFord(g Graph, source int64, seed uint64, maxWeight, maxRounds int64,
 	}
 
 	const inf = int64(1) << 62
-	dist := make([]int64, g.NumVertices())
+	dist := make([]int64, g.N)
 	for i := range dist {
 		dist[i] = inf
 	}
 	dist[source] = 0
 
-	d := dag.New(fmt.Sprintf("sssp-%s", g.GraphName()))
+	d := dag.New(fmt.Sprintf("sssp-%s", g.Name))
 	tree := taskgroup.New("sssp")
 
 	init := newTrace(c)
-	init.span(distAddr(0), g.NumVertices()*vertexEntryBytes, true, 1)
+	init.span(distAddr(0), g.N*vertexEntryBytes, true, 1)
 	init.touch(frontAddr(0, 0), true, c.InstrsPerVertex)
 	initTask := d.AddTask("sssp-init", init.gen(c.SpawnInstrs))
 	initTask.Site = "graph/sssp.go:init"
@@ -59,7 +59,6 @@ func BellmanFord(g Graph, source int64, seed uint64, maxWeight, maxRounds int64,
 
 	prevBarrier := initTask.ID
 	tr := newTrace(c) // reused across relax tasks; see bfs.go
-	var adj []int32
 	active := []int32{int32(source)}
 	for round := 0; len(active) > 0 && (maxRounds == 0 || int64(round) < maxRounds); round++ {
 		d.RecordMetric(fmt.Sprintf("sssp.active.round_%02d.vertices", round), int64(len(active)))
@@ -90,11 +89,8 @@ func BellmanFord(g Graph, source int64, seed uint64, maxWeight, maxRounds int64,
 				tr.touch(offsetAddr(u), false, 0)
 				tr.touch(offsetAddr(u+1), false, 0)
 				tr.touch(distAddr(u), false, 0)
-				adj = g.AdjInto(u, adj)
-				j0 := g.FirstEdge(u)
-				for k, w := range adj {
-					j := j0 + int64(k)
-					v := int64(w)
+				for j := g.Offsets[u]; j < g.Offsets[u+1]; j++ {
+					v := int64(g.Edges[j])
 					tr.touch(edgeAddr(j), false, c.InstrsPerEdge)
 					tr.touch(weightAddr(j), false, 0)
 					tr.touch(distAddr(v), false, 0)

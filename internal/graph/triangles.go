@@ -22,11 +22,11 @@ import (
 //
 // The second return value is the exact triangle count, used by tests (a grid
 // has none; random families have predictably many).
-func Triangles(g Graph, costs Costs) (*dag.DAG, *taskgroup.Tree, int64, error) {
+func Triangles(g *CSR, costs Costs) (*dag.DAG, *taskgroup.Tree, int64, error) {
 	c := costs.withDefaults()
-	n := g.NumVertices()
+	n := g.N
 
-	d := dag.New(fmt.Sprintf("triangles-%s", g.GraphName()))
+	d := dag.New(fmt.Sprintf("triangles-%s", g.Name))
 	tree := taskgroup.New("triangles")
 
 	spawn := d.AddComputeTask("triangles-spawn", c.SpawnInstrs)
@@ -34,14 +34,13 @@ func Triangles(g Graph, costs Costs) (*dag.DAG, *taskgroup.Tree, int64, error) {
 	tree.Own(tree.Root, spawn.ID)
 
 	// fwdLoc(v) is the position of v's first forward (greater-id) neighbour
-	// within its adjacency list; FirstEdge(v)+fwdLoc(v) is the absolute
-	// index of the forward suffix in the simulated flat edge array.
+	// within its adjacency list; Offsets[v]+fwdLoc(v) is the absolute index
+	// of the forward suffix in the edge array.
 	fwdLoc := make([]int64, n)
-	var scan []int32
 	for v := int64(0); v < n; v++ {
-		scan = g.AdjInto(v, scan)
+		adj := g.Adj(v)
 		k := int64(0)
-		for k < int64(len(scan)) && int64(scan[k]) <= v {
+		for k < int64(len(adj)) && int64(adj[k]) <= v {
 			k++
 		}
 		fwdLoc[v] = k
@@ -50,8 +49,7 @@ func Triangles(g Graph, costs Costs) (*dag.DAG, *taskgroup.Tree, int64, error) {
 
 	work := func(u int64) int64 {
 		w := 1 + g.Degree(u)
-		scan = g.AdjInto(u, scan)
-		for _, x := range scan[fwdLoc[u]:] {
+		for _, x := range g.Adj(u)[fwdLoc[u]:] {
 			w += fwdDeg(u) + fwdDeg(int64(x))
 		}
 		return w
@@ -62,22 +60,19 @@ func Triangles(g Graph, costs Costs) (*dag.DAG, *taskgroup.Tree, int64, error) {
 	chunks := chunk(n, 4*c.EdgesPerTask, work)
 	chunkIDs := make([]dag.TaskID, 0, len(chunks))
 	tr := newTrace(c) // reused across counting tasks; see bfs.go
-	var adjU, adjV []int32
 	for ci, cr := range chunks {
 		tr.reset()
 		var count int64
 		for u := cr[0]; u < cr[1]; u++ {
 			tr.touch(offsetAddr(u), false, c.InstrsPerVertex)
 			tr.touch(offsetAddr(u+1), false, 0)
-			adjU = g.AdjInto(u, adjU)
-			baseU := g.FirstEdge(u)
+			adjU, baseU := g.Adj(u), g.Offsets[u]
 			tr.span(edgeAddr(baseU), int64(len(adjU))*edgeEntryBytes, false, c.InstrsPerEdge)
 			for jl := fwdLoc[u]; jl < int64(len(adjU)); jl++ {
 				v := int64(adjU[jl])
 				tr.touch(offsetAddr(v), false, 0)
 				tr.touch(offsetAddr(v+1), false, 0)
-				adjV = g.AdjInto(v, adjV)
-				baseV := g.FirstEdge(v)
+				adjV, baseV := g.Adj(v), g.Offsets[v]
 				// Merge-intersect fwd(u) (past jl) with fwd(v): the walk
 				// re-touches u's suffix interleaved with v's list.
 				a, b := jl+1, fwdLoc[v]

@@ -7,6 +7,11 @@
 // t starts service at max(t, nextFree); queueing delay is charged to the
 // requester.  Write-backs occupy a transfer slot but do not stall the
 // requesting core.
+//
+// Requests arrive on ports, one per L2 slice.  Pin bandwidth is a chip-level
+// resource: slicing the L2 does not add pins, so every port contends for the
+// same channel, and the ports only attribute traffic and queueing delay to
+// the slice that issued it.
 package memsys
 
 import "fmt"
@@ -52,62 +57,59 @@ func (s Stats) Transfers() int64 { return s.Fetches + s.Writebacks }
 type Memory struct {
 	cfg      Config
 	nextFree int64
-	stats    Stats
+	ports    []Stats
 }
 
-// New returns a memory system with the given configuration.
-func New(cfg Config) (*Memory, error) {
+// New returns a memory system with the given configuration and number of
+// ports, which must be positive.
+func New(cfg Config, ports int) (*Memory, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Memory{cfg: cfg}, nil
+	return &Memory{cfg: cfg, ports: make([]Stats, ports)}, nil
 }
 
-// MustNew is New but panics on error.
-func MustNew(cfg Config) *Memory {
-	m, err := New(cfg)
-	if err != nil {
-		panic(err)
+// Stats returns the chip totals: the sum of every port's statistics.
+func (m *Memory) Stats() Stats {
+	var s Stats
+	for _, p := range m.ports {
+		s.Fetches += p.Fetches
+		s.Writebacks += p.Writebacks
+		s.QueueCycles += p.QueueCycles
+		s.BusyCycles += p.BusyCycles
 	}
-	return m
+	return s
 }
 
-// Config returns the configuration.
-func (m *Memory) Config() Config { return m.cfg }
+// PortStats returns a copy of the per-port statistics, indexed by port.
+func (m *Memory) PortStats() []Stats {
+	out := make([]Stats, len(m.ports))
+	copy(out, m.ports)
+	return out
+}
 
-// Stats returns a copy of the accumulated statistics.
-func (m *Memory) Stats() Stats { return m.stats }
-
-// Fetch issues a demand line fetch at time now and returns the cycle at
-// which the data is available to the requester (queueing + latency).
-func (m *Memory) Fetch(now int64) int64 {
-	start := now
-	if m.nextFree > start {
-		start = m.nextFree
-	}
-	m.stats.QueueCycles += start - now
+// Fetch issues a demand line fetch from port at time now and returns the
+// cycle at which the data is available to the requester (queueing +
+// latency).  An unknown port panics.
+func (m *Memory) Fetch(port int, now int64) int64 {
+	p := &m.ports[port]
+	start := max(now, m.nextFree)
 	m.nextFree = start + m.cfg.ServiceIntervalCycles
-	m.stats.BusyCycles += m.cfg.ServiceIntervalCycles
-	m.stats.Fetches++
+	p.Fetches++
+	p.QueueCycles += start - now
+	p.BusyCycles += m.cfg.ServiceIntervalCycles
 	return start + m.cfg.LatencyCycles
 }
 
-// Writeback schedules a dirty-line write-back at time now. The requester
-// does not wait for it, but it consumes a bandwidth slot, delaying later
-// transfers.
-func (m *Memory) Writeback(now int64) {
-	start := now
-	if m.nextFree > start {
-		start = m.nextFree
-	}
-	m.nextFree = start + m.cfg.ServiceIntervalCycles
-	m.stats.BusyCycles += m.cfg.ServiceIntervalCycles
-	m.stats.Writebacks++
+// Writeback schedules a dirty-line write-back from port at time now. The
+// requester does not wait for it, but it consumes a bandwidth slot, delaying
+// later transfers.  An unknown port panics.
+func (m *Memory) Writeback(port int, now int64) {
+	p := &m.ports[port]
+	m.nextFree = max(now, m.nextFree) + m.cfg.ServiceIntervalCycles
+	p.Writebacks++
+	p.BusyCycles += m.cfg.ServiceIntervalCycles
 }
-
-// NextFree returns the earliest cycle at which the channel is idle. It is
-// exposed for tests and for bandwidth-utilization reporting.
-func (m *Memory) NextFree() int64 { return m.nextFree }
 
 // Utilization returns the fraction of elapsed cycles the off-chip channel
 // was busy, in [0, 1]. elapsed must be positive for a meaningful result.
@@ -115,15 +117,5 @@ func (m *Memory) Utilization(elapsed int64) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	u := float64(m.stats.BusyCycles) / float64(elapsed)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// Reset clears all state and statistics.
-func (m *Memory) Reset() {
-	m.nextFree = 0
-	m.stats = Stats{}
+	return min(1, float64(m.Stats().BusyCycles)/float64(elapsed))
 }

@@ -5,13 +5,18 @@ import (
 	"testing/quick"
 )
 
-func paperMemory(t *testing.T) *Memory {
+func newMemory(t *testing.T, cfg Config, ports int) *Memory {
 	t.Helper()
-	m, err := New(Config{LatencyCycles: 300, ServiceIntervalCycles: 30})
+	m, err := New(cfg, ports)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	return m
+}
+
+func paperMemory(t *testing.T) *Memory {
+	t.Helper()
+	return newMemory(t, Config{LatencyCycles: 300, ServiceIntervalCycles: 30}, 1)
 }
 
 func TestValidate(t *testing.T) {
@@ -21,14 +26,14 @@ func TestValidate(t *testing.T) {
 	if err := (Config{ServiceIntervalCycles: -1}).Validate(); err == nil {
 		t.Fatalf("accepted negative service interval")
 	}
-	if _, err := New(Config{LatencyCycles: -1}); err == nil {
+	if _, err := New(Config{LatencyCycles: -1}, 1); err == nil {
 		t.Fatalf("New accepted invalid config")
 	}
 }
 
 func TestUncontendedFetchLatency(t *testing.T) {
 	m := paperMemory(t)
-	done := m.Fetch(1000)
+	done := m.Fetch(0, 1000)
 	if done != 1300 {
 		t.Fatalf("fetch completion = %d, want 1300", done)
 	}
@@ -41,8 +46,8 @@ func TestUncontendedFetchLatency(t *testing.T) {
 func TestBandwidthQueueing(t *testing.T) {
 	m := paperMemory(t)
 	// Two simultaneous fetches: the second queues for one service interval.
-	d1 := m.Fetch(0)
-	d2 := m.Fetch(0)
+	d1 := m.Fetch(0, 0)
+	d2 := m.Fetch(0, 0)
 	if d1 != 300 {
 		t.Fatalf("first fetch = %d, want 300", d1)
 	}
@@ -56,8 +61,8 @@ func TestBandwidthQueueing(t *testing.T) {
 
 func TestWidelySpacedFetchesDoNotQueue(t *testing.T) {
 	m := paperMemory(t)
-	m.Fetch(0)
-	d := m.Fetch(1000)
+	m.Fetch(0, 0)
+	d := m.Fetch(0, 1000)
 	if d != 1300 {
 		t.Fatalf("spaced fetch = %d, want 1300", d)
 	}
@@ -68,8 +73,8 @@ func TestWidelySpacedFetchesDoNotQueue(t *testing.T) {
 
 func TestWritebackConsumesBandwidthWithoutStalling(t *testing.T) {
 	m := paperMemory(t)
-	m.Writeback(0)
-	d := m.Fetch(0)
+	m.Writeback(0, 0)
+	d := m.Fetch(0, 0)
 	if d != 330 {
 		t.Fatalf("fetch after writeback = %d, want 330", d)
 	}
@@ -82,7 +87,7 @@ func TestWritebackConsumesBandwidthWithoutStalling(t *testing.T) {
 func TestUtilization(t *testing.T) {
 	m := paperMemory(t)
 	for i := 0; i < 10; i++ {
-		m.Fetch(int64(i) * 30)
+		m.Fetch(0, int64(i)*30)
 	}
 	// 10 transfers x 30 cycles over 300 cycles = 100% busy.
 	if u := m.Utilization(300); u != 1.0 {
@@ -96,19 +101,10 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	m := paperMemory(t)
-	m.Fetch(0)
-	m.Reset()
-	if m.Stats().Fetches != 0 || m.NextFree() != 0 {
-		t.Fatalf("Reset did not clear state")
-	}
-}
-
 func TestZeroServiceIntervalMeansInfiniteBandwidth(t *testing.T) {
-	m := MustNew(Config{LatencyCycles: 100, ServiceIntervalCycles: 0})
-	d1 := m.Fetch(0)
-	d2 := m.Fetch(0)
+	m := newMemory(t, Config{LatencyCycles: 100, ServiceIntervalCycles: 0}, 1)
+	d1 := m.Fetch(0, 0)
+	d2 := m.Fetch(0, 0)
 	if d1 != 100 || d2 != 100 {
 		t.Fatalf("fetches = %d, %d, want 100, 100", d1, d2)
 	}
@@ -118,12 +114,15 @@ func TestZeroServiceIntervalMeansInfiniteBandwidth(t *testing.T) {
 // order preserves channel start order (FIFO).
 func TestPropertyFetchMonotonic(t *testing.T) {
 	f := func(deltas []uint8) bool {
-		m := MustNew(Config{LatencyCycles: 50, ServiceIntervalCycles: 7})
+		m, err := New(Config{LatencyCycles: 50, ServiceIntervalCycles: 7}, 1)
+		if err != nil {
+			return false
+		}
 		now := int64(0)
 		lastDone := int64(0)
 		for _, d := range deltas {
 			now += int64(d % 20)
-			done := m.Fetch(now)
+			done := m.Fetch(0, now)
 			if done < now+50 {
 				return false
 			}
@@ -139,11 +138,70 @@ func TestPropertyFetchMonotonic(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("MustNew did not panic")
+// TestPortValidation checks a request from a port the memory was not built
+// with panics instead of being charged to some other port.
+func TestPortValidation(t *testing.T) {
+	m := newMemory(t, Config{LatencyCycles: 300, ServiceIntervalCycles: 30}, 2)
+	for _, port := range []int{-1, 2} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Fetch from port %d of 2 did not panic", port)
+				}
+			}()
+			m.Fetch(port, 0)
+		}()
+	}
+	if got := len(m.PortStats()); got != 2 {
+		t.Fatalf("PortStats has %d entries, want 2", got)
+	}
+}
+
+// TestPortsShareOneChannel checks the ports add no timing of their own:
+// requests spread over three ports complete exactly when the same sequence
+// issued on one port does.
+func TestPortsShareOneChannel(t *testing.T) {
+	one := paperMemory(t)
+	three := newMemory(t, Config{LatencyCycles: 300, ServiceIntervalCycles: 30}, 3)
+	issues := []struct {
+		port int
+		now  int64
+	}{{0, 0}, {1, 0}, {2, 10}, {0, 1000}}
+	for _, is := range issues {
+		want := one.Fetch(0, is.now)
+		if got := three.Fetch(is.port, is.now); got != want {
+			t.Errorf("Fetch(port=%d, now=%d) = %d, want %d", is.port, is.now, got, want)
 		}
-	}()
-	MustNew(Config{LatencyCycles: -1})
+	}
+	one.Writeback(0, 2000)
+	three.Writeback(1, 2000)
+	if one.Fetch(0, 2000) != three.Fetch(2, 2000) {
+		t.Errorf("a write-back on one port did not delay a fetch on another")
+	}
+	if one.Stats() != three.Stats() {
+		t.Errorf("chip-level stats diverged: %+v vs %+v", one.Stats(), three.Stats())
+	}
+}
+
+// TestPortAttribution checks contention is charged to the port that
+// suffered it and that the port stats sum to the chip totals.
+func TestPortAttribution(t *testing.T) {
+	m := newMemory(t, Config{LatencyCycles: 300, ServiceIntervalCycles: 30}, 2)
+	m.Fetch(0, 0) // starts service at 0
+	m.Fetch(1, 0) // queues 30 cycles behind port 0
+	m.Writeback(0, 100)
+	ports := m.PortStats()
+	want := []Stats{
+		{Fetches: 1, Writebacks: 1, QueueCycles: 0, BusyCycles: 60},
+		{Fetches: 1, QueueCycles: 30, BusyCycles: 30},
+	}
+	for i := range want {
+		if ports[i] != want[i] {
+			t.Errorf("port %d = %+v, want %+v", i, ports[i], want[i])
+		}
+	}
+	chip := Stats{Fetches: 2, Writebacks: 1, QueueCycles: 30, BusyCycles: 90}
+	if got := m.Stats(); got != chip {
+		t.Errorf("chip stats = %+v, want %+v (the port sums)", got, chip)
+	}
 }

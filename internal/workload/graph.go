@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"cmpsched/internal/dag"
 	"cmpsched/internal/graph"
 	"cmpsched/internal/taskgroup"
@@ -31,21 +29,11 @@ type GraphShape struct {
 	// EdgesPerTask is the per-task edge-traversal budget, the
 	// task-granularity knob (default 4096).
 	EdgesPerTask int64
-	// Representation selects the host representation the kernels walk:
-	// graph.ReprFlat or graph.ReprCompressed (default flat).  The choice
-	// never changes the emitted DAG — kernels address the simulated flat
-	// CSR layout either way (the differential suite in internal/graph pins
-	// this) — it only changes host memory and build time, which is what
-	// lets RMAT at 2^22+ vertices fit.
-	Representation string
 }
 
 func (s GraphShape) withDefaults(vertices int64) GraphShape {
 	if s.Family == "" {
 		s.Family = graph.FamilyUniform
-	}
-	if s.Representation == "" {
-		s.Representation = graph.ReprFlat
 	}
 	if s.Vertices == 0 {
 		s.Vertices = vertices
@@ -65,26 +53,14 @@ func (s GraphShape) withDefaults(vertices int64) GraphShape {
 	return s
 }
 
-// build materialises the graph for the shape in the selected representation.
-func (s GraphShape) build() (graph.Graph, error) {
-	g, err := graph.New(graph.Config{
+// build generates the shape's graph.
+func (s GraphShape) build() (*graph.CSR, error) {
+	return graph.New(graph.Config{
 		Family:    s.Family,
 		Vertices:  s.Vertices,
 		AvgDegree: s.AvgDegree,
 		Seed:      s.Seed,
 	})
-	if err != nil {
-		return nil, err
-	}
-	switch s.Representation {
-	case "", graph.ReprFlat:
-		return g, nil
-	case graph.ReprCompressed:
-		return graph.Compress(g)
-	default:
-		return nil, fmt.Errorf("workload: unknown graph representation %q (want %q or %q)",
-			s.Representation, graph.ReprFlat, graph.ReprCompressed)
-	}
 }
 
 // costs maps the shape to kernel cost parameters.
