@@ -41,8 +41,8 @@ func BenchmarkFigure2DefaultConfigs(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.RelativeSpeedup("hashjoin", 32), "hashjoin-pdf/ws")
-		b.ReportMetric(res.RelativeSpeedup("mergesort", 32), "mergesort-pdf/ws")
+		b.ReportMetric(res.Speedup(experiments.Point{Workload: "hashjoin", Cores: 32}, "pdf", "ws"), "hashjoin-pdf/ws")
+		b.ReportMetric(res.Speedup(experiments.Point{Workload: "mergesort", Cores: 32}, "pdf", "ws"), "mergesort-pdf/ws")
 	}
 }
 
@@ -63,7 +63,7 @@ func BenchmarkFigure4L2HitTime(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.RelativeSpeedup("hashjoin", 19), "hashjoin-pdf/ws@19cyc")
+		b.ReportMetric(res.Speedup(experiments.Point{Workload: "hashjoin", Cores: 16, Param: 19}, "pdf", "ws"), "hashjoin-pdf/ws@19cyc")
 	}
 }
 
@@ -73,7 +73,7 @@ func BenchmarkFigure5MemoryLatency(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.RelativeSpeedup("hashjoin", 1100), "hashjoin-pdf/ws@1100cyc")
+		b.ReportMetric(res.Speedup(experiments.Point{Workload: "hashjoin", Cores: 16, Param: 1100}, "pdf", "ws"), "hashjoin-pdf/ws@1100cyc")
 	}
 }
 
@@ -104,7 +104,7 @@ func BenchmarkGranularityCoarseVsFine(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Row("mergesort", "pdf").Speedup(), "mergesort-fine/coarse")
+		b.ReportMetric(res.FineSpeedup("mergesort", "pdf"), "mergesort-fine/coarse")
 	}
 }
 
@@ -422,10 +422,10 @@ func BenchmarkIrregularComparisonQuick(b *testing.B) {
 		}
 		// Headline shape number: how much MPKI the private organisation
 		// costs PDF on the BFS/uniform point.
-		pdfShared := res.Row("bfs", "uniform", 8, "shared", "pdf")
-		pdfPrivate := res.Row("bfs", "uniform", 8, "private", "pdf")
-		if pdfShared != nil && pdfPrivate != nil && pdfShared.L2MissesPerKiloInstr > 0 {
-			b.ReportMetric(pdfPrivate.L2MissesPerKiloInstr/pdfShared.L2MissesPerKiloInstr, "private/shared-MPKI")
+		pdfShared := res.Get(experiments.Point{Workload: "bfs", Input: "uniform", Cores: 8, Topology: "shared"}, "pdf")
+		pdfPrivate := res.Get(experiments.Point{Workload: "bfs", Input: "uniform", Cores: 8, Topology: "private"}, "pdf")
+		if pdfShared != nil && pdfPrivate != nil && pdfShared.L2MissesPerKiloInstr() > 0 {
+			b.ReportMetric(pdfPrivate.L2MissesPerKiloInstr()/pdfShared.L2MissesPerKiloInstr(), "private/shared-MPKI")
 		}
 	}
 }

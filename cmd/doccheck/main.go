@@ -2,7 +2,7 @@
 // scanned package lacks a package comment or exports an identifier without
 // a doc comment.  It is a vendored-free, go/ast-based stand-in for the
 // "exported" rules of golint/revive, run by `make doc-check` (and CI) over
-// the public facade and internal/sched.
+// every package of the module.
 //
 // Usage:
 //

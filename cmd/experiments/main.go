@@ -13,10 +13,12 @@
 // not paper figures: topology evaluates the paper's shared-vs-private
 // premise by rerunning PDF vs WS with the L2 organised as shared, clustered
 // and per-core private slices; irregular asks the same PDF-vs-WS question
-// on the data-dependent graph kernels (BFS, SSSP, PageRank, triangle
-// counting) across generator families; and scheduler widens the scheduler
-// axis itself, comparing every registered scheduler (PDF, WS, the
-// locality-guided ws:nearest and the space-bounded sb) across topologies.
+// on the eight data-dependent graph kernels (BFS, SSSP, PageRank, triangle
+// counting, connectivity, k-core, MIS and matching) across generator
+// families; and scheduler widens the scheduler axis itself, comparing every
+// registered scheduler (PDF, WS, the locality-guided ws:nearest and the
+// space-bounded sb) across topologies.  The experiments are the studies of
+// experiments.Studies, run in its order.
 package main
 
 import (
@@ -31,34 +33,11 @@ import (
 	"cmpsched/internal/pprofio"
 )
 
-// runner couples an experiment name with its execution function.
-type runner struct {
-	name string
-	run  func(experiments.Options) (fmt.Stringer, error)
-}
-
-func runners() []runner {
-	return []runner{
-		{"fig1", func(o experiments.Options) (fmt.Stringer, error) { return experiments.Figure1(o) }},
-		{"fig2", func(o experiments.Options) (fmt.Stringer, error) { return experiments.Figure2(o) }},
-		{"fig3", func(o experiments.Options) (fmt.Stringer, error) { return experiments.Figure3(o) }},
-		{"fig4", func(o experiments.Options) (fmt.Stringer, error) { return experiments.Figure4(o) }},
-		{"fig5", func(o experiments.Options) (fmt.Stringer, error) { return experiments.Figure5(o) }},
-		{"fig6", func(o experiments.Options) (fmt.Stringer, error) { return experiments.Figure6(o) }},
-		{"fig8", func(o experiments.Options) (fmt.Stringer, error) { return experiments.Figure8(o) }},
-		{"grain", func(o experiments.Options) (fmt.Stringer, error) { return experiments.Granularity(o) }},
-		{"profiler", func(o experiments.Options) (fmt.Stringer, error) { return experiments.ProfilerComparison(o) }},
-		{"topology", func(o experiments.Options) (fmt.Stringer, error) { return experiments.TopologyComparison(o) }},
-		{"irregular", func(o experiments.Options) (fmt.Stringer, error) { return experiments.IrregularComparison(o) }},
-		{"scheduler", func(o experiments.Options) (fmt.Stringer, error) { return experiments.SchedulerComparison(o) }},
-	}
-}
-
 func main() {
 	var (
 		which      = flag.String("experiment", "all", "experiment to run: fig1, fig2, fig3, fig4, fig5, fig6, fig8, grain, profiler, topology, irregular, scheduler or all")
 		quick      = flag.Bool("quick", false, "use reduced inputs (seconds instead of minutes)")
-		scale      = flag.Int64("scale", config.DefaultScale, "capacity scale factor relative to the paper's configurations")
+		scale      = flag.Int64("scale", config.DefaultScale, "scale factor dividing the paper's cache capacities and the harness's workload inputs")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -74,16 +53,16 @@ func main() {
 	opts := experiments.Options{Scale: *scale, Quick: *quick}
 	selected := strings.Split(*which, ",")
 	ran := 0
-	for _, r := range runners() {
-		if !wants(selected, r.name) {
+	for _, s := range experiments.Studies() {
+		if !wants(selected, s.Name) {
 			continue
 		}
 		start := time.Now()
-		res, err := r.run(opts)
+		res, err := s.Run(opts)
 		if err != nil {
-			fatalf(1, "%s: %v", r.name, err)
+			fatalf(1, "%s: %v", s.Name, err)
 		}
-		fmt.Printf("==== %s (%.1fs) ====\n%s", r.name, time.Since(start).Seconds(), res.String())
+		fmt.Printf("==== %s (%.1fs) ====\n%s", s.Name, time.Since(start).Seconds(), res.String())
 		ran++
 	}
 	if ran == 0 {

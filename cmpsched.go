@@ -167,6 +167,10 @@ type (
 
 	// ExperimentOptions controls the experiment harness.
 	ExperimentOptions = experiments.Options
+	// ExperimentPoint names one cell of a study's table (workload, input
+	// variant, cores, topology, swept parameter); a study's Get, Cycles,
+	// Speedup and MissReduction take one with a scheduler name.
+	ExperimentPoint = experiments.Point
 
 	// SweepSpec declares a design-space sweep: the cross product of
 	// workloads, schedulers and CMP configurations (see internal/sweep).
@@ -342,7 +346,8 @@ func RunSequential(d *DAG, cfg CMPConfig) (*SimResult, error) {
 
 // BuildWorkload builds a benchmark by name with its default (scaled)
 // parameters; see WorkloadNames for the registered names (the regular suite
-// plus the graph kernels "bfs", "sssp", "pagerank" and "triangles").
+// plus the eight graph kernels: "bfs", "sssp", "pagerank", "triangles",
+// "connectivity", "kcore", "mis" and "matching").
 func BuildWorkload(name string) (*DAG, *GroupTree, error) {
 	w, err := workload.New(name)
 	if err != nil {

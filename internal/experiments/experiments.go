@@ -8,20 +8,28 @@
 // task-coarsening evaluation (Figure 8).
 //
 // Each experiment returns a typed result with a String method that prints
-// the same rows or series the paper reports; cmd/experiments and the
-// benchmarks in the repository root drive these functions.  Absolute numbers
-// differ from the paper (the substrate is a scaled event-driven model, not
-// the authors' testbed); the shapes — who wins, by what factor, where the
-// crossovers fall — are what the harness reproduces (see EXPERIMENTS.md).
+// the same rows or series the paper reports; Studies lists them for
+// cmd/experiments, and the benchmarks in the repository root drive them too.
+// Absolute numbers differ from the paper (the substrate is a scaled
+// event-driven model, not the authors' testbed); the shapes — who wins, by
+// what factor, where the crossovers fall — are what the harness reproduces
+// (see EXPERIMENTS.md).
 //
-// Every figure expands into a list of simulation jobs executed by the
-// parallel sweep engine (internal/sweep), so figures use all cores of the
-// host and repeated runs are served from the engine's result cache when one
-// is configured (see Options.Workers and Options.Cache).
+// The simulation studies share one result type, a Table of Rows, each row a
+// Point (workload, input variant, cores, topology, swept parameter) under
+// one scheduler with its simulator result; a study adds only its own
+// helpers and rendering.  Figures 2 and 3 and the topology, irregularity
+// and scheduler studies are sweep.Spec grids expanded with the harness's
+// workload factory; Figures 4 to 6 and the §5.4 comparison list their
+// points explicitly.  Every study runs its jobs in one run of the parallel
+// sweep engine (internal/sweep), so it uses all cores of the host and
+// repeated runs are served from the engine's result cache when one is
+// configured (see Options.Workers and Options.Cache).
 package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"cmpsched/internal/config"
 	"cmpsched/internal/dag"
@@ -38,8 +46,11 @@ type Options struct {
 	// preserve ratios) so that a full experiment finishes in a couple of
 	// seconds; used by tests. Full runs (Quick=false) take minutes.
 	Quick bool
-	// Cores optionally restricts the core counts evaluated (when nil the
-	// experiment's default list is used).
+	// Cores optionally replaces a study's default core counts.  It filters
+	// the study's configuration table the way sweep.Spec.Cores does: a
+	// core count the table lacks is skipped, and only a list matching none
+	// of the table's configurations is an error.  The studies run on fixed
+	// configurations (Figures 1, 4 and 5 and the §5.4 comparison) ignore it.
 	Cores []int
 	// Workers bounds the number of concurrent simulations when a figure's
 	// jobs run on the sweep engine. Zero means one worker per host CPU; 1
@@ -52,17 +63,10 @@ type Options struct {
 }
 
 // effectiveScale returns the configuration scale factor for the options,
-// by the rule sweep specifications follow.
+// by the rule sweep specifications follow.  It divides the harness's inputs
+// too (see DESIGN.md, "The scale-factor convention").
 func (o Options) effectiveScale() int64 {
 	return sweep.Spec{Scale: o.Scale, Quick: o.Quick}.EffectiveScale()
-}
-
-// quickDiv returns the factor by which workload inputs shrink in quick mode.
-func (o Options) quickDiv() int64 {
-	if o.Quick {
-		return 16
-	}
-	return 1
 }
 
 func (o Options) coresOrDefault(def []int) []int {
@@ -72,8 +76,13 @@ func (o Options) coresOrDefault(def []int) []int {
 	return def
 }
 
-// scaledDefault returns the Table 2 configuration for the core count, scaled.
+// scaledDefault returns the Table 2 configuration for the core count,
+// scaled.  A negative scale is an error, as it is for sweep.Spec: it would
+// leave the caches unscaled and the inputs negative.
 func (o Options) scaledDefault(cores int) (config.CMP, error) {
+	if o.Scale < 0 {
+		return config.CMP{}, fmt.Errorf("experiments: negative scale %d", o.Scale)
+	}
 	c, err := config.Default(cores)
 	if err != nil {
 		return config.CMP{}, err
@@ -81,54 +90,73 @@ func (o Options) scaledDefault(cores int) (config.CMP, error) {
 	return c.Scaled(o.effectiveScale()), nil
 }
 
-// scaled45nm returns the Table 3 configuration for the core count, scaled.
-func (o Options) scaled45nm(cores int) (config.CMP, error) {
-	c, err := config.SingleTech45(cores)
-	if err != nil {
-		return config.CMP{}, err
+// scaledDefaults returns the scaled Table 2 configurations for the study's
+// core counts (Options.Cores, or def), in that order, skipping a count the
+// table lacks; only a list matching nothing is an error.
+func (o Options) scaledDefaults(def []int) ([]config.CMP, error) {
+	var out []config.CMP
+	for _, cores := range o.coresOrDefault(def) {
+		if _, err := config.Default(cores); err != nil {
+			continue
+		}
+		c, err := o.scaledDefault(cores)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, c)
 	}
-	return c.Scaled(o.effectiveScale()), nil
+	if len(out) == 0 {
+		return nil, fmt.Errorf("experiments: no default configuration matches cores %v", o.Cores)
+	}
+	return out, nil
 }
 
-// mergesortConfig returns the Mergesort input used by the experiments.
+// mergesortConfig returns the Mergesort input used by the experiments:
+// 2^25 elements in tasks of 512 KiB working set at capacity scale 1, both
+// divided by the effective scale (the task working set no smaller than
+// 2 KiB).
 func (o Options) mergesortConfig() workload.MergesortConfig {
+	scale := o.effectiveScale()
 	return workload.MergesortConfig{
-		Elements:            (1 << 20) / o.quickDiv(),
-		TaskWorkingSetBytes: max(2<<10, (16<<10)/o.quickDiv()),
+		Elements:            (1 << 25) / scale,
+		TaskWorkingSetBytes: max(2<<10, (512<<10)/scale),
 	}
 }
 
-// hashJoinConfig returns the Hash Join input used by the experiments, with
-// sub-partitions sized for the given configuration's L2 as a database system
-// would size them.
+// hashJoinConfig returns the Hash Join input used by the experiments: the
+// paper's 1 GiB buffer of build and probe partitions divided by the
+// effective scale, with sub-partitions sized for the given configuration's
+// L2 as a database system would size them.
 func (o Options) hashJoinConfig(cfg config.CMP) workload.HashJoinConfig {
 	hj := workload.HashJoinConfigForL2(cfg.L2.SizeBytes)
-	hj.PartitionBytes = (32 << 20) / o.quickDiv()
+	hj.PartitionBytes = (1 << 30) / o.effectiveScale()
 	return hj
 }
 
-// luConfig returns the LU input used by the experiments.
+// luConfig returns the LU input used by the experiments: an N x N matrix
+// of N^2 = 512^2 * 32 elements at capacity scale 1, divided by the effective
+// scale and rounded down to whole 32-element blocks (at least one).
 func (o Options) luConfig() workload.LUConfig {
-	n := int64(512)
-	if o.Quick {
-		n = 128
-	}
-	return workload.LUConfig{N: n, BlockElems: 32}
+	const block = 32
+	n := int64(math.Sqrt(float64(512*512*32) / float64(o.effectiveScale())))
+	return workload.LUConfig{N: max(block, n-n%block), BlockElems: block}
 }
 
 // graphShape returns the graph input used by the experiments for a kernel
-// and generator family, shrunk in quick mode like every other input.
+// and generator family: 2^20 vertices at capacity scale 1 (PageRank 2^18,
+// triangle counting 2^19), divided by the effective scale and no fewer
+// than 2^11.
 func (o Options) graphShape(kernel, family string) workload.GraphShape {
-	verts := int64(1 << 15)
+	verts := int64(1 << 20)
 	switch kernel {
 	case "pagerank":
-		verts = 1 << 13
+		verts = 1 << 18
 	case "triangles":
-		verts = 1 << 14
+		verts = 1 << 19
 	}
 	shape := workload.GraphShape{
 		Family:   family,
-		Vertices: max(1<<11, verts/o.quickDiv()),
+		Vertices: max(1<<11, verts/o.effectiveScale()),
 	}
 	if o.Quick {
 		// Keep several tasks per frontier on the shrunken graphs so the
@@ -138,71 +166,66 @@ func (o Options) graphShape(kernel, family string) workload.GraphShape {
 	return shape
 }
 
-// graphWorkload builds a graph kernel workload on the experiments' inputs
-// and returns the canonical fingerprint of its default-filled configuration,
-// from the same switch, so the two can never drift apart.
-func (o Options) graphWorkload(kernel, family string) (workload.Workload, string, error) {
-	shape := o.graphShape(kernel, family)
-	switch kernel {
-	case "bfs":
-		w := workload.NewBFS(workload.BFSConfig{Shape: shape})
-		return w, fmt.Sprintf("%+v", w.Config()), nil
-	case "sssp":
-		w := workload.NewSSSP(workload.SSSPConfig{Shape: shape})
-		return w, fmt.Sprintf("%+v", w.Config()), nil
-	case "pagerank":
-		w := workload.NewPageRank(workload.PageRankConfig{Shape: shape})
-		return w, fmt.Sprintf("%+v", w.Config()), nil
-	case "triangles":
-		w := workload.NewTriangles(workload.TrianglesConfig{Shape: shape})
-		return w, fmt.Sprintf("%+v", w.Config()), nil
-	case "connectivity":
-		w := workload.NewConnectivity(workload.ConnectivityConfig{Shape: shape})
-		return w, fmt.Sprintf("%+v", w.Config()), nil
-	case "kcore":
-		w := workload.NewKCore(workload.KCoreConfig{Shape: shape})
-		return w, fmt.Sprintf("%+v", w.Config()), nil
-	case "mis":
-		w := workload.NewMIS(workload.MISConfig{Shape: shape})
-		return w, fmt.Sprintf("%+v", w.Config()), nil
-	case "matching":
-		w := workload.NewMatching(workload.MatchingConfig{Shape: shape})
-		return w, fmt.Sprintf("%+v", w.Config()), nil
-	default:
-		return nil, "", fmt.Errorf("experiments: unknown graph kernel %q", kernel)
-	}
-}
-
 // GraphKernels lists the irregular graph workloads, in the order the
 // irregularity figure reports them.
 func GraphKernels() []string {
 	return []string{"bfs", "sssp", "pagerank", "triangles", "connectivity", "kcore", "mis", "matching"}
 }
 
-// workloadSpec is the single point deciding both the inputs a named
-// benchmark is built with and the canonical fingerprint of those inputs —
-// one switch, so a sweep cache key always covers exactly what the build
-// uses (a drift between the two would silently serve wrong cached results).
-func (o Options) workloadSpec(name string, cfg config.CMP) (build sweep.BuildFunc, params string, err error) {
-	switch name {
-	case "mergesort":
-		c := o.mergesortConfig()
-		return dagOf(workload.NewMergesort(c)), fmt.Sprintf("%+v", c), nil
-	case "hashjoin":
-		c := o.hashJoinConfig(cfg)
-		return dagOf(workload.NewHashJoin(c)), fmt.Sprintf("%+v", c), nil
-	case "lu":
-		c := o.luConfig()
-		return dagOf(workload.NewLU(c)), fmt.Sprintf("%+v", c), nil
-	case "bfs", "sssp", "pagerank", "triangles", "connectivity", "kcore", "mis", "matching":
-		return o.graphSpec(name, "")
-	default:
-		// The remaining benchmarks take no Options-dependent inputs.
-		w, err := workload.New(name)
-		if err != nil {
-			return nil, "", err
+// factory returns the harness's workload factory, with the graph kernels
+// on the given generator family ("" means each kernel's default, uniform).
+// One switch decides both the inputs a benchmark is built with and their
+// canonical fingerprint — the default-filled configuration — so a sweep
+// cache key always covers exactly what the build uses (a drift between the
+// two would silently serve wrong cached results).
+func (o Options) factory(family string) sweep.WorkloadFactory {
+	return func(name string, cfg config.CMP) (sweep.BuildFunc, string, error) {
+		var w workload.Workload
+		var params any
+		shape := o.graphShape(name, family)
+		switch name {
+		case "mergesort":
+			c := o.mergesortConfig()
+			w, params = workload.NewMergesort(c), c
+		case "hashjoin":
+			c := o.hashJoinConfig(cfg)
+			w, params = workload.NewHashJoin(c), c
+		case "lu":
+			c := o.luConfig()
+			w, params = workload.NewLU(c), c
+		case "bfs":
+			k := workload.NewBFS(workload.BFSConfig{Shape: shape})
+			w, params = k, k.Config()
+		case "sssp":
+			k := workload.NewSSSP(workload.SSSPConfig{Shape: shape})
+			w, params = k, k.Config()
+		case "pagerank":
+			k := workload.NewPageRank(workload.PageRankConfig{Shape: shape})
+			w, params = k, k.Config()
+		case "triangles":
+			k := workload.NewTriangles(workload.TrianglesConfig{Shape: shape})
+			w, params = k, k.Config()
+		case "connectivity":
+			k := workload.NewConnectivity(workload.ConnectivityConfig{Shape: shape})
+			w, params = k, k.Config()
+		case "kcore":
+			k := workload.NewKCore(workload.KCoreConfig{Shape: shape})
+			w, params = k, k.Config()
+		case "mis":
+			k := workload.NewMIS(workload.MISConfig{Shape: shape})
+			w, params = k, k.Config()
+		case "matching":
+			k := workload.NewMatching(workload.MatchingConfig{Shape: shape})
+			w, params = k, k.Config()
+		default:
+			// The remaining benchmarks take no Options-dependent inputs.
+			var err error
+			if w, err = workload.New(name); err != nil {
+				return nil, "", err
+			}
+			params = "default"
 		}
-		return dagOf(w), "default", nil
+		return dagOf(w), fmt.Sprintf("%+v", params), nil
 	}
 }
 
@@ -215,102 +238,43 @@ func dagOf(w workload.Workload) sweep.BuildFunc {
 	}
 }
 
-// graphSpec returns the build function and canonical fingerprint for a graph
-// kernel on the given generator family ("" means the kernel's default,
-// uniform).  The fingerprint is the default-filled kernel configuration, so
-// it covers the family, the graph shape and the task grain.
-func (o Options) graphSpec(kernel, family string) (sweep.BuildFunc, string, error) {
-	w, params, err := o.graphWorkload(kernel, family)
-	if err != nil {
-		return nil, "", err
-	}
-	return dagOf(w), params, nil
-}
-
-// graphSchedulerJobs returns the (pdf, ws) jobs for one graph kernel on one
-// family and configuration — the fixed order the irregularity figure's
-// decoder relies on.
-func (o Options) graphSchedulerJobs(kernel, family string, cfg config.CMP) ([]sweep.Job, error) {
-	build, params, err := o.graphSpec(kernel, family)
-	if err != nil {
-		return nil, err
-	}
-	return []sweep.Job{
-		sweep.NewJob(kernel, params, "pdf", cfg, build),
-		sweep.NewJob(kernel, params, "ws", cfg, build),
-	}, nil
-}
-
 // run executes the jobs on the sweep engine configured by the options and
 // returns the results in job order.
 func (o Options) run(jobs []sweep.Job) ([]sweep.Result, error) {
 	return sweep.NewEngine(sweep.EngineOptions{Workers: o.Workers, Cache: o.Cache}).Run(jobs)
 }
 
-// grid pairs each experiment grid point's payload with its group of sweep
-// jobs, so the two can never drift out of alignment the way parallel
-// points/jobs slices could.  runGrid flattens every group into one engine
-// run (maximising parallelism across the whole figure) and hands each
-// payload its own results back.
-type grid[P any] struct {
-	points []P
-	groups [][]sweep.Job
-}
-
-// add appends one grid point and the jobs that evaluate it.
-func (g *grid[P]) add(p P, jobs ...sweep.Job) {
-	g.points = append(g.points, p)
-	g.groups = append(g.groups, jobs)
-}
-
-// runGrid executes the grid's jobs through the sweep engine and calls visit
-// once per point, in add order, with the point's results in job order.
-func runGrid[P any](o Options, g *grid[P], visit func(p P, rs []sweep.Result)) error {
-	var jobs []sweep.Job
-	for _, group := range g.groups {
-		jobs = append(jobs, group...)
-	}
-	results, err := o.run(jobs)
-	if err != nil {
-		return err
-	}
-	for i, p := range g.points {
-		n := len(g.groups[i])
-		visit(p, results[:n:n])
-		results = results[n:]
-	}
-	return nil
-}
-
-// jobsFor returns one job per named scheduler for the workload on cfg, in
-// scheduler order.  Scheduler names are any the registry accepts, plus the
-// sweep.Sequential pseudo-scheduler.
-func (o Options) jobsFor(name string, cfg config.CMP, schedulers []string) ([]sweep.Job, error) {
-	build, params, err := o.workloadSpec(name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]sweep.Job, 0, len(schedulers))
-	for _, sc := range schedulers {
-		jobs = append(jobs, sweep.NewJob(name, params, sc, cfg, build))
-	}
-	return jobs, nil
-}
-
-// schedulerJobs returns the jobs simulating the named workload on cfg —
-// optionally led by the sequential baseline, then PDF, then WS — the fixed
-// (seq, pdf, ws) order the figure decoders rely on.
-func (o Options) schedulerJobs(name string, cfg config.CMP, withSeq bool) ([]sweep.Job, error) {
-	schedulers := []string{"pdf", "ws"}
-	if withSeq {
-		schedulers = append([]string{sweep.Sequential}, schedulers...)
-	}
-	return o.jobsFor(name, cfg, schedulers)
-}
-
 // WorkloadFactory adapts the harness's standard inputs (paper-sized,
 // quick-scaled) to sweep.Spec, so cmd/sweep grids use the same workload
 // parameterisation as the figures.
 func (o Options) WorkloadFactory() sweep.WorkloadFactory {
-	return o.workloadSpec
+	return o.factory("")
+}
+
+// Study couples a study's command-line name with its runner.
+type Study struct {
+	// Name is the study's name on cmd/experiments' -experiment flag.
+	Name string
+	// Run executes the study; its String method prints the study's tables.
+	Run func(Options) (fmt.Stringer, error)
+}
+
+// Studies lists every study in the order cmd/experiments runs them: the
+// paper's figures and tables, then the topology, irregular and scheduler
+// studies that widen its axes.
+func Studies() []Study {
+	return []Study{
+		{"fig1", func(o Options) (fmt.Stringer, error) { return Figure1(o) }},
+		{"fig2", func(o Options) (fmt.Stringer, error) { return Figure2(o) }},
+		{"fig3", func(o Options) (fmt.Stringer, error) { return Figure3(o) }},
+		{"fig4", func(o Options) (fmt.Stringer, error) { return Figure4(o) }},
+		{"fig5", func(o Options) (fmt.Stringer, error) { return Figure5(o) }},
+		{"fig6", func(o Options) (fmt.Stringer, error) { return Figure6(o) }},
+		{"fig8", func(o Options) (fmt.Stringer, error) { return Figure8(o) }},
+		{"grain", func(o Options) (fmt.Stringer, error) { return Granularity(o) }},
+		{"profiler", func(o Options) (fmt.Stringer, error) { return ProfilerComparison(o) }},
+		{"topology", func(o Options) (fmt.Stringer, error) { return TopologyComparison(o) }},
+		{"irregular", func(o Options) (fmt.Stringer, error) { return IrregularComparison(o) }},
+		{"scheduler", func(o Options) (fmt.Stringer, error) { return SchedulerComparison(o) }},
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cmpsched/internal/config"
 	"cmpsched/internal/sweep"
 )
 
@@ -15,11 +16,11 @@ func quick(cores ...int) Options {
 
 func TestOptionsScaling(t *testing.T) {
 	o := Options{}
-	if o.effectiveScale() != 32 || o.quickDiv() != 1 {
+	if o.effectiveScale() != 32 {
 		t.Fatalf("default options wrong: scale=%d", o.effectiveScale())
 	}
 	q := Options{Quick: true}
-	if q.effectiveScale() != 32*16 || q.quickDiv() != 16 {
+	if q.effectiveScale() != 32*16 {
 		t.Fatalf("quick options wrong")
 	}
 	s := Options{Scale: 8}
@@ -28,6 +29,60 @@ func TestOptionsScaling(t *testing.T) {
 	}
 	if got := (Options{Cores: []int{3}}).coresOrDefault([]int{1, 2}); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("coresOrDefault wrong")
+	}
+	// Cores filters a study's configuration table like sweep.Spec.Cores:
+	// a count the table lacks is skipped, a filter matching nothing fails.
+	if cfgs, err := (Options{Cores: []int{3, 16}}).scaledDefaults(nil); err != nil || len(cfgs) != 1 || cfgs[0].Cores != 16 {
+		t.Fatalf("scaledDefaults(cores 3, 16) = %v, %v; want the 16-core configuration alone", cfgs, err)
+	}
+	if _, err := Figure6(Options{Quick: true, Cores: []int{3}}); err == nil {
+		t.Errorf("Figure6 accepted cores [3], which no default configuration has")
+	}
+	if _, err := TopologyComparison(Options{Quick: true, Cores: []int{3}}); err == nil {
+		t.Errorf("TopologyComparison accepted cores [3], which no default configuration has")
+	}
+	for _, s := range Studies() {
+		if _, err := s.Run(Options{Quick: true, Scale: -1}); err == nil {
+			t.Errorf("%s accepted a negative scale", s.Name)
+		}
+	}
+}
+
+// TestInputsFollowScale pins the scale-factor convention: the harness
+// divides its inputs by the same effective scale as the cache capacities, so
+// an explicit Scale moves the inputs with the caches.
+func TestInputsFollowScale(t *testing.T) {
+	for _, tc := range []struct {
+		opts         Options
+		scale        int64
+		elements, lu int64
+		bfs          int64
+	}{
+		{Options{Scale: 1}, 1, 1 << 25, 2880, 1 << 20},
+		{Options{Scale: 8}, 8, 1 << 22, 1024, 1 << 17},
+		{Options{}, 32, 1 << 20, 512, 1 << 15},
+		{Options{Scale: 8, Quick: true}, 128, 1 << 18, 256, 1 << 13},
+		{Options{Quick: true}, 512, 1 << 16, 128, 1 << 11},
+	} {
+		if got := tc.opts.effectiveScale(); got != tc.scale {
+			t.Errorf("%+v: scale %d, want %d", tc.opts, got, tc.scale)
+			continue
+		}
+		if got := tc.opts.mergesortConfig().Elements; got != tc.elements {
+			t.Errorf("scale %d: mergesort elements %d, want %d", tc.scale, got, tc.elements)
+		}
+		if got := tc.opts.luConfig().N; got != tc.lu {
+			t.Errorf("scale %d: LU N %d, want %d", tc.scale, got, tc.lu)
+		}
+		if got := tc.opts.graphShape("bfs", "").Vertices; got != tc.bfs {
+			t.Errorf("scale %d: BFS vertices %d, want %d", tc.scale, got, tc.bfs)
+		}
+		if got, want := tc.opts.hashJoinConfig(config.CMP{}).PartitionBytes, int64(1<<30)/tc.scale; got != want {
+			t.Errorf("scale %d: hash join partition %d bytes, want %d", tc.scale, got, want)
+		}
+		if got, want := tc.opts.mergesortConfig().TaskWorkingSetBytes, max(2<<10, (512<<10)/tc.scale); got != want {
+			t.Errorf("scale %d: mergesort task working set %d bytes, want %d", tc.scale, got, want)
+		}
 	}
 }
 
@@ -99,41 +154,42 @@ func TestFigure2ShapesHold(t *testing.T) {
 		t.Fatalf("Figure2: %v", err)
 	}
 	// LU runs to 16 cores, the others too: 3 workloads x 3 core counts x
-	// 2 schedulers.
-	if len(res.Rows) != 18 {
-		t.Fatalf("rows = %d, want 18", len(res.Rows))
+	// 3 schedulers (the sequential baseline, PDF and WS).
+	if len(res.Rows) != 27 {
+		t.Fatalf("rows = %d, want 27", len(res.Rows))
 	}
+	at := func(wl string, cores int) Point { return Point{Workload: wl, Cores: cores} }
 	for _, wl := range []string{"hashjoin", "mergesort"} {
 		// PDF never loses to WS at 16 cores and reduces misses.
-		if rel := res.RelativeSpeedup(wl, 16); rel < 1.0 {
+		if rel := res.Speedup(at(wl, 16), "pdf", "ws"); rel < 1.0 {
 			t.Errorf("%s: PDF/WS relative speedup at 16 cores = %.3f, want >= 1.0", wl, rel)
 		}
-		if red := res.MissReductionPercent(wl, 16); red <= 0 {
+		if red := res.MissReduction(at(wl, 16), "pdf", "ws"); red <= 0 {
 			t.Errorf("%s: PDF should reduce L2 misses at 16 cores, got %.1f%%", wl, red)
 		}
 		// Speedups grow with core count.
-		if res.Row(wl, 16, "pdf").Speedup <= res.Row(wl, 1, "pdf").Speedup {
+		if res.Speedup(at(wl, 16), "pdf", sweep.Sequential) <= res.Speedup(at(wl, 1), "pdf", sweep.Sequential) {
 			t.Errorf("%s: speedup does not grow with cores", wl)
 		}
 	}
 	// LU: schedulers are within a few percent of each other (paper: the
 	// reduced misses scarcely affect performance).
-	if rel := res.RelativeSpeedup("lu", 16); rel < 0.9 || rel > 1.15 {
+	if rel := res.Speedup(at("lu", 16), "pdf", "ws"); rel < 0.9 || rel > 1.15 {
 		t.Errorf("lu: PDF and WS should perform alike, relative speedup %.3f", rel)
 	}
 	// LU uses far less off-chip bandwidth than Hash Join (§5.1).
-	luUtil := res.Row("lu", 16, "pdf").MemUtilization
-	hjUtil := res.Row("hashjoin", 16, "pdf").MemUtilization
+	luUtil := res.Get(at("lu", 16), "pdf").MemUtilization
+	hjUtil := res.Get(at("hashjoin", 16), "pdf").MemUtilization
 	if luUtil >= hjUtil {
 		t.Errorf("lu bandwidth utilisation (%.2f) should be below hashjoin's (%.2f)", luUtil, hjUtil)
 	}
-	if res.Row("lu", 32, "pdf") != nil {
+	if res.Get(at("lu", 32), "pdf") != nil {
 		t.Errorf("LU should not be reported above 16 cores")
 	}
 	if !strings.Contains(res.String(), "mergesort") {
 		t.Errorf("String output incomplete")
 	}
-	if res.Row("nope", 1, "pdf") != nil || res.RelativeSpeedup("nope", 1) != 0 {
+	if res.Get(at("nope", 1), "pdf") != nil || res.Speedup(at("nope", 1), "pdf", "ws") != 0 {
 		t.Errorf("missing rows should be nil/0")
 	}
 }
@@ -146,13 +202,14 @@ func TestFigure3ShapesHold(t *testing.T) {
 	if len(res.Rows) != 2*4*2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
+	at := func(wl string, cores int) Point { return Point{Workload: wl, Cores: cores} }
 	for _, wl := range Figure3Workloads() {
 		// Adding cores beyond 2 improves performance initially.
-		if res.Cycles(wl, 8, "pdf") >= res.Cycles(wl, 2, "pdf") {
+		if res.Cycles(at(wl, 8), "pdf") >= res.Cycles(at(wl, 2), "pdf") {
 			t.Errorf("%s: 8 cores not faster than 2 cores under PDF", wl)
 		}
 		// PDF at least matches WS at the largest core counts (smallest caches).
-		if res.Cycles(wl, 26, "pdf") > res.Cycles(wl, 26, "ws") {
+		if res.Cycles(at(wl, 26), "pdf") > res.Cycles(at(wl, 26), "ws") {
 			t.Errorf("%s: PDF slower than WS at 26 cores", wl)
 		}
 		if cores, cycles := res.BestCores(wl, "pdf"); cores == 0 || cycles == 0 {
@@ -162,7 +219,7 @@ func TestFigure3ShapesHold(t *testing.T) {
 			t.Errorf("%s: PDF should match best-WS at some design points", wl)
 		}
 	}
-	if res.Cycles("mergesort", 99, "pdf") != 0 {
+	if res.Cycles(at("mergesort", 99), "pdf") != 0 {
 		t.Errorf("missing point should be 0")
 	}
 	if !strings.Contains(res.String(), "45nm") {
@@ -178,10 +235,11 @@ func TestFigure4And5(t *testing.T) {
 	if len(f4.Rows) != 2*2*2 {
 		t.Fatalf("figure4 rows = %d", len(f4.Rows))
 	}
+	at := func(wl string, param int64) Point { return Point{Workload: wl, Cores: 16, Param: param} }
 	for _, wl := range []string{"hashjoin", "mergesort"} {
 		for _, p := range []int64{7, 19} {
-			if f4.RelativeSpeedup(wl, p) < 0.97 {
-				t.Errorf("figure4 %s at L2 hit %d: PDF slower than WS (%.3f)", wl, p, f4.RelativeSpeedup(wl, p))
+			if f4.Speedup(at(wl, p), "pdf", "ws") < 0.97 {
+				t.Errorf("figure4 %s at L2 hit %d: PDF slower than WS (%.3f)", wl, p, f4.Speedup(at(wl, p), "pdf", "ws"))
 			}
 		}
 	}
@@ -198,10 +256,10 @@ func TestFigure4And5(t *testing.T) {
 	}
 	for _, wl := range []string{"hashjoin", "mergesort"} {
 		// Execution time grows with memory latency under both schedulers.
-		if f5.Cycles(wl, "pdf", 1100) <= f5.Cycles(wl, "pdf", 100) {
+		if f5.Cycles(at(wl, 1100), "pdf") <= f5.Cycles(at(wl, 100), "pdf") {
 			t.Errorf("figure5 %s: higher memory latency should cost cycles", wl)
 		}
-		if f5.RelativeSpeedup(wl, 1100) < 0.97 {
+		if f5.Speedup(at(wl, 1100), "pdf", "ws") < 0.97 {
 			t.Errorf("figure5 %s: PDF should not lose at high latency", wl)
 		}
 	}
@@ -220,15 +278,15 @@ func TestFigure6ShapesHold(t *testing.T) {
 		t.Fatalf("too few sizes: %v", sizes)
 	}
 	largest, smallest := sizes[0], sizes[len(sizes)-1]
-	pdfLarge := res.Row(16, "pdf", largest)
-	pdfSmall := res.Row(16, "pdf", smallest)
+	pdfLarge := res.Get(Point{Workload: "mergesort", Cores: 16, Param: largest}, "pdf")
+	pdfSmall := res.Get(Point{Workload: "mergesort", Cores: 16, Param: smallest}, "pdf")
 	if pdfLarge == nil || pdfSmall == nil {
 		t.Fatalf("missing rows")
 	}
 	// PDF's cache performance improves considerably with smaller tasks.
-	if pdfSmall.L2MissesPerKiloInstr >= pdfLarge.L2MissesPerKiloInstr {
+	if pdfSmall.L2MissesPerKiloInstr() >= pdfLarge.L2MissesPerKiloInstr() {
 		t.Errorf("PDF misses should fall with smaller tasks: %.3f -> %.3f",
-			pdfLarge.L2MissesPerKiloInstr, pdfSmall.L2MissesPerKiloInstr)
+			pdfLarge.L2MissesPerKiloInstr(), pdfSmall.L2MissesPerKiloInstr())
 	}
 	// WS is comparatively flat: PDF's spread across task sizes exceeds WS's.
 	if res.MissSpread(16, "pdf") <= res.MissSpread(16, "ws") {
@@ -267,26 +325,27 @@ func TestGranularityShapesHold(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Granularity: %v", err)
 	}
-	if len(res.Rows) != 4 {
+	// 2 workloads x coarse and fine x 2 schedulers.
+	if len(res.Rows) != 8 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	for _, row := range res.Rows {
-		if row.CoarseCycles == 0 || row.FineCycles == 0 {
+		if row.Cycles == 0 {
 			t.Fatalf("missing cycles in %+v", row)
 		}
 	}
 	// The serial-merge Mergesort has a sequential bottleneck: the
 	// fine-grained version must be clearly faster under both schedulers.
 	for _, sched := range []string{"pdf", "ws"} {
-		if sp := res.Row("mergesort", sched).Speedup(); sp < 1.2 {
+		if sp := res.FineSpeedup("mergesort", sched); sp < 1.2 {
 			t.Errorf("mergesort fine-grained speedup under %s = %.2f, want >= 1.2", sched, sp)
 		}
 	}
 	// Fine-grained Hash Join is at least competitive with the original.
-	if sp := res.Row("hashjoin", "pdf").Speedup(); sp < 0.95 {
+	if sp := res.FineSpeedup("hashjoin", "pdf"); sp < 0.95 {
 		t.Errorf("hashjoin fine-grained speedup = %.2f, want >= 0.95", sp)
 	}
-	if res.Row("nope", "pdf") != nil {
+	if res.Get(Point{Workload: "nope", Input: "fine", Cores: 16}, "pdf") != nil {
 		t.Errorf("missing row should be nil")
 	}
 	if !strings.Contains(res.String(), "coarse") {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"cmpsched/internal/dag"
 	"cmpsched/internal/stats"
 	"cmpsched/internal/sweep"
 	"cmpsched/internal/workload"
@@ -56,11 +55,7 @@ func Figure1(opts Options) (*Figure1Result, error) {
 		ArrayBytes: elements * elemBytes,
 		Scale:      opts.effectiveScale(),
 	}
-	build := func() (*dag.DAG, error) {
-		d, _, err := workload.NewMergesort(msCfg).Build()
-		return d, err
-	}
-	params := fmt.Sprintf("%+v", msCfg)
+	build, params := dagOf(workload.NewMergesort(msCfg)), fmt.Sprintf("%+v", msCfg)
 	var jobs []sweep.Job
 	for _, schedName := range []string{"pdf", "ws"} {
 		jobs = append(jobs,

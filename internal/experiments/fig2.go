@@ -8,30 +8,10 @@ import (
 	"cmpsched/internal/sweep"
 )
 
-// Figure2Row is one point of Figure 2: one benchmark on one default
-// configuration under one scheduler.
-type Figure2Row struct {
-	Workload  string
-	Cores     int
-	Scheduler string
-	// Speedup is the speedup over sequential execution on one core of the
-	// same configuration (Figure 2 a, c, e).
-	Speedup float64
-	// L2MissesPerKiloInstr is the paper's misses-per-1000-instructions
-	// metric (Figure 2 b, d, f).
-	L2MissesPerKiloInstr float64
-	// MemUtilization is the off-chip bandwidth utilisation discussed in
-	// §5.1 (e.g. Hash Join ~90% at 16-32 cores, LU below a few percent).
-	MemUtilization float64
-	// Cycles is the parallel execution time.
-	Cycles int64
-}
-
-// Figure2Result holds every row of Figure 2.
-type Figure2Result struct {
-	Rows  []Figure2Row
-	Scale int64
-}
+// Figure2Result holds every row of Figure 2: each benchmark on each default
+// configuration under the sequential baseline (sweep.Sequential), PDF and
+// WS.
+type Figure2Result struct{ Table }
 
 // Figure2Workloads lists the benchmarks of Figure 2 in presentation order.
 func Figure2Workloads() []string { return []string{"lu", "hashjoin", "mergesort"} }
@@ -41,86 +21,11 @@ func Figure2Workloads() []string { return []string{"lu", "hashjoin", "mergesort"
 // instructions for LU (up to 16 cores, as in the paper), Hash Join and
 // Mergesort (up to 32 cores).
 func Figure2(opts Options) (*Figure2Result, error) {
-	res := &Figure2Result{Scale: opts.effectiveScale()}
-	type point struct {
-		wl    string
-		cores int
-	}
-	var g grid[point]
-	for _, wl := range Figure2Workloads() {
-		coreList := opts.coresOrDefault([]int{1, 2, 4, 8, 16, 32})
-		for _, cores := range coreList {
-			if wl == "lu" && cores > 16 {
-				// The paper's LU input is smaller than the 32-core L2,
-				// so LU is reported only up to 16 cores.
-				continue
-			}
-			cfg, err := opts.scaledDefault(cores)
-			if err != nil {
-				return nil, err
-			}
-			jobs, err := opts.schedulerJobs(wl, cfg, true)
-			if err != nil {
-				return nil, err
-			}
-			g.add(point{wl, cores}, jobs...)
-		}
-	}
-	err := runGrid(opts, &g, func(pt point, rs []sweep.Result) {
-		seq, pdf, ws := rs[0].Sim, rs[1].Sim, rs[2].Sim
-		res.Rows = append(res.Rows,
-			Figure2Row{
-				Workload: pt.wl, Cores: pt.cores, Scheduler: "pdf",
-				Speedup:              pdf.Speedup(seq),
-				L2MissesPerKiloInstr: pdf.L2MissesPerKiloInstr(),
-				MemUtilization:       pdf.MemUtilization,
-				Cycles:               pdf.Cycles,
-			},
-			Figure2Row{
-				Workload: pt.wl, Cores: pt.cores, Scheduler: "ws",
-				Speedup:              ws.Speedup(seq),
-				L2MissesPerKiloInstr: ws.L2MissesPerKiloInstr(),
-				MemUtilization:       ws.MemUtilization,
-				Cycles:               ws.Cycles,
-			})
-	})
+	t, err := opts.sweepTable("figure2", sweep.Spec{Workloads: Figure2Workloads(), Cores: opts.Cores, Sequential: true}, "")
 	if err != nil {
-		return nil, fmt.Errorf("figure2: %w", err)
+		return nil, err
 	}
-	return res, nil
-}
-
-// Row returns the row for a workload/cores/scheduler combination, or nil.
-func (r *Figure2Result) Row(workload string, cores int, scheduler string) *Figure2Row {
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		if row.Workload == workload && row.Cores == cores && row.Scheduler == scheduler {
-			return row
-		}
-	}
-	return nil
-}
-
-// RelativeSpeedup returns the PDF-over-WS speedup for a workload and core
-// count (the paper's headline 1.3-1.6X numbers), or 0 if missing.
-func (r *Figure2Result) RelativeSpeedup(workload string, cores int) float64 {
-	pdf := r.Row(workload, cores, "pdf")
-	ws := r.Row(workload, cores, "ws")
-	if pdf == nil || ws == nil || pdf.Cycles == 0 {
-		return 0
-	}
-	return float64(ws.Cycles) / float64(pdf.Cycles)
-}
-
-// MissReductionPercent returns the relative reduction in L2 misses per 1000
-// instructions of PDF vs WS, in percent.
-func (r *Figure2Result) MissReductionPercent(workload string, cores int) float64 {
-	pdf := r.Row(workload, cores, "pdf")
-	ws := r.Row(workload, cores, "ws")
-	if pdf == nil || ws == nil || ws.L2MissesPerKiloInstr == 0 {
-		return 0
-	}
-	return (ws.L2MissesPerKiloInstr - pdf.L2MissesPerKiloInstr) / ws.L2MissesPerKiloInstr * 100
+	return &Figure2Result{t}, nil
 }
 
 // String renders the six panels of Figure 2.
@@ -130,17 +35,17 @@ func (r *Figure2Result) String() string {
 		fmt.Fprintf(&b, "Figure 2: %s (default configurations, capacity scale 1/%d)\n", wl, r.Scale)
 		t := stats.NewTable("cores", "sched", "speedup", "L2 misses/1000 instr", "mem util %", "PDF/WS speedup")
 		for _, row := range r.Rows {
-			if row.Workload != wl {
+			if row.Workload != wl || row.Scheduler == sweep.Sequential {
 				continue
 			}
 			rel := ""
 			if row.Scheduler == "pdf" {
-				rel = fmt.Sprintf("%.2f", r.RelativeSpeedup(wl, row.Cores))
+				rel = fmt.Sprintf("%.2f", r.Speedup(row.Point, "pdf", "ws"))
 			}
 			t.AddRow(
 				fmt.Sprint(row.Cores), row.Scheduler,
-				fmt.Sprintf("%.2f", row.Speedup),
-				fmt.Sprintf("%.3f", row.L2MissesPerKiloInstr),
+				fmt.Sprintf("%.2f", r.Speedup(row.Point, row.Scheduler, sweep.Sequential)),
+				fmt.Sprintf("%.3f", row.L2MissesPerKiloInstr()),
 				fmt.Sprintf("%.1f", row.MemUtilization*100),
 				rel,
 			)

@@ -8,24 +8,9 @@ import (
 	"cmpsched/internal/sweep"
 )
 
-// Figure3Row is one point of Figure 3: a benchmark on one 45 nm
-// configuration under one scheduler.
-type Figure3Row struct {
-	Workload  string
-	Cores     int
-	Scheduler string
-	Cycles    int64
-	// L2SizeBytes records the (scaled) cache size of the configuration,
-	// which shrinks as cores are added within the fixed technology.
-	L2SizeBytes    int64
-	MemUtilization float64
-}
-
-// Figure3Result holds the execution-time curves of Figure 3.
-type Figure3Result struct {
-	Rows  []Figure3Row
-	Scale int64
-}
+// Figure3Result holds the execution-time curves of Figure 3: each benchmark
+// on each 45 nm configuration under PDF and WS.
+type Figure3Result struct{ Table }
 
 // Figure3Workloads lists the benchmarks of Figure 3.
 func Figure3Workloads() []string { return []string{"hashjoin", "mergesort"} }
@@ -34,48 +19,11 @@ func Figure3Workloads() []string { return []string{"hashjoin", "mergesort"} }
 // under PDF and WS across the 45 nm single-technology design space (Table 3),
 // where adding cores shrinks the shared L2.
 func Figure3(opts Options) (*Figure3Result, error) {
-	res := &Figure3Result{Scale: opts.effectiveScale()}
-	coreList := opts.coresOrDefault([]int{1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26})
-	type point struct {
-		wl    string
-		cores int
-	}
-	var g grid[point]
-	for _, wl := range Figure3Workloads() {
-		for _, cores := range coreList {
-			cfg, err := opts.scaled45nm(cores)
-			if err != nil {
-				return nil, err
-			}
-			jobs, err := opts.schedulerJobs(wl, cfg, false)
-			if err != nil {
-				return nil, err
-			}
-			g.add(point{wl, cores}, jobs...)
-		}
-	}
-	err := runGrid(opts, &g, func(pt point, rs []sweep.Result) {
-		pdf, ws := rs[0].Sim, rs[1].Sim
-		res.Rows = append(res.Rows,
-			Figure3Row{Workload: pt.wl, Cores: pt.cores, Scheduler: "pdf", Cycles: pdf.Cycles, L2SizeBytes: pdf.Config.L2.SizeBytes, MemUtilization: pdf.MemUtilization},
-			Figure3Row{Workload: pt.wl, Cores: pt.cores, Scheduler: "ws", Cycles: ws.Cycles, L2SizeBytes: ws.Config.L2.SizeBytes, MemUtilization: ws.MemUtilization},
-		)
-	})
+	t, err := opts.sweepTable("figure3", sweep.Spec{Workloads: Figure3Workloads(), Tables: []string{sweep.Table45nm}, Cores: opts.Cores}, "")
 	if err != nil {
-		return nil, fmt.Errorf("figure3: %w", err)
+		return nil, err
 	}
-	return res, nil
-}
-
-// Cycles returns the execution time for a workload/cores/scheduler point, or
-// 0 if missing.
-func (r *Figure3Result) Cycles(workload string, cores int, scheduler string) int64 {
-	for _, row := range r.Rows {
-		if row.Workload == workload && row.Cores == cores && row.Scheduler == scheduler {
-			return row.Cycles
-		}
-	}
-	return 0
+	return &Figure3Result{t}, nil
 }
 
 // BestCores returns the core count with the lowest execution time for the
@@ -117,17 +65,12 @@ func (r *Figure3Result) String() string {
 			if row.Workload != wl || row.Scheduler != "pdf" {
 				continue
 			}
-			ws := r.Cycles(wl, row.Cores, "ws")
-			ratio := 0.0
-			if row.Cycles > 0 {
-				ratio = float64(ws) / float64(row.Cycles)
-			}
 			t.AddRow(
 				fmt.Sprint(row.Cores),
-				fmt.Sprintf("%.0f", float64(row.L2SizeBytes)/1024),
+				fmt.Sprintf("%.0f", float64(row.Config.L2.SizeBytes)/1024),
 				fmt.Sprint(row.Cycles),
-				fmt.Sprint(ws),
-				fmt.Sprintf("%.2f", ratio),
+				fmt.Sprint(r.Cycles(row.Point, "ws")),
+				fmt.Sprintf("%.2f", r.Speedup(row.Point, "pdf", "ws")),
 				fmt.Sprintf("%.1f", row.MemUtilization*100),
 			)
 		}

@@ -4,29 +4,15 @@ import (
 	"fmt"
 	"strings"
 
-	"cmpsched/internal/dag"
 	"cmpsched/internal/stats"
-	"cmpsched/internal/sweep"
 	"cmpsched/internal/workload"
 )
 
-// Figure6Row is one point of Figure 6: Mergesort at one task working-set
-// size under one scheduler on one default configuration.
-type Figure6Row struct {
-	Cores     int
-	Scheduler string
-	// TaskWorkingSetBytes is the target task working-set size (the x axis
-	// of Figure 6, already divided by the capacity scale factor).
-	TaskWorkingSetBytes  int64
-	L2MissesPerKiloInstr float64
-	Cycles               int64
-}
-
-// Figure6Result holds the task-granularity study.
-type Figure6Result struct {
-	Rows  []Figure6Row
-	Scale int64
-}
+// Figure6Result holds the task-granularity study: Mergesort on each default
+// configuration under PDF and WS, with each row's Param the target task
+// working-set size in bytes (the x axis of Figure 6, already divided by the
+// capacity scale factor).
+type Figure6Result struct{ Table }
 
 // Figure6Sizes returns the task working-set sizes swept, mirroring the
 // paper's 8 MB ... 32 KB axis divided by the effective capacity scale.
@@ -53,59 +39,29 @@ func Figure6Sizes(opts Options) []int64 {
 // sizes, PDF improves considerably with smaller tasks, and PDF's advantage
 // grows as tasks shrink (until scheduling overheads dominate).
 func Figure6(opts Options) (*Figure6Result, error) {
-	res := &Figure6Result{Scale: opts.effectiveScale()}
-	coreList := opts.coresOrDefault([]int{32, 16})
+	cfgs, err := opts.scaledDefaults([]int{32, 16})
+	if err != nil {
+		return nil, err
+	}
 	sizes := Figure6Sizes(opts)
 	if opts.Quick && len(sizes) > 4 {
 		sizes = sizes[len(sizes)-4:]
 	}
-	msBase := opts.mergesortConfig()
-	type point struct {
-		cores int
-		ws    int64
-	}
-	var g grid[point]
-	for _, cores := range coreList {
-		cfg, err := opts.scaledDefault(cores)
-		if err != nil {
-			return nil, err
-		}
-		for _, ws := range sizes {
-			msCfg := msBase
-			msCfg.TaskWorkingSetBytes = ws
-			build := func() (*dag.DAG, error) {
-				d, _, err := workload.NewMergesort(msCfg).Build()
-				return d, err
-			}
-			params := fmt.Sprintf("%+v", msCfg)
-			g.add(point{cores, ws},
-				sweep.NewJob("mergesort", params, "pdf", cfg, build),
-				sweep.NewJob("mergesort", params, "ws", cfg, build),
-			)
+	base := opts.mergesortConfig()
+	var g grid
+	for _, cfg := range cfgs {
+		for _, size := range sizes {
+			ms := base
+			ms.TaskWorkingSetBytes = size
+			g.add(Point{Workload: "mergesort", Cores: cfg.Cores, Param: size}, cfg,
+				dagOf(workload.NewMergesort(ms)), fmt.Sprintf("%+v", ms), "pdf", "ws")
 		}
 	}
-	err := runGrid(opts, &g, func(pt point, rs []sweep.Result) {
-		pdfRes, wsRes := rs[0].Sim, rs[1].Sim
-		res.Rows = append(res.Rows,
-			Figure6Row{Cores: pt.cores, Scheduler: "pdf", TaskWorkingSetBytes: pt.ws, L2MissesPerKiloInstr: pdfRes.L2MissesPerKiloInstr(), Cycles: pdfRes.Cycles},
-			Figure6Row{Cores: pt.cores, Scheduler: "ws", TaskWorkingSetBytes: pt.ws, L2MissesPerKiloInstr: wsRes.L2MissesPerKiloInstr(), Cycles: wsRes.Cycles},
-		)
-	})
+	t, err := g.run(opts)
 	if err != nil {
 		return nil, fmt.Errorf("figure6: %w", err)
 	}
-	return res, nil
-}
-
-// Row returns the row for (cores, scheduler, size), or nil.
-func (r *Figure6Result) Row(cores int, scheduler string, size int64) *Figure6Row {
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		if row.Cores == cores && row.Scheduler == scheduler && row.TaskWorkingSetBytes == size {
-			return row
-		}
-	}
-	return nil
+	return &Figure6Result{t}, nil
 }
 
 // Sizes returns the distinct task working-set sizes present, largest first.
@@ -113,9 +69,9 @@ func (r *Figure6Result) Sizes(cores int) []int64 {
 	var out []int64
 	seen := map[int64]bool{}
 	for _, row := range r.Rows {
-		if row.Cores == cores && !seen[row.TaskWorkingSetBytes] {
-			seen[row.TaskWorkingSetBytes] = true
-			out = append(out, row.TaskWorkingSetBytes)
+		if row.Cores == cores && !seen[row.Param] {
+			seen[row.Param] = true
+			out = append(out, row.Param)
 		}
 	}
 	return out
@@ -128,7 +84,7 @@ func (r *Figure6Result) MissSpread(cores int, scheduler string) float64 {
 	var vals []float64
 	for _, row := range r.Rows {
 		if row.Cores == cores && row.Scheduler == scheduler {
-			vals = append(vals, row.L2MissesPerKiloInstr)
+			vals = append(vals, row.L2MissesPerKiloInstr())
 		}
 	}
 	if len(vals) == 0 || stats.Min(vals) == 0 {
@@ -167,21 +123,17 @@ func (r *Figure6Result) String() string {
 		fmt.Fprintf(&b, "Figure 6: Mergesort task granularity on %d cores (capacity scale 1/%d)\n", cores, r.Scale)
 		t := stats.NewTable("task ws (KB)", "pdf misses/Ki", "ws misses/Ki", "pdf cycles", "ws cycles", "ws/pdf")
 		for _, size := range sizes {
-			pdf := r.Row(cores, "pdf", size)
-			ws := r.Row(cores, "ws", size)
+			p := Point{Workload: "mergesort", Cores: cores, Param: size}
+			pdf, ws := r.Get(p, "pdf"), r.Get(p, "ws")
 			if pdf == nil || ws == nil {
 				continue
 			}
-			ratio := 0.0
-			if pdf.Cycles > 0 {
-				ratio = float64(ws.Cycles) / float64(pdf.Cycles)
-			}
 			t.AddRow(
 				fmt.Sprintf("%.0f", float64(size)/1024),
-				fmt.Sprintf("%.3f", pdf.L2MissesPerKiloInstr),
-				fmt.Sprintf("%.3f", ws.L2MissesPerKiloInstr),
+				fmt.Sprintf("%.3f", pdf.L2MissesPerKiloInstr()),
+				fmt.Sprintf("%.3f", ws.L2MissesPerKiloInstr()),
 				fmt.Sprint(pdf.Cycles), fmt.Sprint(ws.Cycles),
-				fmt.Sprintf("%.2f", ratio),
+				fmt.Sprintf("%.2f", r.Speedup(p, "pdf", "ws")),
 			)
 		}
 		b.WriteString(t.String())

@@ -55,8 +55,10 @@ type Figure8Result struct {
 // paper's finding: the regenerated version is within 5% of the best in all
 // cases.
 func Figure8(opts Options) (*Figure8Result, error) {
-	res := &Figure8Result{Scale: opts.effectiveScale()}
-	coreList := opts.coresOrDefault([]int{32, 16, 8})
+	cfgs, err := opts.scaledDefaults([]int{32, 16, 8})
+	if err != nil {
+		return nil, err
+	}
 
 	// The finest-grain program: very small tasks, profiled once; the
 	// coarsening analysis is then repeated per CMP configuration (§6.2).
@@ -75,28 +77,18 @@ func Figure8(opts Options) (*Figure8Result, error) {
 	}
 
 	// Per core count: previous, dag, actual — all under PDF.
-	type point struct {
-		cores     int
-		threshold int64
-	}
-	var g grid[point]
-	for _, cores := range coreList {
-		cfg, err := opts.scaledDefault(cores)
-		if err != nil {
-			return nil, err
-		}
+	var jobs []sweep.Job
+	thresholds := make([]int64, len(cfgs))
+	for i, cfg := range cfgs {
 		sel, err := coarsen.Coarsen(prof, fineTree, coarsen.Params{CacheSizeBytes: cfg.L2.SizeBytes, Cores: cfg.Cores})
 		if err != nil {
 			return nil, err
 		}
 		threshold := int64(sel.Threshold("mergesort.go:sort"))
+		thresholds[i] = threshold
 
 		// (a) previous: the manual selection used throughout §5.
 		prevCfg := opts.mergesortConfig()
-		prevBuild := func() (*dag.DAG, error) {
-			d, _, err := workload.NewMergesort(prevCfg).Build()
-			return d, err
-		}
 
 		// (b) dag substitution over the finest-grain trace: the collapsed
 		// DAG reuses the profiled fineDAG's recorded streams, which no run
@@ -110,10 +102,6 @@ func Figure8(opts Options) (*Figure8Result, error) {
 		if threshold > 0 {
 			actualCfg.TaskWorkingSetBytes = threshold
 		}
-		actualBuild := func() (*dag.DAG, error) {
-			d, _, err := workload.NewMergesort(actualCfg).Build()
-			return d, err
-		}
 
 		// The previous/actual schemes are plain mergesort runs keyed only
 		// by their configs — the scheme is presentation metadata, not a
@@ -122,24 +110,25 @@ func Figure8(opts Options) (*Figure8Result, error) {
 		// collapsed DAG follows from the whole selection, not just the
 		// sort threshold, so its fingerprint names the coarsening target
 		// the selection was made for.
-		g.add(point{cores, threshold},
-			sweep.NewJob("mergesort", fmt.Sprintf("%+v", prevCfg), "pdf", cfg, prevBuild),
+		jobs = append(jobs,
+			sweep.NewJob("mergesort", fmt.Sprintf("%+v", prevCfg), "pdf", cfg, dagOf(workload.NewMergesort(prevCfg))),
 			sweep.NewJob("mergesort/coarsened", fmt.Sprintf("fine=%+v threshold=%d target=%+v", fineCfg, threshold, sel.Params), "pdf", cfg, dagBuild),
-			sweep.NewJob("mergesort", fmt.Sprintf("%+v", actualCfg), "pdf", cfg, actualBuild),
+			sweep.NewJob("mergesort", fmt.Sprintf("%+v", actualCfg), "pdf", cfg, dagOf(workload.NewMergesort(actualCfg))),
 		)
 	}
-	err = runGrid(opts, &g, func(pt point, rs []sweep.Result) {
-		prevRes, dagRes, actualRes := rs[0].Sim, rs[1].Sim, rs[2].Sim
-		cycles := []float64{float64(prevRes.Cycles), float64(dagRes.Cycles), float64(actualRes.Cycles)}
-		norm := stats.Normalize(cycles)
-		res.Rows = append(res.Rows,
-			Figure8Row{Cores: pt.cores, Scheme: SchemePrevious, Cycles: prevRes.Cycles, Normalized: norm[0]},
-			Figure8Row{Cores: pt.cores, Scheme: SchemeDAG, Cycles: dagRes.Cycles, Normalized: norm[1], ThresholdBytes: pt.threshold},
-			Figure8Row{Cores: pt.cores, Scheme: SchemeActual, Cycles: actualRes.Cycles, Normalized: norm[2], ThresholdBytes: pt.threshold},
-		)
-	})
+	results, err := opts.run(jobs)
 	if err != nil {
 		return nil, fmt.Errorf("figure8: %w", err)
+	}
+	res := &Figure8Result{Scale: opts.effectiveScale()}
+	for i, cfg := range cfgs {
+		prev, coarsened, actual := results[3*i].Sim.Cycles, results[3*i+1].Sim.Cycles, results[3*i+2].Sim.Cycles
+		norm := stats.Normalize([]float64{float64(prev), float64(coarsened), float64(actual)})
+		res.Rows = append(res.Rows,
+			Figure8Row{Cores: cfg.Cores, Scheme: SchemePrevious, Cycles: prev, Normalized: norm[0]},
+			Figure8Row{Cores: cfg.Cores, Scheme: SchemeDAG, Cycles: coarsened, Normalized: norm[1], ThresholdBytes: thresholds[i]},
+			Figure8Row{Cores: cfg.Cores, Scheme: SchemeActual, Cycles: actual, Normalized: norm[2], ThresholdBytes: thresholds[i]},
+		)
 	}
 	return res, nil
 }

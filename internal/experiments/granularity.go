@@ -4,48 +4,25 @@ import (
 	"fmt"
 	"strings"
 
-	"cmpsched/internal/dag"
 	"cmpsched/internal/stats"
-	"cmpsched/internal/sweep"
 	"cmpsched/internal/workload"
 )
 
-// GranularityRow compares a benchmark's original coarse-grained threading
-// against the fine-grained version used in the paper (§5.4: "our fine-grained
-// versions are up to 2.85X faster than the coarse-grained originals").
-type GranularityRow struct {
-	Workload     string
-	Scheduler    string
-	CoarseCycles int64
-	FineCycles   int64
-}
-
-// Speedup returns the fine-over-coarse speedup.
-func (g GranularityRow) Speedup() float64 {
-	if g.FineCycles == 0 {
-		return 0
-	}
-	return float64(g.CoarseCycles) / float64(g.FineCycles)
-}
-
-// GranularityResult holds the §5.4 coarse-vs-fine comparison.
-type GranularityResult struct {
-	Cores int
-	Rows  []GranularityRow
-	Scale int64
-}
+// GranularityResult holds the §5.4 comparison of each benchmark's original
+// coarse-grained threading (Input "coarse") against the fine-grained version
+// used in the paper (Input "fine"): "our fine-grained versions are up to
+// 2.85X faster than the coarse-grained originals".
+type GranularityResult struct{ Table }
 
 // Granularity reproduces the §5.4 comparison on the 16-core default
 // configuration: Hash Join with one thread per sub-partition (the original
 // code) vs the parallelised probe, and Mergesort with a serial merge (as in
 // libpmsort) vs the parallel k-way split merge.
 func Granularity(opts Options) (*GranularityResult, error) {
-	cfg, err := opts.scaledDefault(16)
+	cfg, err := opts.scaledDefault(fixedCores)
 	if err != nil {
 		return nil, err
 	}
-	res := &GranularityResult{Cores: cfg.Cores, Scale: opts.effectiveScale()}
-
 	hjFine := opts.hashJoinConfig(cfg)
 	hjCoarse := hjFine
 	hjCoarse.CoarseGrained = true
@@ -53,69 +30,45 @@ func Granularity(opts Options) (*GranularityResult, error) {
 	msCoarse := msFine
 	msCoarse.SerialMerge = true
 
-	hjBuild := func(cfg workload.HashJoinConfig) sweep.BuildFunc {
-		return func() (*dag.DAG, error) {
-			d, _, err := workload.NewHashJoin(cfg).Build()
-			return d, err
-		}
+	var g grid
+	add := func(w workload.Workload, input string, params any) {
+		g.add(Point{Workload: w.Name(), Input: input, Cores: cfg.Cores}, cfg, dagOf(w), fmt.Sprintf("%+v", params), "pdf", "ws")
 	}
-	msBuild := func(cfg workload.MergesortConfig) sweep.BuildFunc {
-		return func() (*dag.DAG, error) {
-			d, _, err := workload.NewMergesort(cfg).Build()
-			return d, err
-		}
-	}
-	// Per workload: coarse pdf, coarse ws, fine pdf, fine ws.
-	var g grid[string]
-	for _, wl := range []string{"hashjoin", "mergesort"} {
-		var coarse, fine sweep.BuildFunc
-		var coarseParams, fineParams string
-		if wl == "hashjoin" {
-			coarse, fine = hjBuild(hjCoarse), hjBuild(hjFine)
-			coarseParams, fineParams = fmt.Sprintf("%+v", hjCoarse), fmt.Sprintf("%+v", hjFine)
-		} else {
-			coarse, fine = msBuild(msCoarse), msBuild(msFine)
-			coarseParams, fineParams = fmt.Sprintf("%+v", msCoarse), fmt.Sprintf("%+v", msFine)
-		}
-		g.add(wl,
-			sweep.NewJob(wl, coarseParams, "pdf", cfg, coarse),
-			sweep.NewJob(wl, coarseParams, "ws", cfg, coarse),
-			sweep.NewJob(wl, fineParams, "pdf", cfg, fine),
-			sweep.NewJob(wl, fineParams, "ws", cfg, fine),
-		)
-	}
-	err = runGrid(opts, &g, func(wl string, rs []sweep.Result) {
-		coarsePDF, coarseWS := rs[0].Sim, rs[1].Sim
-		finePDF, fineWS := rs[2].Sim, rs[3].Sim
-		res.Rows = append(res.Rows,
-			GranularityRow{Workload: wl, Scheduler: "pdf", CoarseCycles: coarsePDF.Cycles, FineCycles: finePDF.Cycles},
-			GranularityRow{Workload: wl, Scheduler: "ws", CoarseCycles: coarseWS.Cycles, FineCycles: fineWS.Cycles},
-		)
-	})
+	add(workload.NewHashJoin(hjCoarse), "coarse", hjCoarse)
+	add(workload.NewHashJoin(hjFine), "fine", hjFine)
+	add(workload.NewMergesort(msCoarse), "coarse", msCoarse)
+	add(workload.NewMergesort(msFine), "fine", msFine)
+	t, err := g.run(opts)
 	if err != nil {
 		return nil, fmt.Errorf("granularity: %w", err)
 	}
-	return res, nil
+	return &GranularityResult{t}, nil
 }
 
-// Row returns the row for a workload and scheduler, or nil.
-func (r *GranularityResult) Row(workload, scheduler string) *GranularityRow {
-	for i := range r.Rows {
-		if r.Rows[i].Workload == workload && r.Rows[i].Scheduler == scheduler {
-			return &r.Rows[i]
-		}
+// FineSpeedup returns the fine-over-coarse speedup of a benchmark under a
+// scheduler, or 0 if a row is missing.
+func (r *GranularityResult) FineSpeedup(workload, scheduler string) float64 {
+	coarse := r.Cycles(Point{Workload: workload, Input: "coarse", Cores: fixedCores}, scheduler)
+	fine := r.Cycles(Point{Workload: workload, Input: "fine", Cores: fixedCores}, scheduler)
+	if fine == 0 {
+		return 0
 	}
-	return nil
+	return float64(coarse) / float64(fine)
 }
 
 // String renders the comparison.
 func (r *GranularityResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "§5.4 fine- vs coarse-grained threading on %d cores (capacity scale 1/%d)\n", r.Cores, r.Scale)
+	fmt.Fprintf(&b, "§5.4 fine- vs coarse-grained threading on %d cores (capacity scale 1/%d)\n", fixedCores, r.Scale)
 	t := stats.NewTable("workload", "sched", "coarse cycles", "fine cycles", "fine/coarse speedup")
 	for _, row := range r.Rows {
-		t.AddRow(row.Workload, row.Scheduler, fmt.Sprint(row.CoarseCycles), fmt.Sprint(row.FineCycles),
-			fmt.Sprintf("%.2f", row.Speedup()))
+		if row.Input != "coarse" {
+			continue
+		}
+		fine := row.Point
+		fine.Input = "fine"
+		t.AddRow(row.Workload, row.Scheduler, fmt.Sprint(row.Cycles), fmt.Sprint(r.Cycles(fine, row.Scheduler)),
+			fmt.Sprintf("%.2f", r.FineSpeedup(row.Workload, row.Scheduler)))
 	}
 	b.WriteString(t.String())
 	b.WriteString("\n")

@@ -1,37 +1,15 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"cmpsched/internal/cache"
 	"cmpsched/internal/graph"
-	"cmpsched/internal/stats"
 	"cmpsched/internal/sweep"
 )
 
-// IrregularRow is one point of the irregularity study: one graph kernel on
-// one generator family, one L2 topology and one scheduler.
-type IrregularRow struct {
-	Kernel    string
-	Family    string
-	Cores     int
-	Topology  string
-	Scheduler string
-	// Cycles is the parallel execution time.
-	Cycles int64
-	// L2MissesPerKiloInstr is the paper's primary cache metric, aggregated
-	// over every L2 slice.
-	L2MissesPerKiloInstr float64
-	// MemUtilization is the off-chip bandwidth utilisation.
-	MemUtilization float64
-}
-
-// IrregularResult holds every row of the irregularity study.
-type IrregularResult struct {
-	Rows  []IrregularRow
-	Scale int64
-}
+// IrregularResult holds every row of the irregularity study: each graph
+// kernel on each generator family (a row's Input), core count and L2
+// topology under PDF and WS.
+type IrregularResult struct{ Table }
 
 // IrregularFamilies lists the generator families the study sweeps, ordered
 // from regular to most skewed: the 2D lattice is the regular baseline whose
@@ -60,123 +38,19 @@ func IrregularTopologies() []cache.Topology {
 // share the frontier, the CSR arrays and the hot vertex-vector lines, while
 // triangle counting is one wide fork-join phase with list-sized gathers.
 func IrregularComparison(opts Options) (*IrregularResult, error) {
-	res := &IrregularResult{Scale: opts.effectiveScale()}
-	type point struct {
-		kernel string
-		family string
-		cores  int
-		topo   string
-	}
-	var g grid[point]
-	for _, kernel := range GraphKernels() {
-		for _, cores := range opts.coresOrDefault([]int{8}) {
-			base, err := opts.scaledDefault(cores)
-			if err != nil {
-				return nil, err
-			}
-			for _, family := range IrregularFamilies() {
-				for _, topo := range IrregularTopologies() {
-					cfg := base.WithTopology(topo)
-					jobs, err := opts.graphSchedulerJobs(kernel, family, cfg)
-					if err != nil {
-						return nil, err
-					}
-					g.add(point{kernel, family, cores, topo.String()}, jobs...)
-				}
-			}
-		}
-	}
-	err := runGrid(opts, &g, func(pt point, rs []sweep.Result) {
-		for i, sc := range []string{"pdf", "ws"} {
-			sim := rs[i].Sim
-			res.Rows = append(res.Rows, IrregularRow{
-				Kernel: pt.kernel, Family: pt.family, Cores: pt.cores,
-				Topology: pt.topo, Scheduler: sc,
-				Cycles:               sim.Cycles,
-				L2MissesPerKiloInstr: sim.L2MissesPerKiloInstr(),
-				MemUtilization:       sim.MemUtilization,
-			})
-		}
-	})
+	t, err := opts.sweepTable("irregular comparison", sweep.Spec{
+		Workloads:  GraphKernels(),
+		Topologies: topologyNames(IrregularTopologies()),
+		Cores:      opts.coresOrDefault([]int{8}),
+	}, IrregularFamilies()...)
 	if err != nil {
-		return nil, fmt.Errorf("irregular comparison: %w", err)
+		return nil, err
 	}
-	return res, nil
-}
-
-// Row returns the row for a kernel/family/cores/topology/scheduler
-// combination, or nil.
-func (r *IrregularResult) Row(kernel, family string, cores int, topology, scheduler string) *IrregularRow {
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		if row.Kernel == kernel && row.Family == family && row.Cores == cores && row.Topology == topology && row.Scheduler == scheduler {
-			return row
-		}
-	}
-	return nil
-}
-
-// MissReductionPercent returns the relative reduction in L2 misses per 1000
-// instructions of PDF vs WS for one kernel/family/cores/topology, in
-// percent.  Positive means PDF misses less.
-func (r *IrregularResult) MissReductionPercent(kernel, family string, cores int, topology string) float64 {
-	pdf := r.Row(kernel, family, cores, topology, "pdf")
-	ws := r.Row(kernel, family, cores, topology, "ws")
-	if pdf == nil || ws == nil || ws.L2MissesPerKiloInstr == 0 {
-		return 0
-	}
-	return (ws.L2MissesPerKiloInstr - pdf.L2MissesPerKiloInstr) / ws.L2MissesPerKiloInstr * 100
-}
-
-// RelativeSpeedup returns the PDF-over-WS speedup (WS cycles / PDF cycles)
-// for one kernel/family/cores/topology, or 0 if missing.
-func (r *IrregularResult) RelativeSpeedup(kernel, family string, cores int, topology string) float64 {
-	pdf := r.Row(kernel, family, cores, topology, "pdf")
-	ws := r.Row(kernel, family, cores, topology, "ws")
-	if pdf == nil || ws == nil || pdf.Cycles == 0 {
-		return 0
-	}
-	return float64(ws.Cycles) / float64(pdf.Cycles)
-}
-
-// GapCollapse returns the shared-topology PDF miss reduction minus the
-// private-topology one, in percentage points: how much of PDF's cache
-// advantage the private organisation forfeits on this kernel and family.
-func (r *IrregularResult) GapCollapse(kernel, family string, cores int) float64 {
-	return r.MissReductionPercent(kernel, family, cores, "shared") - r.MissReductionPercent(kernel, family, cores, "private")
+	return &IrregularResult{t}, nil
 }
 
 // String renders one panel per kernel: families and topologies down, PDF
 // and WS side by side.
 func (r *IrregularResult) String() string {
-	var b strings.Builder
-	for _, kernel := range GraphKernels() {
-		rows := false
-		t := stats.NewTable("family", "cores", "topology", "sched", "cycles", "L2 misses/1000 instr", "PDF miss reduction %", "PDF/WS speedup", "mem util %")
-		for _, row := range r.Rows {
-			if row.Kernel != kernel {
-				continue
-			}
-			rows = true
-			reduction, rel := "", ""
-			if row.Scheduler == "pdf" {
-				reduction = fmt.Sprintf("%.1f", r.MissReductionPercent(kernel, row.Family, row.Cores, row.Topology))
-				rel = fmt.Sprintf("%.2f", r.RelativeSpeedup(kernel, row.Family, row.Cores, row.Topology))
-			}
-			t.AddRow(
-				row.Family, fmt.Sprint(row.Cores), row.Topology, row.Scheduler,
-				fmt.Sprint(row.Cycles),
-				fmt.Sprintf("%.3f", row.L2MissesPerKiloInstr),
-				reduction, rel,
-				fmt.Sprintf("%.1f", row.MemUtilization*100),
-			)
-		}
-		if !rows {
-			continue
-		}
-		fmt.Fprintf(&b, "Irregularity study: %s (default configurations, capacity scale 1/%d)\n", kernel, r.Scale)
-		b.WriteString(t.String())
-		b.WriteString("\n")
-	}
-	return b.String()
+	return r.pdfVersusWS("Irregularity study", GraphKernels(), "family")
 }

@@ -26,21 +26,21 @@ func TestIrregularComparisonStructure(t *testing.T) {
 		for _, family := range families {
 			for _, topo := range topos {
 				for _, sched := range []string{"pdf", "ws"} {
-					row := res.Row(kernel, family, 8, topo.String(), sched)
+					row := res.Get(Point{Workload: kernel, Input: family, Cores: 8, Topology: topo.String()}, sched)
 					if row == nil {
 						t.Fatalf("missing row %s/%s/%s/%s", kernel, family, topo, sched)
 					}
 					if row.Cores != 8 {
 						t.Errorf("%s/%s/%s/%s: cores = %d", kernel, family, topo, sched, row.Cores)
 					}
-					if row.Cycles <= 0 || row.L2MissesPerKiloInstr <= 0 || row.MemUtilization <= 0 {
+					if row.Cycles <= 0 || row.L2MissesPerKiloInstr() <= 0 || row.MemUtilization <= 0 {
 						t.Errorf("degenerate row %+v", row)
 					}
 				}
 			}
 		}
 	}
-	if res.Row("bfs", "grid", 8, "shared", "nope") != nil {
+	if res.Get(Point{Workload: "bfs", Input: "grid", Cores: 8, Topology: "shared"}, "nope") != nil {
 		t.Errorf("Row matched an unknown scheduler")
 	}
 	out := res.String()
@@ -62,21 +62,23 @@ func TestIrregularComparisonMetricsAreConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("IrregularComparison: %v", err)
 	}
-	pdf := res.Row("bfs", "uniform", 8, "shared", "pdf")
-	ws := res.Row("bfs", "uniform", 8, "shared", "ws")
-	wantRed := (ws.L2MissesPerKiloInstr - pdf.L2MissesPerKiloInstr) / ws.L2MissesPerKiloInstr * 100
-	if got := res.MissReductionPercent("bfs", "uniform", 8, "shared"); got != wantRed {
-		t.Errorf("MissReductionPercent = %f, want %f", got, wantRed)
+	shared := Point{Workload: "bfs", Input: "uniform", Cores: 8, Topology: "shared"}
+	private := Point{Workload: "bfs", Input: "uniform", Cores: 8, Topology: "private"}
+	pdf := res.Get(shared, "pdf")
+	ws := res.Get(shared, "ws")
+	wantRed := (ws.L2MissesPerKiloInstr() - pdf.L2MissesPerKiloInstr()) / ws.L2MissesPerKiloInstr() * 100
+	if got := res.MissReduction(shared, "pdf", "ws"); got != wantRed {
+		t.Errorf("MissReduction = %f, want %f", got, wantRed)
 	}
 	wantSpeed := float64(ws.Cycles) / float64(pdf.Cycles)
-	if got := res.RelativeSpeedup("bfs", "uniform", 8, "shared"); got != wantSpeed {
-		t.Errorf("RelativeSpeedup = %f, want %f", got, wantSpeed)
+	if got := res.Speedup(shared, "pdf", "ws"); got != wantSpeed {
+		t.Errorf("Speedup = %f, want %f", got, wantSpeed)
 	}
-	collapse := res.MissReductionPercent("bfs", "uniform", 8, "shared") - res.MissReductionPercent("bfs", "uniform", 8, "private")
-	if got := res.GapCollapse("bfs", "uniform", 8); got != collapse {
+	collapse := res.MissReduction(shared, "pdf", "ws") - res.MissReduction(private, "pdf", "ws")
+	if got := res.GapCollapse(Point{Workload: "bfs", Input: "uniform", Cores: 8}); got != collapse {
 		t.Errorf("GapCollapse = %f, want %f", got, collapse)
 	}
-	if got := res.MissReductionPercent("bfs", "nope", 8, "shared"); got != 0 {
+	if got := res.MissReduction(Point{Workload: "bfs", Input: "nope", Cores: 8, Topology: "shared"}, "pdf", "ws"); got != 0 {
 		t.Errorf("missing family should yield 0, got %f", got)
 	}
 }

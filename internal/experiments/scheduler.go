@@ -9,33 +9,12 @@ import (
 	"cmpsched/internal/sweep"
 )
 
-// SchedulerRow is one point of the scheduler comparison: one benchmark on
-// one core count, one L2 topology and one scheduler from the registry.
-type SchedulerRow struct {
-	Workload  string
-	Cores     int
-	Topology  string
-	Scheduler string
-	// Cycles is the parallel execution time.
-	Cycles int64
-	// L2MissesPerKiloInstr is the paper's primary cache metric, aggregated
-	// over every L2 slice of the topology.
-	L2MissesPerKiloInstr float64
-	// MemUtilization is the off-chip bandwidth utilisation.
-	MemUtilization float64
-	// Steals is the scheduler's "steals" counter (work-stealing variants;
-	// 0 for schedulers without one).
-	Steals int64
-	// Migrations is the space-bounded scheduler's count of tasks that ran
-	// away from their pinned pool (0 for other schedulers).
-	Migrations int64
-}
-
-// SchedulerResult holds every row of the scheduler comparison.
-type SchedulerResult struct {
-	Rows  []SchedulerRow
-	Scale int64
-}
+// SchedulerResult holds every row of the scheduler comparison: each
+// benchmark on each core count and L2 topology under every scheduler of
+// SchedulerComparisonSchedulers.  A row's SchedMetrics carry the
+// work-stealing variants' "steals" and the space-bounded scheduler's
+// "migrations" (tasks that ran away from their pinned pool).
+type SchedulerResult struct{ Table }
 
 // SchedulerComparisonSchedulers lists the schedulers the comparison
 // evaluates: the paper's pair, the locality-guided stealing variant and the
@@ -70,84 +49,29 @@ func SchedulerComparisonTopologies() []cache.Topology {
 // end-to-end determinism check (identical cycle counts), which the shape
 // test pins.
 func SchedulerComparison(opts Options) (*SchedulerResult, error) {
-	res := &SchedulerResult{Scale: opts.effectiveScale()}
-	schedulers := SchedulerComparisonSchedulers()
-	type point struct {
-		wl    string
-		cores int
-		topo  string
-	}
-	var g grid[point]
-	for _, wl := range SchedulerComparisonWorkloads() {
-		for _, cores := range opts.coresOrDefault([]int{8}) {
-			base, err := opts.scaledDefault(cores)
-			if err != nil {
-				return nil, err
-			}
-			for _, topo := range SchedulerComparisonTopologies() {
-				cfg := base.WithTopology(topo)
-				jobs, err := opts.jobsFor(wl, cfg, schedulers)
-				if err != nil {
-					return nil, err
-				}
-				g.add(point{wl, cores, topo.String()}, jobs...)
-			}
-		}
-	}
-	err := runGrid(opts, &g, func(pt point, rs []sweep.Result) {
-		for i, sc := range schedulers {
-			sim := rs[i].Sim
-			res.Rows = append(res.Rows, SchedulerRow{
-				Workload: pt.wl, Cores: pt.cores, Topology: pt.topo, Scheduler: sc,
-				Cycles:               sim.Cycles,
-				L2MissesPerKiloInstr: sim.L2MissesPerKiloInstr(),
-				MemUtilization:       sim.MemUtilization,
-				Steals:               sim.SchedMetrics["steals"],
-				Migrations:           sim.SchedMetrics["migrations"],
-			})
-		}
-	})
+	t, err := opts.sweepTable("scheduler comparison", sweep.Spec{
+		Workloads:  SchedulerComparisonWorkloads(),
+		Schedulers: SchedulerComparisonSchedulers(),
+		Topologies: topologyNames(SchedulerComparisonTopologies()),
+		Cores:      opts.coresOrDefault([]int{8}),
+	}, "")
 	if err != nil {
-		return nil, fmt.Errorf("scheduler comparison: %w", err)
+		return nil, err
 	}
-	return res, nil
-}
-
-// Row returns the row for a workload/cores/topology/scheduler combination,
-// or nil.
-func (r *SchedulerResult) Row(workload string, cores int, topology, scheduler string) *SchedulerRow {
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		if row.Workload == workload && row.Cores == cores && row.Topology == topology && row.Scheduler == scheduler {
-			return row
-		}
-	}
-	return nil
-}
-
-// MissReductionPercent returns the relative reduction in L2 misses per 1000
-// instructions of scheduler over baseline on one topology, in percent.
-// Positive means scheduler misses less than baseline.
-func (r *SchedulerResult) MissReductionPercent(workload string, cores int, topology, scheduler, baseline string) float64 {
-	s := r.Row(workload, cores, topology, scheduler)
-	b := r.Row(workload, cores, topology, baseline)
-	if s == nil || b == nil || b.L2MissesPerKiloInstr == 0 {
-		return 0
-	}
-	return (b.L2MissesPerKiloInstr - s.L2MissesPerKiloInstr) / b.L2MissesPerKiloInstr * 100
+	return &SchedulerResult{t}, nil
 }
 
 // Best returns the scheduler with the fewest L2 misses per 1000
 // instructions at one grid point, or "".
-func (r *SchedulerResult) Best(workload string, cores int, topology string) string {
+func (r *SchedulerResult) Best(p Point) string {
 	best, bestMPKI := "", 0.0
 	for _, sc := range SchedulerComparisonSchedulers() {
-		row := r.Row(workload, cores, topology, sc)
+		row := r.Get(p, sc)
 		if row == nil {
 			continue
 		}
-		if best == "" || row.L2MissesPerKiloInstr < bestMPKI {
-			best, bestMPKI = sc, row.L2MissesPerKiloInstr
+		if best == "" || row.L2MissesPerKiloInstr() < bestMPKI {
+			best, bestMPKI = sc, row.L2MissesPerKiloInstr()
 		}
 	}
 	return best
@@ -168,15 +92,15 @@ func (r *SchedulerResult) String() string {
 			rows = true
 			vsWS := ""
 			if row.Scheduler != "ws" {
-				vsWS = fmt.Sprintf("%.1f", r.MissReductionPercent(wl, row.Cores, row.Topology, row.Scheduler, "ws"))
+				vsWS = fmt.Sprintf("%.1f", r.MissReduction(row.Point, row.Scheduler, "ws"))
 			}
 			t.AddRow(
 				fmt.Sprint(row.Cores), row.Topology, row.Scheduler,
 				fmt.Sprint(row.Cycles),
-				fmt.Sprintf("%.3f", row.L2MissesPerKiloInstr),
+				fmt.Sprintf("%.3f", row.L2MissesPerKiloInstr()),
 				vsWS,
-				fmt.Sprint(row.Steals),
-				fmt.Sprint(row.Migrations),
+				fmt.Sprint(row.SchedMetrics["steals"]),
+				fmt.Sprint(row.SchedMetrics["migrations"]),
 				fmt.Sprintf("%.1f", row.MemUtilization*100),
 			)
 		}

@@ -20,20 +20,22 @@ func TestSchedulerComparisonShape(t *testing.T) {
 		t.Fatalf("SchedulerComparison: %v", err)
 	}
 
-	sb := res.Row("mergesort", 8, "shared", "sb")
-	ws := res.Row("mergesort", 8, "shared", "ws")
+	shared := Point{Workload: "mergesort", Cores: 8, Topology: "shared"}
+	sb := res.Get(shared, "sb")
+	ws := res.Get(shared, "ws")
 	if sb == nil || ws == nil {
 		t.Fatalf("missing mergesort shared rows: sb=%v ws=%v", sb, ws)
 	}
-	if sb.L2MissesPerKiloInstr > ws.L2MissesPerKiloInstr {
+	if sb.L2MissesPerKiloInstr() > ws.L2MissesPerKiloInstr() {
 		t.Errorf("space-bounded should not miss more than WS on the shared L2 for mergesort: sb %.3f > ws %.3f MPKI",
-			sb.L2MissesPerKiloInstr, ws.L2MissesPerKiloInstr)
+			sb.L2MissesPerKiloInstr(), ws.L2MissesPerKiloInstr())
 	}
 
 	for _, wl := range SchedulerComparisonWorkloads() {
 		for _, topo := range []string{"shared", "private"} {
-			near := res.Row(wl, 8, topo, "ws:nearest")
-			classic := res.Row(wl, 8, topo, "ws")
+			p := Point{Workload: wl, Cores: 8, Topology: topo}
+			near := res.Get(p, "ws:nearest")
+			classic := res.Get(p, "ws")
 			if near == nil || classic == nil {
 				t.Fatalf("%s/%s: missing ws rows", wl, topo)
 			}
@@ -60,16 +62,17 @@ func TestSchedulerComparisonStructure(t *testing.T) {
 	}
 	for _, wl := range workloads {
 		for _, topo := range topos {
+			p := Point{Workload: wl, Cores: 8, Topology: topo.String()}
 			for _, sc := range schedulers {
-				row := res.Row(wl, 8, topo.String(), sc)
+				row := res.Get(p, sc)
 				if row == nil {
 					t.Fatalf("missing %s/8/%s/%s row", wl, topo, sc)
 				}
-				if row.Cycles <= 0 || row.L2MissesPerKiloInstr < 0 {
+				if row.Cycles <= 0 || row.L2MissesPerKiloInstr() < 0 {
 					t.Errorf("degenerate row %+v", row)
 				}
 			}
-			if best := res.Best(wl, 8, topo.String()); res.Row(wl, 8, topo.String(), best) == nil {
+			if best := res.Best(p); res.Get(p, best) == nil {
 				t.Errorf("%s/%s: Best() returned unknown scheduler %q", wl, topo, best)
 			}
 		}
@@ -79,16 +82,16 @@ func TestSchedulerComparisonStructure(t *testing.T) {
 	var wsSteals int64
 	for _, row := range res.Rows {
 		if row.Scheduler == "ws" {
-			wsSteals += row.Steals
+			wsSteals += row.SchedMetrics["steals"]
 		}
-		if row.Scheduler == "pdf" && (row.Steals != 0 || row.Migrations != 0) {
+		if row.Scheduler == "pdf" && (row.SchedMetrics["steals"] != 0 || row.SchedMetrics["migrations"] != 0) {
 			t.Errorf("pdf row carries stealing counters: %+v", row)
 		}
 	}
 	if wsSteals == 0 {
 		t.Errorf("classic WS recorded no steals across the whole grid")
 	}
-	if res.Row("mergesort", 8, "shared", "nope") != nil {
+	if res.Get(Point{Workload: "mergesort", Cores: 8, Topology: "shared"}, "nope") != nil {
 		t.Errorf("Row returned a match for an unknown scheduler")
 	}
 	out := res.String()

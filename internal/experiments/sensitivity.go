@@ -6,27 +6,21 @@ import (
 
 	"cmpsched/internal/config"
 	"cmpsched/internal/stats"
-	"cmpsched/internal/sweep"
 )
 
-// SensitivityRow is one point of Figure 4 or Figure 5.
-type SensitivityRow struct {
-	Workload  string
-	Scheduler string
-	// Parameter is the swept value: the L2 hit latency (Figure 4) or the
-	// main-memory latency (Figure 5), in cycles.
-	Parameter int64
-	Cycles    int64
-}
+// fixedCores is the core count of the default configuration Figures 4 and
+// 5 and the §5.4 comparison run on.
+const fixedCores = 16
 
 // SensitivityResult holds a parameter-sensitivity sweep on the 16-core
-// default configuration.
+// default configuration: each row's Param is the swept value.
 type SensitivityResult struct {
+	Table
 	// Name is "figure4" or "figure5".
-	Name      string
+	Name string
+	// Parameter names the swept value: the L2 hit latency (Figure 4) or
+	// the main-memory latency (Figure 5), in cycles.
 	Parameter string
-	Rows      []SensitivityRow
-	Scale     int64
 }
 
 // Figure4 reproduces Figure 4: PDF vs WS on the 16-core default
@@ -46,57 +40,27 @@ func Figure5(opts Options) (*SensitivityResult, error) {
 }
 
 func sensitivity(opts Options, name, param string, values []int64, apply func(config.CMP, int64) config.CMP) (*SensitivityResult, error) {
-	base, err := opts.scaledDefault(16)
+	base, err := opts.scaledDefault(fixedCores)
 	if err != nil {
 		return nil, err
 	}
-	res := &SensitivityResult{Name: name, Parameter: param, Scale: opts.effectiveScale()}
-	type point struct {
-		wl string
-		v  int64
-	}
-	var g grid[point]
+	factory := opts.factory("")
+	var g grid
 	for _, wl := range []string{"hashjoin", "mergesort"} {
 		for _, v := range values {
 			cfg := apply(base, v)
-			jobs, err := opts.schedulerJobs(wl, cfg, false)
+			build, params, err := factory(wl, cfg)
 			if err != nil {
 				return nil, err
 			}
-			g.add(point{wl, v}, jobs...)
+			g.add(Point{Workload: wl, Cores: fixedCores, Param: v}, cfg, build, params, "pdf", "ws")
 		}
 	}
-	err = runGrid(opts, &g, func(pt point, rs []sweep.Result) {
-		pdf, ws := rs[0].Sim, rs[1].Sim
-		res.Rows = append(res.Rows,
-			SensitivityRow{Workload: pt.wl, Scheduler: "pdf", Parameter: pt.v, Cycles: pdf.Cycles},
-			SensitivityRow{Workload: pt.wl, Scheduler: "ws", Parameter: pt.v, Cycles: ws.Cycles},
-		)
-	})
+	t, err := g.run(opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	return res, nil
-}
-
-// Cycles returns the execution time for a point, or 0.
-func (r *SensitivityResult) Cycles(workload string, scheduler string, parameter int64) int64 {
-	for _, row := range r.Rows {
-		if row.Workload == workload && row.Scheduler == scheduler && row.Parameter == parameter {
-			return row.Cycles
-		}
-	}
-	return 0
-}
-
-// RelativeSpeedup returns WS cycles / PDF cycles at the given sweep value.
-func (r *SensitivityResult) RelativeSpeedup(workload string, parameter int64) float64 {
-	pdf := r.Cycles(workload, "pdf", parameter)
-	ws := r.Cycles(workload, "ws", parameter)
-	if pdf == 0 {
-		return 0
-	}
-	return float64(ws) / float64(pdf)
+	return &SensitivityResult{Table: t, Name: name, Parameter: param}, nil
 }
 
 // SlowPDFBeatsFastWS reports whether PDF at the largest swept parameter value
@@ -106,17 +70,13 @@ func (r *SensitivityResult) SlowPDFBeatsFastWS(workload string) bool {
 	if len(r.Rows) == 0 {
 		return false
 	}
-	minP, maxP := r.Rows[0].Parameter, r.Rows[0].Parameter
+	slow, fast := r.Rows[0].Point, r.Rows[0].Point
+	slow.Workload, fast.Workload = workload, workload
 	for _, row := range r.Rows {
-		if row.Parameter < minP {
-			minP = row.Parameter
-		}
-		if row.Parameter > maxP {
-			maxP = row.Parameter
-		}
+		slow.Param = max(slow.Param, row.Param)
+		fast.Param = min(fast.Param, row.Param)
 	}
-	pdfSlow := r.Cycles(workload, "pdf", maxP)
-	wsFast := r.Cycles(workload, "ws", minP)
+	pdfSlow, wsFast := r.Cycles(slow, "pdf"), r.Cycles(fast, "ws")
 	return pdfSlow > 0 && wsFast > 0 && pdfSlow <= wsFast
 }
 
@@ -129,9 +89,8 @@ func (r *SensitivityResult) String() string {
 		if row.Scheduler != "pdf" {
 			continue
 		}
-		ws := r.Cycles(row.Workload, "ws", row.Parameter)
-		t.AddRow(row.Workload, fmt.Sprint(row.Parameter), fmt.Sprint(row.Cycles), fmt.Sprint(ws),
-			fmt.Sprintf("%.2f", r.RelativeSpeedup(row.Workload, row.Parameter)))
+		t.AddRow(row.Workload, fmt.Sprint(row.Param), fmt.Sprint(row.Cycles), fmt.Sprint(r.Cycles(row.Point, "ws")),
+			fmt.Sprintf("%.2f", r.Speedup(row.Point, "pdf", "ws")))
 	}
 	b.WriteString(t.String())
 	if r.Name == "figure4" {

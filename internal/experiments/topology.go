@@ -9,30 +9,9 @@ import (
 	"cmpsched/internal/sweep"
 )
 
-// TopologyRow is one point of the cache-topology comparison: one benchmark
-// on one core count, one L2 topology and one scheduler.
-type TopologyRow struct {
-	Workload  string
-	Cores     int
-	Topology  string
-	Scheduler string
-	// Cycles is the parallel execution time.
-	Cycles int64
-	// L2MissesPerKiloInstr is the paper's primary cache metric, aggregated
-	// over every L2 slice of the topology.
-	L2MissesPerKiloInstr float64
-	// MemUtilization is the off-chip bandwidth utilisation.
-	MemUtilization float64
-	// MaxSliceQueueCycles is the largest per-slice off-chip queueing delay,
-	// exposing bandwidth hot spots among slices.
-	MaxSliceQueueCycles int64
-}
-
-// TopologyResult holds every row of the topology comparison.
-type TopologyResult struct {
-	Rows  []TopologyRow
-	Scale int64
-}
+// TopologyResult holds every row of the topology comparison: each benchmark
+// on each core count and L2 topology under PDF and WS.
+type TopologyResult struct{ Table }
 
 // TopologyComparisonTopologies lists the topologies the comparison
 // evaluates, from fully shared to fully private.
@@ -49,128 +28,61 @@ func TopologyComparisonTopologies() []cache.Topology {
 // so the PDF-over-WS L2-MPKI advantage visible on the shared topology
 // collapses — which is exactly what this comparison shows.
 func TopologyComparison(opts Options) (*TopologyResult, error) {
-	res := &TopologyResult{Scale: opts.effectiveScale()}
-	type point struct {
-		wl    string
-		cores int
-		topo  string
-	}
-	var g grid[point]
-	for _, wl := range Figure2Workloads() {
-		for _, cores := range opts.coresOrDefault([]int{8}) {
-			if wl == "lu" && cores > 16 {
-				continue
-			}
-			base, err := opts.scaledDefault(cores)
-			if err != nil {
-				return nil, err
-			}
-			for _, topo := range TopologyComparisonTopologies() {
-				cfg := base.WithTopology(topo)
-				jobs, err := opts.schedulerJobs(wl, cfg, false)
-				if err != nil {
-					return nil, err
-				}
-				g.add(point{wl, cores, topo.String()}, jobs...)
-			}
-		}
-	}
-	err := runGrid(opts, &g, func(pt point, rs []sweep.Result) {
-		for i, sc := range []string{"pdf", "ws"} {
-			sim := rs[i].Sim
-			var maxQueue int64
-			for _, p := range sim.MemPorts {
-				if p.QueueCycles > maxQueue {
-					maxQueue = p.QueueCycles
-				}
-			}
-			res.Rows = append(res.Rows, TopologyRow{
-				Workload: pt.wl, Cores: pt.cores, Topology: pt.topo, Scheduler: sc,
-				Cycles:               sim.Cycles,
-				L2MissesPerKiloInstr: sim.L2MissesPerKiloInstr(),
-				MemUtilization:       sim.MemUtilization,
-				MaxSliceQueueCycles:  maxQueue,
-			})
-		}
-	})
+	t, err := opts.sweepTable("topology comparison", sweep.Spec{
+		Workloads:  Figure2Workloads(),
+		Topologies: topologyNames(TopologyComparisonTopologies()),
+		Cores:      opts.coresOrDefault([]int{8}),
+	}, "")
 	if err != nil {
-		return nil, fmt.Errorf("topology comparison: %w", err)
+		return nil, err
 	}
-	return res, nil
-}
-
-// Row returns the row for a workload/cores/topology/scheduler combination,
-// or nil.
-func (r *TopologyResult) Row(workload string, cores int, topology, scheduler string) *TopologyRow {
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		if row.Workload == workload && row.Cores == cores && row.Topology == topology && row.Scheduler == scheduler {
-			return row
-		}
-	}
-	return nil
-}
-
-// RelativeSpeedup returns the PDF-over-WS speedup (WS cycles / PDF cycles)
-// on one topology, or 0 if missing.
-func (r *TopologyResult) RelativeSpeedup(workload string, cores int, topology string) float64 {
-	pdf := r.Row(workload, cores, topology, "pdf")
-	ws := r.Row(workload, cores, topology, "ws")
-	if pdf == nil || ws == nil || pdf.Cycles == 0 {
-		return 0
-	}
-	return float64(ws.Cycles) / float64(pdf.Cycles)
-}
-
-// MissReductionPercent returns the relative reduction in L2 misses per 1000
-// instructions of PDF vs WS on one topology, in percent.  Positive means
-// PDF misses less; near zero means the topology gives PDF nothing to win.
-func (r *TopologyResult) MissReductionPercent(workload string, cores int, topology string) float64 {
-	pdf := r.Row(workload, cores, topology, "pdf")
-	ws := r.Row(workload, cores, topology, "ws")
-	if pdf == nil || ws == nil || ws.L2MissesPerKiloInstr == 0 {
-		return 0
-	}
-	return (ws.L2MissesPerKiloInstr - pdf.L2MissesPerKiloInstr) / ws.L2MissesPerKiloInstr * 100
-}
-
-// GapCollapse returns the shared-topology PDF miss reduction minus the
-// private-topology one, in percentage points: how much of PDF's cache
-// advantage the private organisation forfeits.
-func (r *TopologyResult) GapCollapse(workload string, cores int) float64 {
-	return r.MissReductionPercent(workload, cores, "shared") - r.MissReductionPercent(workload, cores, "private")
+	return &TopologyResult{t}, nil
 }
 
 // String renders one panel per workload: topologies down, PDF and WS
 // side by side.
 func (r *TopologyResult) String() string {
+	return r.pdfVersusWS("Topology comparison", Figure2Workloads(), "")
+}
+
+// pdfVersusWS renders a PDF-vs-WS table one panel per workload, titled
+// "<title>: <workload>", with each row's Input in a first column headed
+// inputColumn unless that is "".
+func (t *Table) pdfVersusWS(title string, workloads []string, inputColumn string) string {
 	var b strings.Builder
-	for _, wl := range Figure2Workloads() {
-		rows := false
-		t := stats.NewTable("cores", "topology", "sched", "cycles", "L2 misses/1000 instr", "PDF miss reduction %", "PDF/WS speedup", "mem util %")
-		for _, row := range r.Rows {
+	for _, wl := range workloads {
+		header := []string{"cores", "topology", "sched", "cycles", "L2 misses/1000 instr", "PDF miss reduction %", "PDF/WS speedup", "mem util %"}
+		if inputColumn != "" {
+			header = append([]string{inputColumn}, header...)
+		}
+		tab, rows := stats.NewTable(header...), false
+		for _, row := range t.Rows {
 			if row.Workload != wl {
 				continue
 			}
 			rows = true
 			reduction, rel := "", ""
 			if row.Scheduler == "pdf" {
-				reduction = fmt.Sprintf("%.1f", r.MissReductionPercent(wl, row.Cores, row.Topology))
-				rel = fmt.Sprintf("%.2f", r.RelativeSpeedup(wl, row.Cores, row.Topology))
+				reduction = fmt.Sprintf("%.1f", t.MissReduction(row.Point, "pdf", "ws"))
+				rel = fmt.Sprintf("%.2f", t.Speedup(row.Point, "pdf", "ws"))
 			}
-			t.AddRow(
+			cells := []string{
 				fmt.Sprint(row.Cores), row.Topology, row.Scheduler,
 				fmt.Sprint(row.Cycles),
-				fmt.Sprintf("%.3f", row.L2MissesPerKiloInstr),
+				fmt.Sprintf("%.3f", row.L2MissesPerKiloInstr()),
 				reduction, rel,
 				fmt.Sprintf("%.1f", row.MemUtilization*100),
-			)
+			}
+			if inputColumn != "" {
+				cells = append([]string{row.Input}, cells...)
+			}
+			tab.AddRow(cells...)
 		}
 		if !rows {
 			continue
 		}
-		fmt.Fprintf(&b, "Topology comparison: %s (default configurations, capacity scale 1/%d)\n", wl, r.Scale)
-		b.WriteString(t.String())
+		fmt.Fprintf(&b, "%s: %s (default configurations, capacity scale 1/%d)\n", title, wl, t.Scale)
+		b.WriteString(tab.String())
 		b.WriteString("\n")
 	}
 	return b.String()

@@ -17,12 +17,12 @@ func TestTopologyComparisonQualitative(t *testing.T) {
 		t.Fatalf("TopologyComparison: %v", err)
 	}
 	for _, wl := range []string{"mergesort", "hashjoin"} {
-		shared := res.MissReductionPercent(wl, 8, "shared")
-		private := res.MissReductionPercent(wl, 8, "private")
+		shared := res.MissReduction(Point{Workload: wl, Cores: 8, Topology: "shared"}, "pdf", "ws")
+		private := res.MissReduction(Point{Workload: wl, Cores: 8, Topology: "private"}, "pdf", "ws")
 		if shared < 3 {
 			t.Errorf("%s: PDF should beat WS by >= 3%% L2 MPKI on the shared L2, got %.1f%%", wl, shared)
 		}
-		if collapse := res.GapCollapse(wl, 8); collapse < 3 {
+		if collapse := res.GapCollapse(Point{Workload: wl, Cores: 8}); collapse < 3 {
 			t.Errorf("%s: the PDF advantage should collapse on private slices (shared %.1f%%, private %.1f%%, collapse %.1f points)",
 				wl, shared, private, collapse)
 		}
@@ -42,15 +42,15 @@ func TestTopologyComparisonStructure(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
 	}
 	for _, topo := range topos {
-		row := res.Row("mergesort", 8, topo.String(), "pdf")
+		row := res.Get(Point{Workload: "mergesort", Cores: 8, Topology: topo.String()}, "pdf")
 		if row == nil {
 			t.Fatalf("missing mergesort/8/%s/pdf row", topo)
 		}
-		if row.Cycles <= 0 || row.L2MissesPerKiloInstr <= 0 {
+		if row.Cycles <= 0 || row.L2MissesPerKiloInstr() <= 0 {
 			t.Errorf("degenerate row %+v", row)
 		}
 	}
-	if res.Row("mergesort", 8, "shared", "nope") != nil {
+	if res.Get(Point{Workload: "mergesort", Cores: 8, Topology: "shared"}, "nope") != nil {
 		t.Errorf("Row returned a match for an unknown scheduler")
 	}
 	out := res.String()

@@ -23,7 +23,7 @@ func BindSpecFlags(fs *flag.FlagSet) func() (Spec, error) {
 		tables     = fs.String("tables", TableDefault, "configuration tables: default (Table 2), 45nm (Table 3)")
 		topology   = fs.String("topology", "shared", "comma-separated cache topologies: shared, private, clustered:<k>")
 		cores      = fs.String("cores", "", "comma-separated core counts (empty = all the tables define)")
-		scale      = fs.Int64("scale", config.DefaultScale, "capacity scale factor relative to the paper's configurations")
+		scale      = fs.Int64("scale", config.DefaultScale, "scale factor dividing the paper's cache capacities and the harness's workload inputs")
 		quick      = fs.Bool("quick", false, "use reduced inputs (seconds instead of minutes)")
 		seq        = fs.Bool("seq", false, "also run the sequential baseline per point")
 	)

@@ -2,8 +2,10 @@
 // paper as synthetic DAG + memory-reference models: Mergesort, Hash Join and
 // LU (the three benchmarks analysed in detail in §5), plus Matrix Multiply,
 // Quicksort and a Heat stencil from the broader benchmark suite (§5.5), and
-// the irregular graph kernels (BFS, SSSP, PageRank, triangle counting) that
-// extend the study to data-dependent access patterns.
+// eight irregular graph kernels (BFS, SSSP, PageRank, triangle counting,
+// connectivity, k-core, maximal independent set and maximal matching) that
+// extend the study to data-dependent access patterns; Names lists every
+// registered workload.
 //
 // Each workload builds (a) a computation DAG whose tasks carry reference
 // streams modelling the data structures and access patterns of the original
