@@ -78,14 +78,14 @@ lint: fmt-check vet doc-check
 
 # The simulator benchmark suite -> BENCH_simulator.json: ns/op, B/op,
 # allocs/op and the shape metrics (L2-MPKI etc.) for every Simulate*
-# benchmark and the build-side Build*DAG and Profiler* benchmarks, in
-# benchstat-comparable form (each entry keeps its raw line).  Record the
-# committed baseline with GOMAXPROCS=1, so its names carry no -N suffix and
-# benchgate matches them on any runner.
+# benchmark, the build-side Build*DAG benchmarks (one per graph kernel) and
+# the Profiler* benchmarks, in benchstat-comparable form (each entry keeps
+# its raw line).  Record the committed baseline with GOMAXPROCS=1, so its
+# names carry no -N suffix and benchgate matches them on any runner.
 # Compare two commits with
 #   jq -r '.benchmarks[].raw' old.json > old.txt   (and likewise new)
 #   benchstat old.txt new.txt
-BENCH ?= BenchmarkSimulate|BenchmarkBuildBFSDAG|BenchmarkBuildPageRankDAG|BenchmarkProfiler
+BENCH ?= BenchmarkSimulate|BenchmarkBuild|BenchmarkProfiler
 BENCHTIME ?= 1s
 BENCH_NOTES ?=
 bench:

@@ -403,13 +403,73 @@ func BenchmarkBuildBFSDAG(b *testing.B) {
 // byte-identical, and iteration i+2's tasks take iteration i's recordings,
 // so its allocations pin that sharing).
 func BenchmarkBuildPageRankDAG(b *testing.B) {
+	g := buildFixture(b)
+	exactAllocs(b, func() error {
+		_, _, err := graph.PageRank(g, 4, graph.Costs{})
+		return err
+	})
+}
+
+// buildFixture is the RMAT 2^12 graph (seed 7) the kernel build benchmarks
+// run on; the kernels below cut it at buildCosts' finer grain, so every
+// round spans several chunk tasks.
+func buildFixture(b *testing.B) *graph.CSR {
+	b.Helper()
 	g, err := graph.New(graph.Config{Family: graph.FamilyRMAT, Vertices: 1 << 12, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
+	return g
+}
+
+var buildCosts = graph.Costs{EdgesPerTask: 512}
+
+func BenchmarkBuildSSSPDAG(b *testing.B) {
+	g := buildFixture(b)
 	exactAllocs(b, func() error {
-		_, _, err := graph.PageRank(g, 4, graph.Costs{})
+		// Source 0, weight seed 7, weights up to 16, run to convergence.
+		_, _, err := graph.BellmanFord(g, 0, 7, 16, 0, buildCosts)
+		return err
+	})
+}
+
+func BenchmarkBuildTrianglesDAG(b *testing.B) {
+	g := buildFixture(b)
+	exactAllocs(b, func() error {
+		_, _, _, err := graph.Triangles(g, buildCosts)
+		return err
+	})
+}
+
+func BenchmarkBuildConnectivityDAG(b *testing.B) {
+	g := buildFixture(b)
+	exactAllocs(b, func() error {
+		_, _, _, err := graph.Connectivity(g, 7, buildCosts)
+		return err
+	})
+}
+
+func BenchmarkBuildKCoreDAG(b *testing.B) {
+	g := buildFixture(b)
+	exactAllocs(b, func() error {
+		_, _, _, err := graph.KCore(g, buildCosts)
+		return err
+	})
+}
+
+func BenchmarkBuildMISDAG(b *testing.B) {
+	g := buildFixture(b)
+	exactAllocs(b, func() error {
+		_, _, _, err := graph.MIS(g, 7, buildCosts)
+		return err
+	})
+}
+
+func BenchmarkBuildMatchingDAG(b *testing.B) {
+	g := buildFixture(b)
+	exactAllocs(b, func() error {
+		_, _, _, err := graph.MaximalMatching(g, 7, buildCosts)
 		return err
 	})
 }

@@ -356,8 +356,9 @@ func BuildWorkload(name string) (*DAG, *GroupTree, error) {
 	return w.Build()
 }
 
-// NewMergesort, NewHashJoin, NewLU, NewMatMul, NewQuicksort and NewHeat
-// construct benchmarks with explicit parameters (zero fields take defaults).
+// NewMergesort, NewHashJoin, NewLU, NewMatMul, NewCholesky, NewQuicksort
+// and NewHeat construct benchmarks with explicit parameters (zero fields
+// take defaults).
 func NewMergesort(cfg MergesortConfig) Workload { return workload.NewMergesort(cfg) }
 
 // NewHashJoin constructs the hash-join benchmark.

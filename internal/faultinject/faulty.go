@@ -120,14 +120,6 @@ func (f *Faulty) CrashAt(op Op, nth int) {
 	f.crashAt[op][nth] = true
 }
 
-// Crash freezes the filesystem immediately: every subsequent operation
-// fails with ErrCrashed.
-func (f *Faulty) Crash() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.crashed = true
-}
-
 // Crashed reports whether the simulated process has crashed.
 func (f *Faulty) Crashed() bool {
 	f.mu.Lock()

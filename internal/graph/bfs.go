@@ -20,44 +20,27 @@ import (
 // and the *scattered* distance-vector lines of every neighbour it inspects,
 // writing the slots of newly discovered vertices and the next frontier.
 func BFS(g *CSR, source int64, costs Costs) (*dag.DAG, *taskgroup.Tree, error) {
-	c := costs.withDefaults()
 	if err := checkSource(g, source); err != nil {
 		return nil, nil, fmt.Errorf("graph: bfs: %w", err)
 	}
 	levels, discoverer := bfsLevels(g, source)
 
-	d := dag.New(fmt.Sprintf("bfs-%s", g.Name))
-	tree := taskgroup.New("bfs")
-
+	b := newBuilder("bfs", g, costs)
+	c, tr := b.c, b.tr
 	// Initialisation: write the distance vector and the first frontier.
-	init := newTrace(c)
-	init.span(distAddr(0), g.N*vertexEntryBytes, true, 1)
-	init.touch(frontAddr(0, 0), true, c.InstrsPerVertex)
-	initTask := d.AddTask("bfs-init", init.gen(c.SpawnInstrs))
-	initTask.Site = "graph/bfs.go:init"
-	initTask.Param = float64(init.bytes())
-	tree.Own(tree.Root, initTask.ID)
+	b.serial("bfs-init", "graph/bfs.go:init", c.SpawnInstrs, func() {
+		tr.span(distAddr(0), g.N*vertexEntryBytes, true, 1)
+		tr.touch(frontAddr(0, 0), true, c.InstrsPerVertex)
+	})
 
-	prevBarrier := initTask.ID
-	d.RecordMetric("bfs.levels", int64(len(levels)))
-	// One trace serves every explore task: dag.AddTask encodes each
-	// finalised stream into its own arena, so the accumulation buffer is
-	// reused across chunks.
-	tr := newTrace(c)
+	b.d.RecordMetric("bfs.levels", int64(len(levels)))
 	for level, frontier := range levels {
-		d.RecordMetric(fmt.Sprintf("bfs.frontier.level_%02d.vertices", level), int64(len(frontier)))
+		b.d.RecordMetric(fmt.Sprintf("bfs.frontier.level_%02d.vertices", level), int64(len(frontier)))
 		parity := level % 2
-		group := tree.AddChild(tree.Root, fmt.Sprintf("bfs-level%d", level), "graph/bfs.go:level", 0, level)
-		var groupBytes int64
-
+		b.round(fmt.Sprintf("bfs-level%d", level), "graph/bfs.go:level", fmt.Sprintf("bfs-l%d", level), "graph/bfs.go:explore", level)
 		nextSlot := int64(0) // slot counter in the next frontier
-		chunks := chunk(int64(len(frontier)), c.EdgesPerTask, func(i int64) int64 {
-			return 1 + g.Degree(int64(frontier[i]))
-		})
-		chunkIDs := make([]dag.TaskID, 0, len(chunks))
-		for _, cr := range chunks {
-			tr.reset()
-			for i := cr[0]; i < cr[1]; i++ {
+		b.each(b.frontierChunks(g, frontier), func(_ int, lo, hi int64) {
+			for i := lo; i < hi; i++ {
 				u := int64(frontier[i])
 				tr.touch(frontAddr(parity, i), false, c.InstrsPerVertex)
 				tr.touch(offsetAddr(u), false, 0)
@@ -75,28 +58,10 @@ func BFS(g *CSR, source int64, costs Costs) (*dag.DAG, *taskgroup.Tree, error) {
 					}
 				}
 			}
-			t := d.AddTask(fmt.Sprintf("bfs-l%d[%d:%d)", level, cr[0], cr[1]), tr.gen(c.SpawnInstrs/4))
-			t.Site = "graph/bfs.go:explore"
-			t.Param = float64(tr.bytes())
-			t.Level = level
-			groupBytes += tr.bytes()
-			tree.Own(group, t.ID)
-			d.MustEdge(prevBarrier, t.ID)
-			chunkIDs = append(chunkIDs, t.ID)
-		}
-
-		barrier := d.AddComputeTask(fmt.Sprintf("bfs-advance%d", level), c.SpawnInstrs)
-		barrier.Site = "graph/bfs.go:advance"
-		barrier.Level = level
-		tree.Own(group, barrier.ID)
-		for _, id := range chunkIDs {
-			d.MustEdge(id, barrier.ID)
-		}
-		group.Param = float64(groupBytes)
-		prevBarrier = barrier.ID
+		})
+		b.close(fmt.Sprintf("bfs-advance%d", level), "graph/bfs.go:advance", c.SpawnInstrs, nil)
 	}
-
-	return finish(d, tree, "bfs")
+	return b.finish()
 }
 
 // bfsLevels runs the breadth-first search on the host.  It returns the
@@ -137,15 +102,4 @@ func checkSource(g *CSR, source int64) error {
 		return fmt.Errorf("source %d out of range [0, %d)", source, g.N)
 	}
 	return nil
-}
-
-// finish validates the DAG and finalises the group tree.
-func finish(d *dag.DAG, tree *taskgroup.Tree, kernel string) (*dag.DAG, *taskgroup.Tree, error) {
-	if err := d.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("graph: %s: %w", kernel, err)
-	}
-	if err := tree.Finalize(d); err != nil {
-		return nil, nil, fmt.Errorf("graph: %s: %w", kernel, err)
-	}
-	return d, tree, nil
 }

@@ -11,22 +11,16 @@ import (
 )
 
 // lddView is one level of the contraction hierarchy for the LDD walker: the
-// level's CSR and the simulated addresses of its offset and edge arrays.
+// level's CSR and the simulated base addresses of its offset and edge arrays.
 // Level 0 walks the input graph in the real CSR regions; deeper levels walk a
 // host-built contracted CSR in the parity-selected contracted regions.
 type lddView struct {
-	g       *CSR
-	offAddr func(v int64) uint64
-	edgAddr func(j int64) uint64
+	g                *CSR
+	offBase, edgBase uint64
 }
 
-func viewOfContracted(cg *CSR, parity int) lddView {
-	return lddView{
-		g:       cg,
-		offAddr: func(v int64) uint64 { return coffAddr(parity, v) },
-		edgAddr: func(j int64) uint64 { return cedgeAddr(parity, j) },
-	}
-}
+func (l lddView) offAddr(v int64) uint64 { return l.offBase + uint64(v)*offsetEntryBytes }
+func (l lddView) edgAddr(j int64) uint64 { return l.edgBase + uint64(j)*edgeEntryBytes }
 
 // geomShift draws vertex v's deterministic LDD start round: a geometric
 // sample with p = 1/8 (so ~n/8 vertices wake as cluster centers in round 0
@@ -56,34 +50,23 @@ func geomShift(seed uint64, level int, v int64, cap int64) int64 {
 // arbitrary but equal exactly for connected vertices), used by tests against
 // a serial union-find reference.
 func Connectivity(g *CSR, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []int64, error) {
-	c := costs.withDefaults()
 	n0 := g.N
-
-	d := dag.New(fmt.Sprintf("connectivity-%s", g.Name))
-	tree := taskgroup.New("connectivity")
-
+	b := newBuilder("connectivity", g, costs)
+	c, tr := b.c, b.tr
 	// Initialisation: clear the label vector, draw the level-0 shifts.
-	init := newTrace(c)
-	init.span(labelAddr(0), n0*vertexEntryBytes, true, 1)
-	init.span(prioAddr(0), n0*vertexEntryBytes, true, 1)
-	initTask := d.AddTask("conn-init", init.gen(c.SpawnInstrs))
-	initTask.Site = "graph/connectivity.go:init"
-	initTask.Param = float64(init.bytes())
-	tree.Own(tree.Root, initTask.ID)
-	prevBarrier := initTask.ID
+	b.serial("conn-init", "graph/connectivity.go:init", c.SpawnInstrs, func() {
+		tr.span(labelAddr(0), n0*vertexEntryBytes, true, 1)
+		tr.span(prioAddr(0), n0*vertexEntryBytes, true, 1)
+	})
 
-	tr := newTrace(c)
 	const maxLevels = 32
-	lvl := lddView{g: g, offAddr: offsetAddr, edgAddr: edgeAddr}
+	lvl := lddView{g: g, offBase: offsetAddr(0), edgBase: edgeAddr(0)}
 	var maps [][]int64 // per level: vertex -> next-level cluster index
 	totalRounds := 0
 	sequentialTail := false
 
 	for level := 0; ; level++ {
-		labels, rounds, err := lddPass(d, tree, &prevBarrier, tr, lvl, level, seed, c)
-		if err != nil {
-			return nil, nil, nil, err
-		}
+		labels, rounds := b.lddPass(lvl, level, seed)
 		totalRounds += rounds
 
 		// Relabel clusters to [0, nc) in ascending-center order and collect
@@ -108,22 +91,23 @@ func Connectivity(g *CSR, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, 
 		}
 		maps = append(maps, m)
 
-		pairs := contract(d, tree, &prevBarrier, tr, lvl, level, m, c)
+		pairs := b.contract(lvl, level, m)
 		if len(pairs) == 0 {
 			break
 		}
+		parity := (level + 1) % 2
 		if nc >= lvl.g.N || level+1 >= maxLevels {
 			// No contraction progress (vanishingly unlikely under the
 			// geometric shifts) or the level cap: finish the remaining
 			// merges with a sequential union-find, modelled as one task
 			// streaming the residual edge list and label lines.
-			maps = append(maps, unionFindTail(d, tree, &prevBarrier, c, nc, pairs, (level+1)%2))
+			maps = append(maps, b.unionFindTail(nc, pairs, parity))
 			sequentialTail = true
 			break
 		}
 		cg := fromPairs(nc, pairs)
 		cg.Name = fmt.Sprintf("conn-contracted-l%d", level+1)
-		lvl = viewOfContracted(cg, (level+1)%2)
+		lvl = lddView{g: cg, offBase: coffAddr(parity, 0), edgBase: cedgeAddr(parity, 0)}
 	}
 
 	// Compose the per-level mappings down to the original vertices and emit
@@ -136,50 +120,33 @@ func Connectivity(g *CSR, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, 
 		}
 		comp[v] = id
 	}
-	group := tree.AddChild(tree.Root, "conn-relabel", "graph/connectivity.go:relabel", 0, 0)
-	var groupBytes int64
-	chunks := chunk(n0, c.EdgesPerTask, func(int64) int64 { return 1 })
-	chunkIDs := make([]dag.TaskID, 0, len(chunks))
-	for _, cr := range chunks {
-		tr.reset()
-		tr.span(labelAddr(cr[0]), (cr[1]-cr[0])*vertexEntryBytes, false, 1)
-		tr.span(compAddr(cr[0]), (cr[1]-cr[0])*vertexEntryBytes, true, 1)
-		t := d.AddTask(fmt.Sprintf("conn-relabel[%d:%d)", cr[0], cr[1]), tr.gen(c.SpawnInstrs/4))
-		t.Site = "graph/connectivity.go:relabel"
-		t.Param = float64(tr.bytes())
-		groupBytes += tr.bytes()
-		tree.Own(group, t.ID)
-		d.MustEdge(prevBarrier, t.ID)
-		chunkIDs = append(chunkIDs, t.ID)
-	}
-	group.Param = float64(groupBytes)
-	done := d.AddComputeTask("conn-done", c.SpawnInstrs)
-	done.Site = "graph/connectivity.go:done"
-	tree.Own(tree.Root, done.ID)
-	for _, id := range chunkIDs {
-		d.MustEdge(id, done.ID)
-	}
+	b.round("conn-relabel", "graph/connectivity.go:relabel", "conn-relabel", "graph/connectivity.go:relabel", 0)
+	b.each(chunk(n0, c.EdgesPerTask, func(int64) int64 { return 1 }), func(_ int, lo, hi int64) {
+		tr.span(labelAddr(lo), (hi-lo)*vertexEntryBytes, false, 1)
+		tr.span(compAddr(lo), (hi-lo)*vertexEntryBytes, true, 1)
+	})
+	b.join("conn-done", "graph/connectivity.go:done", c.SpawnInstrs, nil)
 
 	components := make(map[int64]bool)
 	for _, id := range comp {
 		components[id] = true
 	}
-	d.RecordMetric("conn.levels", int64(len(maps)))
-	d.RecordMetric("conn.rounds", int64(totalRounds))
-	d.RecordMetric("conn.components", int64(len(components)))
+	b.d.RecordMetric("conn.levels", int64(len(maps)))
+	b.d.RecordMetric("conn.rounds", int64(totalRounds))
+	b.d.RecordMetric("conn.components", int64(len(components)))
 	if sequentialTail {
-		d.RecordMetric("conn.sequential_tail", 1)
+		b.d.RecordMetric("conn.sequential_tail", 1)
 	}
 
-	d2, t2, err := finish(d, tree, "connectivity")
-	return d2, t2, comp, err
+	d, tree, err := b.finish()
+	return d, tree, comp, err
 }
 
 // lddPass runs one low-diameter decomposition over lvl on the host, emitting
-// one DAG level per staggered-BFS round, and returns the cluster labelling
+// one round per staggered-BFS round, and returns the cluster labelling
 // (labels[v] = the center vertex whose ball claimed v) plus the round count.
-func lddPass(d *dag.DAG, tree *taskgroup.Tree, prevBarrier *dag.TaskID, tr *trace, lvl lddView, level int, seed uint64, c Costs) ([]int64, int, error) {
-	g, n := lvl.g, lvl.g.N
+func (b *builder) lddPass(lvl lddView, level int, seed uint64) ([]int64, int) {
+	g, n, c, tr := lvl.g, lvl.g.N, b.c, b.tr
 	shiftCap := 2*imath.Log2Ceil(n) + 8
 	wake := make(map[int64][]int32)
 	for v := int64(0); v < n; v++ {
@@ -215,18 +182,11 @@ func lddPass(d *dag.DAG, tree *taskgroup.Tree, prevBarrier *dag.TaskID, tr *trac
 		}
 		rounds++
 		parity := int(r) % 2
-		group := tree.AddChild(tree.Root, fmt.Sprintf("conn-l%d-round%d", level, r), "graph/connectivity.go:round", 0, int(r))
-		var groupBytes int64
+		b.round(fmt.Sprintf("conn-l%d-round%d", level, r), "graph/connectivity.go:round", fmt.Sprintf("conn-l%d-r%d", level, r), "graph/connectivity.go:explore", int(r))
 
 		var next []int32
-		nextSlot := int64(0)
-		chunks := chunk(int64(len(frontier)), c.EdgesPerTask, func(i int64) int64 {
-			return 1 + g.Degree(int64(frontier[i]))
-		})
-		chunkIDs := make([]dag.TaskID, 0, len(chunks))
-		for _, cr := range chunks {
-			tr.reset()
-			for i := cr[0]; i < cr[1]; i++ {
+		b.each(b.frontierChunks(g, frontier), func(_ int, lo, hi int64) {
+			for i := lo; i < hi; i++ {
 				u := int64(frontier[i])
 				if i >= int64(nCarried) {
 					// A center seating itself: read its shift, claim its own
@@ -248,52 +208,31 @@ func lddPass(d *dag.DAG, tree *taskgroup.Tree, prevBarrier *dag.TaskID, tr *trac
 						labels[w] = labels[u]
 						visited++
 						tr.touch(labelAddr(w), true, 2)
-						tr.touch(frontAddr(1-parity, nextSlot), true, 1)
-						nextSlot++
+						tr.touch(frontAddr(1-parity, int64(len(next))), true, 1)
 						next = append(next, w32)
 					}
 				}
 			}
-			t := d.AddTask(fmt.Sprintf("conn-l%d-r%d[%d:%d)", level, r, cr[0], cr[1]), tr.gen(c.SpawnInstrs/4))
-			t.Site = "graph/connectivity.go:explore"
-			t.Param = float64(tr.bytes())
-			t.Level = int(r)
-			groupBytes += tr.bytes()
-			tree.Own(group, t.ID)
-			d.MustEdge(*prevBarrier, t.ID)
-			chunkIDs = append(chunkIDs, t.ID)
-		}
-
-		barrier := d.AddComputeTask(fmt.Sprintf("conn-l%d-advance%d", level, r), c.SpawnInstrs)
-		barrier.Site = "graph/connectivity.go:advance"
-		barrier.Level = int(r)
-		tree.Own(group, barrier.ID)
-		for _, id := range chunkIDs {
-			d.MustEdge(id, barrier.ID)
-		}
-		group.Param = float64(groupBytes)
-		*prevBarrier = barrier.ID
+		})
+		b.close(fmt.Sprintf("conn-l%d-advance%d", level, r), "graph/connectivity.go:advance", c.SpawnInstrs, nil)
 		claimed = next
 	}
-	return labels, rounds, nil
+	return labels, rounds
 }
 
 // contract emits the cluster-contraction phase for one level: chunked tasks
 // stream the level's edges, read both endpoints' cluster labels and write
 // each newly discovered inter-cluster edge into the next level's edge region.
 // It returns the deduplicated inter-cluster endpoint pairs (in cluster ids).
-func contract(d *dag.DAG, tree *taskgroup.Tree, prevBarrier *dag.TaskID, tr *trace, lvl lddView, level int, m []int64, c Costs) [][2]int32 {
-	g := lvl.g
+func (b *builder) contract(lvl lddView, level int, m []int64) [][2]int32 {
+	g, c, tr := lvl.g, b.c, b.tr
 	nextParity := (level + 1) % 2
-	group := tree.AddChild(tree.Root, fmt.Sprintf("conn-l%d-contract", level), "graph/connectivity.go:contract", 0, 0)
-	var groupBytes int64
+	name := fmt.Sprintf("conn-l%d-contract", level)
+	b.round(name, "graph/connectivity.go:contract", name, "graph/connectivity.go:contract", 0)
 	seen := make(map[[2]int32]bool)
 	var pairs [][2]int32
-	chunks := chunk(g.N, c.EdgesPerTask, func(v int64) int64 { return 1 + g.Degree(v) })
-	chunkIDs := make([]dag.TaskID, 0, len(chunks))
-	for _, cr := range chunks {
-		tr.reset()
-		for u := cr[0]; u < cr[1]; u++ {
+	b.each(chunk(g.N, c.EdgesPerTask, func(v int64) int64 { return 1 + g.Degree(v) }), func(_ int, lo, hi int64) {
+		for u := lo; u < hi; u++ {
 			tr.touch(lvl.offAddr(u), false, c.InstrsPerVertex)
 			tr.touch(lvl.offAddr(u+1), false, 0)
 			tr.touch(labelAddr(u), false, 0)
@@ -305,11 +244,11 @@ func contract(d *dag.DAG, tree *taskgroup.Tree, prevBarrier *dag.TaskID, tr *tra
 				if cu == cw {
 					continue
 				}
-				lo, hi := int32(cu), int32(cw)
-				if lo > hi {
-					lo, hi = hi, lo
+				x, y := int32(cu), int32(cw)
+				if x > y {
+					x, y = y, x
 				}
-				key := [2]int32{lo, hi}
+				key := [2]int32{x, y}
 				if !seen[key] {
 					seen[key] = true
 					slot := int64(len(pairs))
@@ -319,59 +258,39 @@ func contract(d *dag.DAG, tree *taskgroup.Tree, prevBarrier *dag.TaskID, tr *tra
 				}
 			}
 		}
-		t := d.AddTask(fmt.Sprintf("conn-l%d-contract[%d:%d)", level, cr[0], cr[1]), tr.gen(c.SpawnInstrs/4))
-		t.Site = "graph/connectivity.go:contract"
-		t.Param = float64(tr.bytes())
-		groupBytes += tr.bytes()
-		tree.Own(group, t.ID)
-		d.MustEdge(*prevBarrier, t.ID)
-		chunkIDs = append(chunkIDs, t.ID)
-	}
-	group.Param = float64(groupBytes)
-	barrier := d.AddComputeTask(fmt.Sprintf("conn-l%d-build", level), c.SpawnInstrs+int64(len(pairs))/8)
-	barrier.Site = "graph/connectivity.go:build"
-	tree.Own(group, barrier.ID)
-	for _, id := range chunkIDs {
-		d.MustEdge(id, barrier.ID)
-	}
-	*prevBarrier = barrier.ID
+	})
+	b.close(fmt.Sprintf("conn-l%d-build", level), "graph/connectivity.go:build", c.SpawnInstrs+int64(len(pairs))/8, nil)
 	return pairs
 }
 
 // unionFindTail finishes the residual merges sequentially: one task streams
 // the leftover inter-cluster edge list and folds it with a host union-find,
 // returning the cluster -> representative mapping.
-func unionFindTail(d *dag.DAG, tree *taskgroup.Tree, prevBarrier *dag.TaskID, c Costs, nc int64, pairs [][2]int32, parity int) []int64 {
+func (b *builder) unionFindTail(nc int64, pairs [][2]int32, parity int) []int64 {
 	parent := make([]int64, nc)
 	for i := range parent {
 		parent[i] = int64(i)
 	}
-	var find func(x int64) int64
-	find = func(x int64) int64 {
+	find := func(x int64) int64 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	tr := newTrace(c)
-	for i, p := range pairs {
-		tr.touch(cedgeAddr(parity, 2*int64(i)), false, c.InstrsPerEdge)
-		a, b := find(int64(p[0])), find(int64(p[1]))
-		if a != b {
-			parent[b] = a
-			tr.touch(labelAddr(b), true, 2)
+	b.serial("conn-seqtail", "graph/connectivity.go:seqtail", b.c.SpawnInstrs, func() {
+		for i, p := range pairs {
+			b.tr.touch(cedgeAddr(parity, 2*int64(i)), false, b.c.InstrsPerEdge)
+			x, y := find(int64(p[0])), find(int64(p[1]))
+			if x != y {
+				parent[y] = x
+				b.tr.touch(labelAddr(y), true, 2)
+			}
 		}
-	}
+	})
 	m := make([]int64, nc)
 	for i := range m {
 		m[i] = find(int64(i))
 	}
-	t := d.AddTask("conn-seqtail", tr.gen(c.SpawnInstrs))
-	t.Site = "graph/connectivity.go:seqtail"
-	t.Param = float64(tr.bytes())
-	tree.Own(tree.Root, t.ID)
-	d.MustEdge(*prevBarrier, t.ID)
-	*prevBarrier = t.ID
 	return m
 }

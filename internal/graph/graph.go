@@ -1,7 +1,9 @@
 // Package graph is the irregular-workload subsystem: deterministic seeded
 // graph generators materialised into a compact CSR representation, plus
 // DAG-emitting parallel graph kernels (level-synchronous BFS, round-based
-// Bellman-Ford SSSP, PageRank power iteration and triangle counting).
+// Bellman-Ford SSSP, PageRank power iteration, triangle counting,
+// low-diameter-decomposition connectivity, k-core peeling, maximal
+// independent set and maximal matching).
 //
 // The paper evaluates constructive cache sharing on regular
 // divide-and-conquer and numeric kernels; graph traversals are the canonical
@@ -10,8 +12,11 @@
 // real graph on the host to discover the data-dependent schedule (frontiers,
 // relaxation rounds), then emits a computation DAG whose tasks carry
 // refs.Gen memory-reference streams over the simulated CSR arrays (offsets,
-// edges, weights, frontier, distance/rank vectors).  The existing schedulers,
-// cache topologies and the CMP simulator consume those DAGs unmodified.
+// edges, weights, frontier, distance/rank vectors).  All eight emit one
+// bulk-synchronous shape, a serial start and then rounds of chunk tasks
+// between barriers, which one builder (rounds.go) wires.  The existing
+// schedulers, cache topologies and the CMP simulator consume those DAGs
+// unmodified.
 package graph
 
 import (

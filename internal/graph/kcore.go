@@ -19,22 +19,15 @@ import (
 // The third return value is the coreness of every vertex, used by tests
 // against a serial reference peeler.
 func KCore(g *CSR, costs Costs) (*dag.DAG, *taskgroup.Tree, []int64, error) {
-	c := costs.withDefaults()
 	n := g.N
-
-	d := dag.New(fmt.Sprintf("kcore-%s", g.Name))
-	tree := taskgroup.New("kcore")
-
+	b := newBuilder("kcore", g, costs)
+	c, tr := b.c, b.tr
 	// Initialisation: compute the starting induced degrees, clear states.
-	init := newTrace(c)
-	init.span(offsetAddr(0), (n+1)*offsetEntryBytes, false, 1)
-	init.span(degAddr(0), n*vertexEntryBytes, true, 1)
-	init.span(stateAddr(0), n*vertexEntryBytes, true, 1)
-	initTask := d.AddTask("kcore-init", init.gen(c.SpawnInstrs))
-	initTask.Site = "graph/kcore.go:init"
-	initTask.Param = float64(init.bytes())
-	tree.Own(tree.Root, initTask.ID)
-	prevBarrier := initTask.ID
+	b.serial("kcore-init", "graph/kcore.go:init", c.SpawnInstrs, func() {
+		tr.span(offsetAddr(0), (n+1)*offsetEntryBytes, false, 1)
+		tr.span(degAddr(0), n*vertexEntryBytes, true, 1)
+		tr.span(stateAddr(0), n*vertexEntryBytes, true, 1)
+	})
 
 	deg := make([]int64, n)
 	for v := int64(0); v < n; v++ {
@@ -47,7 +40,6 @@ func KCore(g *CSR, costs Costs) (*dag.DAG, *taskgroup.Tree, []int64, error) {
 	}
 	remaining := n
 
-	tr := newTrace(c)
 	round := 0 // global sub-round counter, drives frontier parity
 	var maxCore int64
 	for k := int64(0); remaining > 0; k++ {
@@ -65,16 +57,11 @@ func KCore(g *CSR, costs Costs) (*dag.DAG, *taskgroup.Tree, []int64, error) {
 				break
 			}
 			parity := round % 2
-			group := tree.AddChild(tree.Root, fmt.Sprintf("kcore-k%d-r%d", k, round), "graph/kcore.go:peel", 0, round)
-			var groupBytes int64
+			name := fmt.Sprintf("kcore-k%d-r%d", k, round)
+			b.round(name, "graph/kcore.go:peel", name, "graph/kcore.go:peel", round)
 			nextSlot := int64(0)
-			chunks := chunk(int64(len(frontier)), c.EdgesPerTask, func(i int64) int64 {
-				return 1 + g.Degree(int64(frontier[i]))
-			})
-			chunkIDs := make([]dag.TaskID, 0, len(chunks))
-			for _, cr := range chunks {
-				tr.reset()
-				for i := cr[0]; i < cr[1]; i++ {
+			b.each(b.frontierChunks(g, frontier), func(_ int, lo, hi int64) {
+				for i := lo; i < hi; i++ {
 					u := int64(frontier[i])
 					alive[u] = false
 					core[u] = k
@@ -102,30 +89,14 @@ func KCore(g *CSR, costs Costs) (*dag.DAG, *taskgroup.Tree, []int64, error) {
 						}
 					}
 				}
-				t := d.AddTask(fmt.Sprintf("kcore-k%d-r%d[%d:%d)", k, round, cr[0], cr[1]), tr.gen(c.SpawnInstrs/4))
-				t.Site = "graph/kcore.go:peel"
-				t.Param = float64(tr.bytes())
-				t.Level = round
-				groupBytes += tr.bytes()
-				tree.Own(group, t.ID)
-				d.MustEdge(prevBarrier, t.ID)
-				chunkIDs = append(chunkIDs, t.ID)
-			}
-			barrier := d.AddComputeTask(fmt.Sprintf("kcore-sync-k%d-r%d", k, round), c.SpawnInstrs)
-			barrier.Site = "graph/kcore.go:sync"
-			barrier.Level = round
-			tree.Own(group, barrier.ID)
-			for _, id := range chunkIDs {
-				d.MustEdge(id, barrier.ID)
-			}
-			group.Param = float64(groupBytes)
-			prevBarrier = barrier.ID
+			})
+			b.close(fmt.Sprintf("kcore-sync-k%d-r%d", k, round), "graph/kcore.go:sync", c.SpawnInstrs, nil)
 			round++
 		}
 	}
-	d.RecordMetric("kcore.rounds", int64(round))
-	d.RecordMetric("kcore.max_core", maxCore)
+	b.d.RecordMetric("kcore.rounds", int64(round))
+	b.d.RecordMetric("kcore.max_core", maxCore)
 
-	d2, t2, err := finish(d, tree, "kcore")
-	return d2, t2, core, err
+	d, tree, err := b.finish()
+	return d, tree, core, err
 }

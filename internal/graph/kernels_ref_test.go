@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"cmpsched/internal/dag"
@@ -353,6 +354,49 @@ func TestConnectivityComponentCounts(t *testing.T) {
 		if len(distinct) != wantComponents {
 			t.Errorf("%s: %d components, want %d", name, len(distinct), wantComponents)
 		}
+	}
+}
+
+// TestConnectivitySequentialTail reaches the union-find tail: under seed 3
+// both vertices of a single edge wake as centers in the same round, so the
+// level-0 decomposition contracts nothing and the residual edge is merged
+// sequentially.
+func TestConnectivitySequentialTail(t *testing.T) {
+	g := fromPairs(2, [][2]int32{{0, 1}})
+	g.Name = "edge"
+	d, tree, labels, err := Connectivity(g, 3, Costs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.NumTasks() != 8 {
+		t.Fatalf("tasks = %d, want 8", d.NumTasks())
+	}
+	if m := d.Metrics(); m["conn.sequential_tail"] != 1 || m["conn.levels"] != 2 {
+		t.Fatalf("metrics = %v, want conn.sequential_tail 1 and conn.levels 2", m)
+	}
+	if labels[0] != labels[1] {
+		t.Fatalf("labels = %v, want both vertices in one component", labels)
+	}
+	byName := make(map[string]*dag.Task)
+	for _, task := range d.Tasks() {
+		byName[task.Name] = task
+	}
+	tail, build := byName["conn-seqtail"], byName["conn-l0-build"]
+	if tail == nil || build == nil {
+		t.Fatalf("missing conn-seqtail or conn-l0-build among %d tasks", d.NumTasks())
+	}
+	if len(tail.Preds) != 1 || tail.Preds[0] != build.ID {
+		t.Fatalf("conn-seqtail preds = %v, want [%d] (conn-l0-build)", tail.Preds, build.ID)
+	}
+	if !slices.Contains(tree.Root.Tasks, tail.ID) {
+		t.Fatalf("conn-seqtail is not owned by the root group")
+	}
+	done, relabel := byName["conn-done"], byName["conn-relabel[0:2)"]
+	if done == nil || relabel == nil {
+		t.Fatalf("missing conn-done or the relabel chunk")
+	}
+	if len(done.Preds) != 1 || done.Preds[0] != relabel.ID {
+		t.Fatalf("conn-done preds = %v, want [%d] (the relabel chunk)", done.Preds, relabel.ID)
 	}
 }
 

@@ -32,21 +32,14 @@ func edgePrio(u, v int64, seed uint64, n int64) uint64 {
 // The third return value is the matched partner of every vertex (-1 if
 // unmatched), used by tests for the validity and maximality invariants.
 func MaximalMatching(g *CSR, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []int64, error) {
-	c := costs.withDefaults()
 	n := g.N
-
-	d := dag.New(fmt.Sprintf("matching-%s", g.Name))
-	tree := taskgroup.New("matching")
-
+	b := newBuilder("matching", g, costs)
+	c, tr := b.c, b.tr
 	// Initialisation: clear the match vector, seed the active list.
-	init := newTrace(c)
-	init.span(matchAddr(0), n*vertexEntryBytes, true, 1)
-	init.touch(frontAddr(0, 0), true, c.InstrsPerVertex)
-	initTask := d.AddTask("matching-init", init.gen(c.SpawnInstrs))
-	initTask.Site = "graph/matching.go:init"
-	initTask.Param = float64(init.bytes())
-	tree.Own(tree.Root, initTask.ID)
-	prevBarrier := initTask.ID
+	b.serial("matching-init", "graph/matching.go:init", c.SpawnInstrs, func() {
+		tr.span(matchAddr(0), n*vertexEntryBytes, true, 1)
+		tr.touch(frontAddr(0, 0), true, c.InstrsPerVertex)
+	})
 
 	match := make([]int64, n)
 	for i := range match {
@@ -60,12 +53,10 @@ func MaximalMatching(g *CSR, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tre
 		}
 	}
 
-	tr := newTrace(c)
 	for round := 0; len(active) > 0; round++ {
-		d.RecordMetric("matching.rounds", int64(round)+1)
+		b.d.RecordMetric("matching.rounds", int64(round)+1)
 		parity := round % 2
-		group := tree.AddChild(tree.Root, fmt.Sprintf("matching-round%d", round), "graph/matching.go:round", 0, round)
-		var groupBytes int64
+		b.round(fmt.Sprintf("matching-round%d", round), "graph/matching.go:round", fmt.Sprintf("matching-r%d", round), "graph/matching.go:handshake", round)
 
 		// Jacobi semantics: every vertex picks its strongest live edge
 		// against the match vector as it stood at the round start; mutual
@@ -89,15 +80,8 @@ func MaximalMatching(g *CSR, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tre
 			}
 		}
 
-		var next []int32
-		nextSlot := int64(0)
-		chunks := chunk(int64(len(active)), c.EdgesPerTask, func(i int64) int64 {
-			return 1 + g.Degree(int64(active[i]))
-		})
-		chunkIDs := make([]dag.TaskID, 0, len(chunks))
-		for _, cr := range chunks {
-			tr.reset()
-			for i := cr[0]; i < cr[1]; i++ {
+		b.each(b.frontierChunks(g, active), func(_ int, lo, hi int64) {
+			for i := lo; i < hi; i++ {
 				u := int64(active[i])
 				tr.touch(frontAddr(parity, i), false, c.InstrsPerVertex)
 				tr.touch(offsetAddr(u), false, 0)
@@ -116,15 +100,7 @@ func MaximalMatching(g *CSR, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tre
 					tr.touch(matchAddr(u), true, 2)
 				}
 			}
-			t := d.AddTask(fmt.Sprintf("matching-r%d[%d:%d)", round, cr[0], cr[1]), tr.gen(c.SpawnInstrs/4))
-			t.Site = "graph/matching.go:handshake"
-			t.Param = float64(tr.bytes())
-			t.Level = round
-			groupBytes += tr.bytes()
-			tree.Own(group, t.ID)
-			d.MustEdge(prevBarrier, t.ID)
-			chunkIDs = append(chunkIDs, t.ID)
-		}
+		})
 
 		// Commit the round's mutual picks, then pack the survivors that
 		// still have a live neighbour.
@@ -134,35 +110,22 @@ func MaximalMatching(g *CSR, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tre
 				match[u], match[w] = w, u
 			}
 		}
-		pack := newTrace(c)
-		for _, u32 := range active {
-			u := int64(u32)
-			if match[u] != -1 {
-				continue
-			}
-			live := false
-			for _, w32 := range g.Adj(u) {
-				if match[w32] == -1 && int64(w32) != u {
-					live = true
-					break
+		var next []int32
+		b.close(fmt.Sprintf("matching-pack%d", round), "graph/matching.go:pack", c.SpawnInstrs, func() {
+			for _, u32 := range active {
+				u := int64(u32)
+				if match[u] != -1 {
+					continue
+				}
+				for _, w32 := range g.Adj(u) {
+					if match[w32] == -1 && int64(w32) != u {
+						tr.touch(frontAddr(1-parity, int64(len(next))), true, 1)
+						next = append(next, u32)
+						break
+					}
 				}
 			}
-			if live {
-				pack.touch(frontAddr(1-parity, nextSlot), true, 1)
-				nextSlot++
-				next = append(next, u32)
-			}
-		}
-		barrier := d.AddTask(fmt.Sprintf("matching-pack%d", round), pack.gen(c.SpawnInstrs))
-		barrier.Site = "graph/matching.go:pack"
-		barrier.Param = float64(pack.bytes())
-		barrier.Level = round
-		tree.Own(group, barrier.ID)
-		for _, id := range chunkIDs {
-			d.MustEdge(id, barrier.ID)
-		}
-		group.Param = float64(groupBytes)
-		prevBarrier = barrier.ID
+		})
 		active = next
 	}
 	var matched int64
@@ -171,8 +134,8 @@ func MaximalMatching(g *CSR, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tre
 			matched++
 		}
 	}
-	d.RecordMetric("matching.matched_vertices", matched)
+	b.d.RecordMetric("matching.matched_vertices", matched)
 
-	d2, t2, err := finish(d, tree, "matching")
-	return d2, t2, match, err
+	d, tree, err := b.finish()
+	return d, tree, match, err
 }

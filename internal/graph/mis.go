@@ -31,22 +31,15 @@ func misBeats(seed uint64, u, w int64) bool {
 // The third return value reports set membership per vertex, used by tests
 // for the independence and maximality invariants.
 func MIS(g *CSR, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []bool, error) {
-	c := costs.withDefaults()
 	n := g.N
-
-	d := dag.New(fmt.Sprintf("mis-%s", g.Name))
-	tree := taskgroup.New("mis")
-
+	b := newBuilder("mis", g, costs)
+	c, tr := b.c, b.tr
 	// Initialisation: draw the priorities, clear states, seed the list.
-	init := newTrace(c)
-	init.span(prioAddr(0), n*vertexEntryBytes, true, 1)
-	init.span(stateAddr(0), n*vertexEntryBytes, true, 1)
-	init.touch(frontAddr(0, 0), true, c.InstrsPerVertex)
-	initTask := d.AddTask("mis-init", init.gen(c.SpawnInstrs))
-	initTask.Site = "graph/mis.go:init"
-	initTask.Param = float64(init.bytes())
-	tree.Own(tree.Root, initTask.ID)
-	prevBarrier := initTask.ID
+	b.serial("mis-init", "graph/mis.go:init", c.SpawnInstrs, func() {
+		tr.span(prioAddr(0), n*vertexEntryBytes, true, 1)
+		tr.span(stateAddr(0), n*vertexEntryBytes, true, 1)
+		tr.touch(frontAddr(0, 0), true, c.InstrsPerVertex)
+	})
 
 	const (
 		undecided = iota
@@ -60,12 +53,10 @@ func MIS(g *CSR, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []bool, e
 		active = append(active, int32(v))
 	}
 
-	tr := newTrace(c)
 	for round := 0; len(active) > 0; round++ {
-		d.RecordMetric("mis.rounds", int64(round)+1)
+		b.d.RecordMetric("mis.rounds", int64(round)+1)
 		parity := round % 2
-		group := tree.AddChild(tree.Root, fmt.Sprintf("mis-round%d", round), "graph/mis.go:round", 0, round)
-		var groupBytes int64
+		b.round(fmt.Sprintf("mis-round%d", round), "graph/mis.go:round", fmt.Sprintf("mis-r%d", round), "graph/mis.go:decide", round)
 
 		// Jacobi semantics: winners are decided against the states as they
 		// stood at the round start, so the round's tasks commute.  A winner
@@ -85,15 +76,8 @@ func MIS(g *CSR, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []bool, e
 			winner[i] = win
 		}
 
-		var next []int32
-		nextSlot := int64(0)
-		chunks := chunk(int64(len(active)), c.EdgesPerTask, func(i int64) int64 {
-			return 1 + g.Degree(int64(active[i]))
-		})
-		chunkIDs := make([]dag.TaskID, 0, len(chunks))
-		for _, cr := range chunks {
-			tr.reset()
-			for i := cr[0]; i < cr[1]; i++ {
+		b.each(b.frontierChunks(g, active), func(_ int, lo, hi int64) {
+			for i := lo; i < hi; i++ {
 				u := int64(active[i])
 				tr.touch(frontAddr(parity, i), false, c.InstrsPerVertex)
 				tr.touch(prioAddr(u), false, 0)
@@ -117,18 +101,10 @@ func MIS(g *CSR, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []bool, e
 					}
 				}
 			}
-			t := d.AddTask(fmt.Sprintf("mis-r%d[%d:%d)", round, cr[0], cr[1]), tr.gen(c.SpawnInstrs/4))
-			t.Site = "graph/mis.go:decide"
-			t.Param = float64(tr.bytes())
-			t.Level = round
-			groupBytes += tr.bytes()
-			tree.Own(group, t.ID)
-			d.MustEdge(prevBarrier, t.ID)
-			chunkIDs = append(chunkIDs, t.ID)
-		}
+		})
 
 		// Commit the round on the host, then emit the survivor pack writes
-		// as part of the sync barrier's trace.
+		// as the sync barrier's trace.
 		for i, u32 := range active {
 			if winner[i] {
 				state[u32] = inSet
@@ -145,27 +121,18 @@ func MIS(g *CSR, seed uint64, costs Costs) (*dag.DAG, *taskgroup.Tree, []bool, e
 				}
 			}
 		}
-		pack := newTrace(c)
-		for _, u32 := range active {
-			if state[u32] == undecided {
-				pack.touch(frontAddr(1-parity, nextSlot), true, 1)
-				nextSlot++
-				next = append(next, u32)
+		var next []int32
+		b.close(fmt.Sprintf("mis-pack%d", round), "graph/mis.go:pack", c.SpawnInstrs, func() {
+			for _, u32 := range active {
+				if state[u32] == undecided {
+					tr.touch(frontAddr(1-parity, int64(len(next))), true, 1)
+					next = append(next, u32)
+				}
 			}
-		}
-		barrier := d.AddTask(fmt.Sprintf("mis-pack%d", round), pack.gen(c.SpawnInstrs))
-		barrier.Site = "graph/mis.go:pack"
-		barrier.Param = float64(pack.bytes())
-		barrier.Level = round
-		tree.Own(group, barrier.ID)
-		for _, id := range chunkIDs {
-			d.MustEdge(id, barrier.ID)
-		}
-		group.Param = float64(groupBytes)
-		prevBarrier = barrier.ID
+		})
 		active = next
 	}
 
-	d2, t2, err := finish(d, tree, "mis")
-	return d2, t2, inMIS, err
+	d, tree, err := b.finish()
+	return d, tree, inMIS, err
 }

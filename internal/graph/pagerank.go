@@ -22,40 +22,24 @@ import (
 // so from the third iteration on a chunk task takes its chunk's recording
 // from two iterations back instead of walking the graph again.
 func PageRank(g *CSR, iterations int64, costs Costs) (*dag.DAG, *taskgroup.Tree, error) {
-	c := costs.withDefaults()
 	if iterations <= 0 {
 		iterations = 8
 	}
 
-	d := dag.New(fmt.Sprintf("pagerank-%s", g.Name))
-	tree := taskgroup.New("pagerank")
-
-	init := newTrace(c)
-	init.span(rankAddr(0, 0), g.N*vertexEntryBytes, true, 1)
-	initTask := d.AddTask("pagerank-init", init.gen(c.SpawnInstrs))
-	initTask.Site = "graph/pagerank.go:init"
-	initTask.Param = float64(init.bytes())
-	tree.Own(tree.Root, initTask.ID)
+	b := newBuilder("pagerank", g, costs)
+	c, tr := b.c, b.tr
+	b.serial("pagerank-init", "graph/pagerank.go:init", c.SpawnInstrs, func() {
+		tr.span(rankAddr(0, 0), g.N*vertexEntryBytes, true, 1)
+	})
 
 	chunks := chunk(g.N, c.EdgesPerTask, func(v int64) int64 { return 1 + g.Degree(v) })
-	prevBarrier := initTask.ID
-	tr := newTrace(c)                // reused across gather tasks
 	var recorded [2][]*refs.Recorded // the chunk recordings of iterations 0 and 1
 	for iter := int64(0); iter < iterations; iter++ {
 		parity := int(iter) % 2
-		group := tree.AddChild(tree.Root, fmt.Sprintf("pagerank-iter%d", iter), "graph/pagerank.go:iter", 0, int(iter))
-		var groupBytes int64
-
-		chunkIDs := make([]dag.TaskID, 0, len(chunks))
-		for ci, cr := range chunks {
-			var gen refs.Gen
-			var bytes int64
-			if iter >= 2 && recorded[parity][ci] != nil { // nil: the walk failed to record
-				rec := recorded[parity][ci]
-				gen, bytes = rec, rec.Len()*c.LineBytes
-			} else {
-				tr.reset()
-				for u := cr[0]; u < cr[1]; u++ {
+		b.round(fmt.Sprintf("pagerank-iter%d", iter), "graph/pagerank.go:iter", fmt.Sprintf("pagerank-i%d", iter), "graph/pagerank.go:gather", int(iter))
+		if iter < 2 {
+			b.each(chunks, func(_ int, lo, hi int64) {
+				for u := lo; u < hi; u++ {
 					tr.touch(offsetAddr(u), false, c.InstrsPerVertex)
 					tr.touch(offsetAddr(u+1), false, 0)
 					for j := g.Offsets[u]; j < g.Offsets[u+1]; j++ {
@@ -67,31 +51,20 @@ func PageRank(g *CSR, iterations int64, costs Costs) (*dag.DAG, *taskgroup.Tree,
 					}
 					tr.touch(rankAddr(1-parity, u), true, 2)
 				}
-				gen, bytes = tr.gen(c.SpawnInstrs/4), tr.bytes()
+			})
+			for _, id := range b.chunks {
+				recorded[parity] = append(recorded[parity], b.d.Task(id).Refs)
 			}
-			t := d.AddTask(fmt.Sprintf("pagerank-i%d[%d:%d)", iter, cr[0], cr[1]), gen)
-			if iter < 2 {
-				recorded[parity] = append(recorded[parity], t.Refs)
+		} else {
+			for ci, cr := range chunks {
+				if rec := recorded[parity][ci]; rec != nil {
+					b.task(cr[0], cr[1], rec, rec.Len()*c.LineBytes)
+				} else { // its walk failed to record, which Validate reports
+					b.task(cr[0], cr[1], nil, 0)
+				}
 			}
-			t.Site = "graph/pagerank.go:gather"
-			t.Param = float64(bytes)
-			t.Level = int(iter)
-			groupBytes += bytes
-			tree.Own(group, t.ID)
-			d.MustEdge(prevBarrier, t.ID)
-			chunkIDs = append(chunkIDs, t.ID)
 		}
-
-		barrier := d.AddComputeTask(fmt.Sprintf("pagerank-reduce%d", iter), c.SpawnInstrs+g.N/8)
-		barrier.Site = "graph/pagerank.go:reduce"
-		barrier.Level = int(iter)
-		tree.Own(group, barrier.ID)
-		for _, id := range chunkIDs {
-			d.MustEdge(id, barrier.ID)
-		}
-		group.Param = float64(groupBytes)
-		prevBarrier = barrier.ID
+		b.close(fmt.Sprintf("pagerank-reduce%d", iter), "graph/pagerank.go:reduce", c.SpawnInstrs+g.N/8, nil)
 	}
-
-	return finish(d, tree, "pagerank")
+	return b.finish()
 }

@@ -31,7 +31,6 @@ func WeightOf(u, v int64, seed uint64, maxWeight int64) int64 {
 // array, and the scattered distance slots of their neighbours, writing the
 // slots they improve plus the next active list.
 func BellmanFord(g *CSR, source int64, seed uint64, maxWeight, maxRounds int64, costs Costs) (*dag.DAG, *taskgroup.Tree, error) {
-	c := costs.withDefaults()
 	if err := checkSource(g, source); err != nil {
 		return nil, nil, fmt.Errorf("graph: sssp: %w", err)
 	}
@@ -46,26 +45,19 @@ func BellmanFord(g *CSR, source int64, seed uint64, maxWeight, maxRounds int64, 
 	}
 	dist[source] = 0
 
-	d := dag.New(fmt.Sprintf("sssp-%s", g.Name))
-	tree := taskgroup.New("sssp")
+	b := newBuilder("sssp", g, costs)
+	c, tr := b.c, b.tr
+	b.serial("sssp-init", "graph/sssp.go:init", c.SpawnInstrs, func() {
+		tr.span(distAddr(0), g.N*vertexEntryBytes, true, 1)
+		tr.touch(frontAddr(0, 0), true, c.InstrsPerVertex)
+	})
 
-	init := newTrace(c)
-	init.span(distAddr(0), g.N*vertexEntryBytes, true, 1)
-	init.touch(frontAddr(0, 0), true, c.InstrsPerVertex)
-	initTask := d.AddTask("sssp-init", init.gen(c.SpawnInstrs))
-	initTask.Site = "graph/sssp.go:init"
-	initTask.Param = float64(init.bytes())
-	tree.Own(tree.Root, initTask.ID)
-
-	prevBarrier := initTask.ID
-	tr := newTrace(c) // reused across relax tasks; see bfs.go
 	active := []int32{int32(source)}
 	for round := 0; len(active) > 0 && (maxRounds == 0 || int64(round) < maxRounds); round++ {
-		d.RecordMetric(fmt.Sprintf("sssp.active.round_%02d.vertices", round), int64(len(active)))
-		d.RecordMetric("sssp.rounds", int64(round)+1)
+		b.d.RecordMetric(fmt.Sprintf("sssp.active.round_%02d.vertices", round), int64(len(active)))
+		b.d.RecordMetric("sssp.rounds", int64(round)+1)
 		parity := round % 2
-		group := tree.AddChild(tree.Root, fmt.Sprintf("sssp-round%d", round), "graph/sssp.go:round", 0, round)
-		var groupBytes int64
+		b.round(fmt.Sprintf("sssp-round%d", round), "graph/sssp.go:round", fmt.Sprintf("sssp-r%d", round), "graph/sssp.go:relax", round)
 
 		// Jacobi semantics: every relaxation in this round reads the
 		// distances as they stood at the end of the previous round, so the
@@ -77,13 +69,8 @@ func BellmanFord(g *CSR, source int64, seed uint64, maxWeight, maxRounds int64, 
 		newDist := make(map[int64]int64)
 		var next []int32
 		nextSlot := int64(0)
-		chunks := chunk(int64(len(active)), c.EdgesPerTask, func(i int64) int64 {
-			return 1 + g.Degree(int64(active[i]))
-		})
-		chunkIDs := make([]dag.TaskID, 0, len(chunks))
-		for _, cr := range chunks {
-			tr.reset()
-			for i := cr[0]; i < cr[1]; i++ {
+		b.each(b.frontierChunks(g, active), func(_ int, lo, hi int64) {
+			for i := lo; i < hi; i++ {
 				u := int64(active[i])
 				tr.touch(frontAddr(parity, i), false, c.InstrsPerVertex)
 				tr.touch(offsetAddr(u), false, 0)
@@ -107,25 +94,8 @@ func BellmanFord(g *CSR, source int64, seed uint64, maxWeight, maxRounds int64, 
 					}
 				}
 			}
-			t := d.AddTask(fmt.Sprintf("sssp-r%d[%d:%d)", round, cr[0], cr[1]), tr.gen(c.SpawnInstrs/4))
-			t.Site = "graph/sssp.go:relax"
-			t.Param = float64(tr.bytes())
-			t.Level = round
-			groupBytes += tr.bytes()
-			tree.Own(group, t.ID)
-			d.MustEdge(prevBarrier, t.ID)
-			chunkIDs = append(chunkIDs, t.ID)
-		}
-
-		barrier := d.AddComputeTask(fmt.Sprintf("sssp-sync%d", round), c.SpawnInstrs)
-		barrier.Site = "graph/sssp.go:sync"
-		barrier.Level = round
-		tree.Own(group, barrier.ID)
-		for _, id := range chunkIDs {
-			d.MustEdge(id, barrier.ID)
-		}
-		group.Param = float64(groupBytes)
-		prevBarrier = barrier.ID
+		})
+		b.close(fmt.Sprintf("sssp-sync%d", round), "graph/sssp.go:sync", c.SpawnInstrs, nil)
 
 		// Commit the round.
 		for v, dv := range newDist {
@@ -133,6 +103,5 @@ func BellmanFord(g *CSR, source int64, seed uint64, maxWeight, maxRounds int64, 
 		}
 		active = next
 	}
-
-	return finish(d, tree, "sssp")
+	return b.finish()
 }

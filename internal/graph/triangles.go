@@ -1,8 +1,6 @@
 package graph
 
 import (
-	"fmt"
-
 	"cmpsched/internal/dag"
 	"cmpsched/internal/taskgroup"
 )
@@ -23,15 +21,10 @@ import (
 // The second return value is the exact triangle count, used by tests (a grid
 // has none; random families have predictably many).
 func Triangles(g *CSR, costs Costs) (*dag.DAG, *taskgroup.Tree, int64, error) {
-	c := costs.withDefaults()
 	n := g.N
-
-	d := dag.New(fmt.Sprintf("triangles-%s", g.Name))
-	tree := taskgroup.New("triangles")
-
-	spawn := d.AddComputeTask("triangles-spawn", c.SpawnInstrs)
-	spawn.Site = "graph/triangles.go:spawn"
-	tree.Own(tree.Root, spawn.ID)
+	b := newBuilder("triangles", g, costs)
+	c, tr := b.c, b.tr
+	b.serial("triangles-spawn", "graph/triangles.go:spawn", c.SpawnInstrs, nil)
 
 	// fwdLoc(v) is the position of v's first forward (greater-id) neighbour
 	// within its adjacency list; Offsets[v]+fwdLoc(v) is the absolute index
@@ -54,16 +47,12 @@ func Triangles(g *CSR, costs Costs) (*dag.DAG, *taskgroup.Tree, int64, error) {
 		}
 		return w
 	}
-	group := tree.AddChild(tree.Root, "triangles-count", "graph/triangles.go:count", 0, 0)
+	b.round("triangles-count", "graph/triangles.go:count", "triangles", "graph/triangles.go:count", 0)
 	var total int64
-	var groupBytes int64
 	chunks := chunk(n, 4*c.EdgesPerTask, work)
-	chunkIDs := make([]dag.TaskID, 0, len(chunks))
-	tr := newTrace(c) // reused across counting tasks; see bfs.go
-	for ci, cr := range chunks {
-		tr.reset()
+	b.each(chunks, func(ci int, lo, hi int64) {
 		var count int64
-		for u := cr[0]; u < cr[1]; u++ {
+		for u := lo; u < hi; u++ {
 			tr.touch(offsetAddr(u), false, c.InstrsPerVertex)
 			tr.touch(offsetAddr(u+1), false, 0)
 			adjU, baseU := g.Adj(u), g.Offsets[u]
@@ -75,46 +64,31 @@ func Triangles(g *CSR, costs Costs) (*dag.DAG, *taskgroup.Tree, int64, error) {
 				adjV, baseV := g.Adj(v), g.Offsets[v]
 				// Merge-intersect fwd(u) (past jl) with fwd(v): the walk
 				// re-touches u's suffix interleaved with v's list.
-				a, b := jl+1, fwdLoc[v]
-				for a < int64(len(adjU)) && b < int64(len(adjV)) {
-					tr.touch(edgeAddr(baseU+a), false, 0)
-					tr.touch(edgeAddr(baseV+b), false, c.InstrsPerEdge)
+				p, q := jl+1, fwdLoc[v]
+				for p < int64(len(adjU)) && q < int64(len(adjV)) {
+					tr.touch(edgeAddr(baseU+p), false, 0)
+					tr.touch(edgeAddr(baseV+q), false, c.InstrsPerEdge)
 					switch {
-					case adjU[a] == adjV[b]:
+					case adjU[p] == adjV[q]:
 						count++
-						a++
-						b++
-					case adjU[a] < adjV[b]:
-						a++
+						p++
+						q++
+					case adjU[p] < adjV[q]:
+						p++
 					default:
-						b++
+						q++
 					}
 				}
 			}
 		}
 		tr.touch(accumAddr(int64(ci)), true, 4)
-		t := d.AddTask(fmt.Sprintf("triangles[%d:%d)", cr[0], cr[1]), tr.gen(c.SpawnInstrs/4))
-		t.Site = "graph/triangles.go:count"
-		t.Param = float64(tr.bytes())
-		groupBytes += tr.bytes()
-		tree.Own(group, t.ID)
-		d.MustEdge(spawn.ID, t.ID)
-		chunkIDs = append(chunkIDs, t.ID)
 		total += count
-	}
-	group.Param = float64(groupBytes)
+	})
+	b.join("triangles-reduce", "graph/triangles.go:reduce", c.SpawnInstrs, func() {
+		tr.span(accumAddr(0), int64(len(chunks))*vertexEntryBytes, false, 4)
+		tr.touch(accumAddr(int64(len(chunks))), true, 2)
+	})
 
-	reduce := newTrace(c)
-	reduce.span(accumAddr(0), int64(len(chunks))*vertexEntryBytes, false, 4)
-	reduce.touch(accumAddr(int64(len(chunks))), true, 2)
-	reduceTask := d.AddTask("triangles-reduce", reduce.gen(c.SpawnInstrs))
-	reduceTask.Site = "graph/triangles.go:reduce"
-	reduceTask.Param = float64(reduce.bytes())
-	tree.Own(tree.Root, reduceTask.ID)
-	for _, id := range chunkIDs {
-		d.MustEdge(id, reduceTask.ID)
-	}
-
-	d2, t2, err := finish(d, tree, "triangles")
-	return d2, t2, total, err
+	d, tree, err := b.finish()
+	return d, tree, total, err
 }

@@ -68,6 +68,37 @@ func (s GraphShape) costs() graph.Costs {
 	return graph.Costs{LineBytes: s.LineBytes, EdgesPerTask: s.EdgesPerTask}
 }
 
+// Kernel is a graph-kernel workload: it generates its configuration's graph
+// and runs the kernel's DAG builder on it.  C is the kernel's configuration
+// type, e.g. BFSConfig.
+type Kernel[C any] struct {
+	name  string
+	cfg   C
+	shape GraphShape // cfg's Shape
+	run   func(g *graph.CSR, costs graph.Costs) (*dag.DAG, *taskgroup.Tree, error)
+}
+
+// Name implements Workload.
+func (k *Kernel[C]) Name() string { return k.name }
+
+// Config returns the effective (default-filled) configuration.
+func (k *Kernel[C]) Config() C { return k.cfg }
+
+// Build implements Workload.
+func (k *Kernel[C]) Build() (*dag.DAG, *taskgroup.Tree, error) {
+	g, err := k.shape.build()
+	if err != nil {
+		return nil, nil, err
+	}
+	return k.run(g, k.shape.costs())
+}
+
+// dropResult returns a kernel's DAG, tree and error without its host-side
+// result (a count, labelling or matching), which only tests inspect.
+func dropResult[R any](d *dag.DAG, tree *taskgroup.Tree, _ R, err error) (*dag.DAG, *taskgroup.Tree, error) {
+	return d, tree, err
+}
+
 // BFSConfig parameterises the level-synchronous breadth-first search
 // benchmark.
 type BFSConfig struct {
@@ -76,28 +107,12 @@ type BFSConfig struct {
 	Source int64
 }
 
-// BFSWorkload builds BFS DAGs.
-type BFSWorkload struct{ cfg BFSConfig }
-
 // NewBFS returns a BFS workload; zero config fields take defaults.
-func NewBFS(cfg BFSConfig) *BFSWorkload {
+func NewBFS(cfg BFSConfig) *Kernel[BFSConfig] {
 	cfg.Shape = cfg.Shape.withDefaults(1 << 15)
-	return &BFSWorkload{cfg: cfg}
-}
-
-// Name implements Workload.
-func (w *BFSWorkload) Name() string { return "bfs" }
-
-// Config returns the effective (default-filled) configuration.
-func (w *BFSWorkload) Config() BFSConfig { return w.cfg }
-
-// Build implements Workload.
-func (w *BFSWorkload) Build() (*dag.DAG, *taskgroup.Tree, error) {
-	g, err := w.cfg.Shape.build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return graph.BFS(g, w.cfg.Source, w.cfg.Shape.costs())
+	return &Kernel[BFSConfig]{"bfs", cfg, cfg.Shape, func(g *graph.CSR, c graph.Costs) (*dag.DAG, *taskgroup.Tree, error) {
+		return graph.BFS(g, cfg.Source, c)
+	}}
 }
 
 // SSSPConfig parameterises the round-based Bellman-Ford single-source
@@ -113,11 +128,8 @@ type SSSPConfig struct {
 	MaxRounds int64
 }
 
-// SSSPWorkload builds Bellman-Ford DAGs.
-type SSSPWorkload struct{ cfg SSSPConfig }
-
 // NewSSSP returns an SSSP workload; zero config fields take defaults.
-func NewSSSP(cfg SSSPConfig) *SSSPWorkload {
+func NewSSSP(cfg SSSPConfig) *Kernel[SSSPConfig] {
 	cfg.Shape = cfg.Shape.withDefaults(1 << 15)
 	if cfg.MaxWeight == 0 {
 		cfg.MaxWeight = 16
@@ -125,26 +137,10 @@ func NewSSSP(cfg SSSPConfig) *SSSPWorkload {
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 64
 	}
-	return &SSSPWorkload{cfg: cfg}
-}
-
-// Name implements Workload.
-func (w *SSSPWorkload) Name() string { return "sssp" }
-
-// Config returns the effective (default-filled) configuration.
-func (w *SSSPWorkload) Config() SSSPConfig { return w.cfg }
-
-// Build implements Workload.
-func (w *SSSPWorkload) Build() (*dag.DAG, *taskgroup.Tree, error) {
-	g, err := w.cfg.Shape.build()
-	if err != nil {
-		return nil, nil, err
-	}
-	rounds := w.cfg.MaxRounds
-	if rounds < 0 {
-		rounds = 0 // run to convergence
-	}
-	return graph.BellmanFord(g, w.cfg.Source, w.cfg.Shape.Seed, w.cfg.MaxWeight, rounds, w.cfg.Shape.costs())
+	return &Kernel[SSSPConfig]{"sssp", cfg, cfg.Shape, func(g *graph.CSR, c graph.Costs) (*dag.DAG, *taskgroup.Tree, error) {
+		// BellmanFord takes 0 to mean "run to convergence".
+		return graph.BellmanFord(g, cfg.Source, cfg.Shape.Seed, cfg.MaxWeight, max(cfg.MaxRounds, 0), c)
+	}}
 }
 
 // PageRankConfig parameterises the PageRank power-iteration benchmark.
@@ -154,31 +150,15 @@ type PageRankConfig struct {
 	Iterations int64
 }
 
-// PageRankWorkload builds PageRank DAGs.
-type PageRankWorkload struct{ cfg PageRankConfig }
-
 // NewPageRank returns a PageRank workload; zero config fields take defaults.
-func NewPageRank(cfg PageRankConfig) *PageRankWorkload {
+func NewPageRank(cfg PageRankConfig) *Kernel[PageRankConfig] {
 	cfg.Shape = cfg.Shape.withDefaults(1 << 13)
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 8
 	}
-	return &PageRankWorkload{cfg: cfg}
-}
-
-// Name implements Workload.
-func (w *PageRankWorkload) Name() string { return "pagerank" }
-
-// Config returns the effective (default-filled) configuration.
-func (w *PageRankWorkload) Config() PageRankConfig { return w.cfg }
-
-// Build implements Workload.
-func (w *PageRankWorkload) Build() (*dag.DAG, *taskgroup.Tree, error) {
-	g, err := w.cfg.Shape.build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return graph.PageRank(g, w.cfg.Iterations, w.cfg.Shape.costs())
+	return &Kernel[PageRankConfig]{"pagerank", cfg, cfg.Shape, func(g *graph.CSR, c graph.Costs) (*dag.DAG, *taskgroup.Tree, error) {
+		return graph.PageRank(g, cfg.Iterations, c)
+	}}
 }
 
 // TrianglesConfig parameterises the triangle-counting benchmark.
@@ -186,30 +166,13 @@ type TrianglesConfig struct {
 	Shape GraphShape
 }
 
-// TrianglesWorkload builds triangle-counting DAGs.
-type TrianglesWorkload struct{ cfg TrianglesConfig }
-
 // NewTriangles returns a triangle-counting workload; zero config fields take
 // defaults.
-func NewTriangles(cfg TrianglesConfig) *TrianglesWorkload {
+func NewTriangles(cfg TrianglesConfig) *Kernel[TrianglesConfig] {
 	cfg.Shape = cfg.Shape.withDefaults(1 << 14)
-	return &TrianglesWorkload{cfg: cfg}
-}
-
-// Name implements Workload.
-func (w *TrianglesWorkload) Name() string { return "triangles" }
-
-// Config returns the effective (default-filled) configuration.
-func (w *TrianglesWorkload) Config() TrianglesConfig { return w.cfg }
-
-// Build implements Workload.
-func (w *TrianglesWorkload) Build() (*dag.DAG, *taskgroup.Tree, error) {
-	g, err := w.cfg.Shape.build()
-	if err != nil {
-		return nil, nil, err
-	}
-	d, tree, _, err := graph.Triangles(g, w.cfg.Shape.costs())
-	return d, tree, err
+	return &Kernel[TrianglesConfig]{"triangles", cfg, cfg.Shape, func(g *graph.CSR, c graph.Costs) (*dag.DAG, *taskgroup.Tree, error) {
+		return dropResult(graph.Triangles(g, c))
+	}}
 }
 
 // ConnectivityConfig parameterises the low-diameter-decomposition
@@ -218,30 +181,13 @@ type ConnectivityConfig struct {
 	Shape GraphShape
 }
 
-// ConnectivityWorkload builds LDD connectivity DAGs.
-type ConnectivityWorkload struct{ cfg ConnectivityConfig }
-
 // NewConnectivity returns a connectivity workload; zero config fields take
 // defaults.
-func NewConnectivity(cfg ConnectivityConfig) *ConnectivityWorkload {
+func NewConnectivity(cfg ConnectivityConfig) *Kernel[ConnectivityConfig] {
 	cfg.Shape = cfg.Shape.withDefaults(1 << 15)
-	return &ConnectivityWorkload{cfg: cfg}
-}
-
-// Name implements Workload.
-func (w *ConnectivityWorkload) Name() string { return "connectivity" }
-
-// Config returns the effective (default-filled) configuration.
-func (w *ConnectivityWorkload) Config() ConnectivityConfig { return w.cfg }
-
-// Build implements Workload.
-func (w *ConnectivityWorkload) Build() (*dag.DAG, *taskgroup.Tree, error) {
-	g, err := w.cfg.Shape.build()
-	if err != nil {
-		return nil, nil, err
-	}
-	d, tree, _, err := graph.Connectivity(g, w.cfg.Shape.Seed, w.cfg.Shape.costs())
-	return d, tree, err
+	return &Kernel[ConnectivityConfig]{"connectivity", cfg, cfg.Shape, func(g *graph.CSR, c graph.Costs) (*dag.DAG, *taskgroup.Tree, error) {
+		return dropResult(graph.Connectivity(g, cfg.Shape.Seed, c))
+	}}
 }
 
 // KCoreConfig parameterises the bucketed-peeling k-core benchmark.
@@ -249,29 +195,12 @@ type KCoreConfig struct {
 	Shape GraphShape
 }
 
-// KCoreWorkload builds k-core peeling DAGs.
-type KCoreWorkload struct{ cfg KCoreConfig }
-
 // NewKCore returns a k-core workload; zero config fields take defaults.
-func NewKCore(cfg KCoreConfig) *KCoreWorkload {
+func NewKCore(cfg KCoreConfig) *Kernel[KCoreConfig] {
 	cfg.Shape = cfg.Shape.withDefaults(1 << 15)
-	return &KCoreWorkload{cfg: cfg}
-}
-
-// Name implements Workload.
-func (w *KCoreWorkload) Name() string { return "kcore" }
-
-// Config returns the effective (default-filled) configuration.
-func (w *KCoreWorkload) Config() KCoreConfig { return w.cfg }
-
-// Build implements Workload.
-func (w *KCoreWorkload) Build() (*dag.DAG, *taskgroup.Tree, error) {
-	g, err := w.cfg.Shape.build()
-	if err != nil {
-		return nil, nil, err
-	}
-	d, tree, _, err := graph.KCore(g, w.cfg.Shape.costs())
-	return d, tree, err
+	return &Kernel[KCoreConfig]{"kcore", cfg, cfg.Shape, func(g *graph.CSR, c graph.Costs) (*dag.DAG, *taskgroup.Tree, error) {
+		return dropResult(graph.KCore(g, c))
+	}}
 }
 
 // MISConfig parameterises the random-priority maximal-independent-set
@@ -280,29 +209,12 @@ type MISConfig struct {
 	Shape GraphShape
 }
 
-// MISWorkload builds MIS DAGs.
-type MISWorkload struct{ cfg MISConfig }
-
 // NewMIS returns an MIS workload; zero config fields take defaults.
-func NewMIS(cfg MISConfig) *MISWorkload {
+func NewMIS(cfg MISConfig) *Kernel[MISConfig] {
 	cfg.Shape = cfg.Shape.withDefaults(1 << 15)
-	return &MISWorkload{cfg: cfg}
-}
-
-// Name implements Workload.
-func (w *MISWorkload) Name() string { return "mis" }
-
-// Config returns the effective (default-filled) configuration.
-func (w *MISWorkload) Config() MISConfig { return w.cfg }
-
-// Build implements Workload.
-func (w *MISWorkload) Build() (*dag.DAG, *taskgroup.Tree, error) {
-	g, err := w.cfg.Shape.build()
-	if err != nil {
-		return nil, nil, err
-	}
-	d, tree, _, err := graph.MIS(g, w.cfg.Shape.Seed, w.cfg.Shape.costs())
-	return d, tree, err
+	return &Kernel[MISConfig]{"mis", cfg, cfg.Shape, func(g *graph.CSR, c graph.Costs) (*dag.DAG, *taskgroup.Tree, error) {
+		return dropResult(graph.MIS(g, cfg.Shape.Seed, c))
+	}}
 }
 
 // MatchingConfig parameterises the random-priority maximal-matching
@@ -311,30 +223,13 @@ type MatchingConfig struct {
 	Shape GraphShape
 }
 
-// MatchingWorkload builds maximal-matching DAGs.
-type MatchingWorkload struct{ cfg MatchingConfig }
-
 // NewMatching returns a maximal-matching workload; zero config fields take
 // defaults.
-func NewMatching(cfg MatchingConfig) *MatchingWorkload {
+func NewMatching(cfg MatchingConfig) *Kernel[MatchingConfig] {
 	cfg.Shape = cfg.Shape.withDefaults(1 << 15)
-	return &MatchingWorkload{cfg: cfg}
-}
-
-// Name implements Workload.
-func (w *MatchingWorkload) Name() string { return "matching" }
-
-// Config returns the effective (default-filled) configuration.
-func (w *MatchingWorkload) Config() MatchingConfig { return w.cfg }
-
-// Build implements Workload.
-func (w *MatchingWorkload) Build() (*dag.DAG, *taskgroup.Tree, error) {
-	g, err := w.cfg.Shape.build()
-	if err != nil {
-		return nil, nil, err
-	}
-	d, tree, _, err := graph.MaximalMatching(g, w.cfg.Shape.Seed, w.cfg.Shape.costs())
-	return d, tree, err
+	return &Kernel[MatchingConfig]{"matching", cfg, cfg.Shape, func(g *graph.CSR, c graph.Costs) (*dag.DAG, *taskgroup.Tree, error) {
+		return dropResult(graph.MaximalMatching(g, cfg.Shape.Seed, c))
+	}}
 }
 
 // The graph kernels self-register, like any future workload should.

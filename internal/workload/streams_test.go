@@ -12,7 +12,6 @@ package workload
 //	go test ./internal/workload -run TestStreamPins -update-streams
 
 import (
-	"bufio"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -102,73 +101,63 @@ func computeStreamPins(t *testing.T) map[string]string {
 	return out
 }
 
-func readStreamPins(t *testing.T) map[string]string {
+// checkPins compares got, one pin per case name, with the pin file at path;
+// with update it rewrites the file instead: header, then one "name\tpin"
+// line per case in name order.
+func checkPins(t *testing.T, path string, update bool, header string, got map[string]string) {
 	t.Helper()
-	f, err := os.Open(streamsFile)
-	if err != nil {
-		t.Fatalf("open stream pins (run with -update-streams to create): %v", err)
+	if update {
+		names := make([]string, 0, len(got))
+		for name := range got {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		var b strings.Builder
+		b.WriteString(header)
+		for _, name := range names {
+			fmt.Fprintf(&b, "%s\t%s\n", name, got[name])
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d pins to %s", len(got), path)
+		return
 	}
-	defer f.Close()
-	out := make(map[string]string)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read pins (run with the update flag to create them): %v", err)
+	}
+	want := make(map[string]string)
+	for _, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		name, pin, ok := strings.Cut(line, "\t")
 		if !ok {
-			t.Fatalf("malformed stream pin line %q", line)
+			t.Fatalf("malformed pin line %q in %s", line, path)
 		}
-		out[name] = pin
+		want[name] = pin
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("read stream pins: %v", err)
+	if len(want) != len(got) {
+		t.Errorf("%s has %d entries, the test computes %d", path, len(want), len(got))
 	}
-	return out
-}
-
-func writeStreamPins(t *testing.T, pins map[string]string) {
-	t.Helper()
-	if err := os.MkdirAll(filepath.Dir(streamsFile), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	names := make([]string, 0, len(pins))
-	for name := range pins {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteString("# Stream pins: workload -> task count, total refs, total instructions and an FNV-64 over\n")
-	b.WriteString("# every task's name, Seq, Instrs, preds and stream fingerprint; regenerate with\n")
-	b.WriteString("# `go test ./internal/workload -run TestStreamPins -update-streams`.\n")
-	for _, name := range names {
-		fmt.Fprintf(&b, "%s\t%s\n", name, pins[name])
-	}
-	if err := os.WriteFile(streamsFile, []byte(b.String()), 0o644); err != nil {
-		t.Fatal(err)
+	for name, wantPin := range want {
+		if gotPin, ok := got[name]; !ok {
+			t.Errorf("%s: pinned but no longer computed", name)
+		} else if gotPin != wantPin {
+			t.Errorf("%s:\n  got  %s\n  want %s", name, gotPin, wantPin)
+		}
 	}
 }
 
 func TestStreamPins(t *testing.T) {
-	got := computeStreamPins(t)
-	if *updateStreams {
-		writeStreamPins(t, got)
-		t.Logf("wrote %d stream pins to %s", len(got), streamsFile)
-		return
-	}
-	want := readStreamPins(t)
-	if len(want) != len(got) {
-		t.Errorf("stream pin file has %d entries, registry has %d workloads", len(want), len(got))
-	}
-	for name, wantPin := range want {
-		gotPin, ok := got[name]
-		if !ok {
-			t.Errorf("%s: pinned but no longer registered", name)
-			continue
-		}
-		if gotPin != wantPin {
-			t.Errorf("%s:\n  got  %s\n  want %s", name, gotPin, wantPin)
-		}
-	}
+	checkPins(t, streamsFile, *updateStreams,
+		"# Stream pins: workload -> task count, total refs, total instructions and an FNV-64 over\n"+
+			"# every task's name, Seq, Instrs, preds and stream fingerprint; regenerate with\n"+
+			"# `go test ./internal/workload -run TestStreamPins -update-streams`.\n",
+		computeStreamPins(t))
 }
